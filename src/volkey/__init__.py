@@ -38,9 +38,9 @@ from .kernels import (
 )
 from .keypoints import Keypoint, detect_keypoints
 from .matching import (
+    MATCH_DTYPE,
     HoughParams,
     HoughResult,
-    Match,
     hough_init,
     match_features,
     transform_between,

@@ -166,7 +166,7 @@ def cmd_match(args) -> int:
             for m in matches:
                 fh.write(
                     f"{m.fixed_index}\t{m.moving_index}\t{m.moving_state}\t"
-                    f"{m.descriptor_distance!r}\n"
+                    f"{float(m.descriptor_distance)!r}\n"
                 )
         _emit("out", args.out)
     _emit("num_fixed", len(fixed))
@@ -204,8 +204,8 @@ def cmd_register(args) -> int:
         with open(args.dump_inliers, "w") as fh:
             fh.write("fixed_x\tfixed_y\tfixed_z\tmoving_x\tmoving_y\tmoving_z\tstate\n")
             for m in result.inliers:
-                fx = "\t".join(repr(float(v)) for v in m.fixed_geometry.x)
-                mx = "\t".join(repr(float(v)) for v in m.moving_geometry.x)
+                fx = "\t".join(repr(float(v)) for v in m.fixed_x)
+                mx = "\t".join(repr(float(v)) for v in m.moving_x)
                 fh.write(f"{fx}\t{mx}\t{m.moving_state}\n")
         _emit("dump_inliers", args.dump_inliers)
     if args.dump_lambda:

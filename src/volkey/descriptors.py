@@ -98,15 +98,19 @@ class Feature:
     descriptors: list[Descriptor]
     border: bool = False
 
-    def geometry(self, state: int = 0):
-        from .transforms import Geometry
-        from .frames import STATE_SIGNS
 
-        return Geometry(
-            x=self.keypoint.x,
-            sigma=self.keypoint.sigma,
-            theta=self.frame.matrix @ STATE_SIGNS[state],
-        )
+def feature_geometry(features: list[Feature]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked locations (n, 3), scales (n,) and base frames (n, 3, 3)."""
+    x = np.array([f.keypoint.x for f in features], dtype=float).reshape(-1, 3)
+    sigma = np.array([f.keypoint.sigma for f in features], dtype=float)
+    frames = np.array([f.frame.matrix for f in features], dtype=float).reshape(-1, 3, 3)
+    return x, sigma, frames
+
+
+_ESTIMATORS = {
+    "max_gradient": estimate_frame_max_gradient,
+    "structure_tensor": estimate_frame_structure_tensor,
+}
 
 
 @dataclass
@@ -117,6 +121,17 @@ class ExtractionConfig:
     max_count: int = 6000
     estimator: str = "max_gradient"
     window_factor: float = 1.5
+
+    def __post_init__(self) -> None:
+        for name in ("base_sigma", "window_factor"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise RejectedInputError(f"{name} must be positive and finite")
+        if not 0.0 <= self.min_abs_response < math.inf:
+            raise RejectedInputError("min_abs_response must be nonnegative and finite")
+        if self.max_count < 1 or (self.num_octaves is not None and self.num_octaves < 1):
+            raise RejectedInputError("max_count and num_octaves must be positive")
+        if self.estimator not in _ESTIMATORS:
+            raise RejectedInputError(f"unknown estimator {self.estimator!r}")
 
 
 @dataclass
@@ -130,19 +145,11 @@ class ExtractionStats:
         return self.num_keypoints - self.dropped_no_orientation - self.dropped_ambiguous
 
 
-_ESTIMATORS = {
-    "max_gradient": estimate_frame_max_gradient,
-    "structure_tensor": estimate_frame_structure_tensor,
-}
-
-
 def extract_features_with_stats(
     volume: ScalarVolume, config: ExtractionConfig | None = None
 ) -> tuple[list[Feature], ExtractionStats]:
     """Full pipeline: scale space, keypoints, frames, state descriptors."""
     cfg = config or ExtractionConfig()
-    if cfg.estimator not in _ESTIMATORS:
-        raise RejectedInputError(f"unknown estimator {cfg.estimator!r}")
     estimator = _ESTIMATORS[cfg.estimator]
     ss = build_scale_space(volume, base_sigma=cfg.base_sigma, num_octaves=cfg.num_octaves)
     keypoints = detect_keypoints(

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInputError
-from .matching import Match
 from .transforms import SimilarityTransform, rotvec_from_matrix
 from .volume import ScalarVolume, resample
 
@@ -72,7 +71,7 @@ def overlap_ssd(
     return float(diff[inside].sum())
 
 
-def state_histogram(matches: list[Match]) -> np.ndarray:
+def state_histogram(matches: np.recarray) -> np.ndarray:
     """4x4 table of (fixed state row, moving state column) transition counts.
 
     Matching holds the fixed feature at state 0, so a single run fills row 0;
@@ -80,8 +79,7 @@ def state_histogram(matches: list[Match]) -> np.ndarray:
     caller via the transpose convention.
     """
     hist = np.zeros((4, 4), dtype=int)
-    for m in matches:
-        hist[0, m.moving_state] += 1
+    hist[0] = np.bincount(matches.moving_state, minlength=4)
     return hist
 
 
@@ -91,7 +89,7 @@ def evaluate(
     probes: np.ndarray,
     fixed: ScalarVolume | None = None,
     moving: ScalarVolume | None = None,
-    inliers: list[Match] | None = None,
+    inliers: np.recarray | None = None,
     runtime: float | None = None,
 ) -> EvaluationReport:
     """Bundle of registration metrics against a known ground truth."""

@@ -12,8 +12,11 @@ border flag (u8) and the four ranked descriptors (4 x 64 u8).
 """
 from __future__ import annotations
 
+import gzip
 import hashlib
+import math
 import struct
+import zlib
 import warnings
 from pathlib import Path
 
@@ -119,7 +122,7 @@ _NIFTI_DTYPES = {2: np.uint8, 4: np.dtype("i2"), 16: np.dtype("f4")}
 
 
 def read_nifti(path: str | Path) -> ScalarVolume:
-    """Minimal single-file NIfTI-1 reader.
+    """Minimal single-file NIfTI-1 reader, gzip-compressed (.nii.gz) or not.
 
     Honors dims, pixdim, datatype (u8/i16/f32), scl_slope/scl_inter and
     vox_offset; every other header field (orientation included) is ignored
@@ -127,6 +130,11 @@ def read_nifti(path: str | Path) -> ScalarVolume:
     """
     path = Path(path)
     raw = path.read_bytes()
+    if raw[:2] == b"\x1f\x8b":
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise ParseError(f"{path}: corrupt gzip stream ({exc}) at byte offset 0") from exc
     if len(raw) < 348:
         raise ParseError(f"{path}: truncated header at byte offset {len(raw)} (need 348)")
     sizeof_hdr = struct.unpack_from("<i", raw, 0)[0]
@@ -236,17 +244,15 @@ def read_features(path: str | Path) -> tuple[list[Feature], dict]:
         version = int(header_lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{path}: malformed magic line at byte offset 0") from exc
-    if version > FEATURE_VERSION:
-        raise ParseError(
-            f"{path}: file version {version} is newer than supported {FEATURE_VERSION}"
-        )
+    if not 1 <= version <= FEATURE_VERSION:
+        raise ParseError(f"{path}: unsupported file version {version} (byte offset 0)")
     meta: dict[str, str] = {}
     for line in header_lines[1:]:
         if "=" in line:
             k, _, v = line.partition("=")
             meta[k.strip()] = v.strip()
-    if "count" not in meta:
-        raise ParseError(f"{path}: header missing count (byte offset 0)")
+    if not meta.get("count", "").isdecimal():
+        raise ParseError(f"{path}: header count missing or not a count (byte offset 0)")
     count = int(meta["count"])
     body = raw[end + 4 :]
     expected = count * _RECORD.size
@@ -255,6 +261,9 @@ def read_features(path: str | Path) -> tuple[list[Feature], dict]:
             f"{path}: record block size mismatch at byte offset "
             f"{end + 4 + min(len(body), expected)}: expected {expected} bytes, found {len(body)}"
         )
+    # each state's descriptor is a rank order of its 64 bins
+    ranks = np.frombuffer(body, np.uint8).reshape(count, _RECORD.size)[:, -256:].reshape(-1, 4, 64)
+    permuted = np.all(np.sort(ranks, axis=2) == np.arange(64), axis=(1, 2))
     features: list[Feature] = []
     for i in range(count):
         fields = _RECORD.unpack_from(body, i * _RECORD.size)
@@ -263,16 +272,19 @@ def read_features(path: str | Path) -> tuple[list[Feature], dict]:
         theta = np.array(fields[4:13]).reshape(3, 3)
         sign = int(fields[13])
         border = bool(fields[14])
-        ranks = np.array(fields[15:], dtype=np.int16).reshape(4, 64)
         offset = end + 4 + i * _RECORD.size
         if not is_rotation(theta, tol=1e-6):
             raise ParseError(f"{path}: record {i} frame is not a rotation (byte offset {offset})")
         if sign not in (-1, 1):
             raise ParseError(f"{path}: record {i} has sign {sign} (byte offset {offset})")
-        if not sigma > 0.0:
-            raise ParseError(f"{path}: record {i} has sigma {sigma} (byte offset {offset})")
+        if not (0.0 < sigma < math.inf and all(map(math.isfinite, fields[0:3]))):
+            raise ParseError(f"{path}: record {i} has x {x}, sigma {sigma} (byte offset {offset})")
+        if not permuted[i]:
+            raise ParseError(
+                f"{path}: record {i} ranks are not a permutation of 0..63 (byte offset {offset})"
+            )
         kp = Keypoint(x=x, sigma=sigma, sign=sign, response=float(sign), border=border)
-        descriptors = [Descriptor(bins=None, ranked=ranks[k]) for k in range(4)]
+        descriptors = [Descriptor(bins=None, ranked=r) for r in ranks[i]]
         features.append(
             Feature(keypoint=kp, frame=Frame(theta), descriptors=descriptors, border=border)
         )

@@ -6,6 +6,8 @@ resolve to the lowest moving index, then lowest state).  Every match implies
 a similarity transform from the two feature geometries; the matches vote in
 transform space and the dominant mode, refined by mean shift, initializes
 registration.  Vote transforms map moving geometry onto fixed geometry.
+
+Matches live in one record array of MATCH_DTYPE, one row per fixed feature.
 """
 from __future__ import annotations
 
@@ -14,69 +16,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import Feature
+from .descriptors import Feature, feature_geometry
 from .errors import InitializationFailureError, RejectedInputError
-from .transforms import (
-    Geometry,
-    SimilarityTransform,
-    project_to_rotation,
-    rotvec_from_matrix,
+from .frames import STATE_SIGNS
+from .transforms import SimilarityTransform, project_to_rotation, rotvec_from_matrix
+
+MATCH_DTYPE = np.dtype(
+    [
+        ("fixed_index", np.int64), ("moving_index", np.int64), ("moving_state", np.int64),
+        ("descriptor_distance", float),
+        # both geometries, the moving one under the matched state
+        ("fixed_x", float, 3), ("fixed_sigma", float),
+        ("moving_x", float, 3), ("moving_sigma", float),
+        # the vote, moving onto fixed
+        ("rotation", float, (3, 3)), ("scale", float), ("translation", float, 3),
+    ]
 )
 
-
-@dataclass(eq=False)
-class Match:
-    """Best moving candidate for one fixed feature."""
-
-    fixed_index: int
-    moving_index: int
-    moving_state: int
-    descriptor_distance: float
-    transform: SimilarityTransform
-    fixed_geometry: Geometry
-    moving_geometry: Geometry
+# bytes of float64 distances per block of fixed rows: matching never holds
+# the whole (N, 4M) table
+_BLOCK_BYTES = 8 << 20
 
 
-def transform_between(g_src: Geometry, g_dst: Geometry) -> SimilarityTransform:
-    """Similarity transform carrying the source geometry onto the destination.
+def transform_between(src, dst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Similarity transforms (rotation, scale, translation) carrying source
+    geometries onto destination ones.
 
+    src and dst are (x, sigma, theta) of shapes (..., 3), (...), (..., 3, 3):
     b = sigma_dst / sigma_src, R = theta_dst theta_src^T, t = x_dst - b R x_src.
     """
-    b = g_dst.sigma / g_src.sigma
-    r = project_to_rotation(g_dst.theta @ g_src.theta.T)
-    t = g_dst.x - b * (r @ g_src.x)
-    return SimilarityTransform(rotation=r, scale=b, translation=t)
+    (x_src, s_src, t_src), (x_dst, s_dst, t_dst) = src, dst
+    b = np.divide(s_dst, s_src)
+    r = project_to_rotation(t_dst @ np.swapaxes(t_src, -1, -2))
+    return r, b, x_dst - b[..., None] * (r @ x_src[..., None])[..., 0]
 
 
-def match_features(fixed: list[Feature], moving: list[Feature]) -> list[Match]:
+def match_table(fixed, moving, fixed_index, moving_index, moving_state, distance) -> np.recarray:
+    """Match records with their votes; fixed and moving are (x, sigma, theta)
+    stacks, one row per match, the moving frames under the matched state."""
+    columns = [fixed_index, moving_index, moving_state, distance, *fixed[:2], *moving[:2]]
+    return np.rec.fromarrays(columns + list(transform_between(moving, fixed)), dtype=MATCH_DTYPE)
+
+
+def match_features(fixed: list[Feature], moving: list[Feature]) -> np.recarray:
     """Nearest ranked descriptor over all moving features and states."""
     if not fixed or not moving:
         raise RejectedInputError("both feature lists must be nonempty")
-    ranks_m = np.stack(
-        [[d.ranked for d in f.descriptors] for f in moving]
-    ).astype(np.float64)  # (M, 4, 64)
-    m, nstates, nbins = ranks_m.shape
-    flat = ranks_m.reshape(m * nstates, nbins)
-    matches: list[Match] = []
-    for n, f in enumerate(fixed):
-        r = f.descriptors[0].ranked.astype(np.float64)
-        d2 = ((flat - r) ** 2).sum(axis=1)
-        best = int(np.argmin(d2))
-        mi, state = divmod(best, nstates)
-        g_fixed = f.geometry(0)
-        g_moving = moving[mi].geometry(state)
-        matches.append(
-            Match(
-                fixed_index=n,
-                moving_index=mi,
-                moving_state=state,
-                descriptor_distance=float(math.sqrt(d2[best])),
-                transform=transform_between(g_moving, g_fixed),
-                fixed_geometry=g_fixed,
-                moving_geometry=g_moving,
-            )
-        )
-    return matches
+    ranks_f = np.array([f.descriptors[0].ranked for f in fixed], dtype=np.float64)
+    # row m * nstates + state
+    flat = np.array([d.ranked for f in moving for d in f.descriptors], dtype=np.float64)
+    nstates = len(flat) // len(moving)
+    # over integer ranks |b|^2 - 2 a.b is exact in float64 and orders the rows
+    # of b as |a - b|^2 does, so the first minimum is the lowest (moving, state)
+    sq_m = (flat * flat).sum(axis=1)
+    step = max(1, _BLOCK_BYTES // (8 * len(flat)))
+    blocks = np.split(ranks_f, np.arange(step, len(fixed), step))
+    best = np.concatenate([(sq_m - 2.0 * (a @ flat.T)).argmin(axis=1) for a in blocks])
+    mi, state = np.divmod(best, nstates)
+    x_m, s_m, theta_m = feature_geometry(moving)
+    moving_geometry = (x_m[mi], s_m[mi], theta_m[mi] @ np.stack(STATE_SIGNS)[state])
+    distance = np.sqrt(((ranks_f - flat[best]) ** 2).sum(axis=1))
+    return match_table(
+        feature_geometry(fixed), moving_geometry, np.arange(len(fixed)), mi, state, distance
+    )
 
 
 @dataclass
@@ -93,35 +95,43 @@ class HoughParams:
     max_shift_iters: int = 30
     max_refit_iters: int = 10
 
+    def __post_init__(self) -> None:
+        if not -1.0 <= self.eps_cos < 1.0:
+            raise RejectedInputError(f"eps_cos must be in [-1, 1), got {self.eps_cos}")
+        for name in ("eps_log_scale", "eps_disp", "rot_bin", "log_scale_bin", "trans_bin"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise RejectedInputError(f"{name} must be positive and finite")
+        if self.max_seeds < 1 or self.max_shift_iters < 0 or self.max_refit_iters < 0:
+            raise RejectedInputError("max_seeds must be positive, iteration caps nonnegative")
+
 
 @dataclass(eq=False)
 class HoughResult:
     t_star: SimilarityTransform
-    inliers: list[Match]
-    vote_count: int
+    inliers: np.recarray
 
 
-def is_consistent(match: Match, t: SimilarityTransform, params: HoughParams) -> bool:
-    """Per-axis rotation cosines, log-scale gap, and scale-normalized residual."""
-    rv = match.transform
-    cos = np.einsum("ai,ai->i", rv.rotation, t.rotation)
-    if np.any(cos <= params.eps_cos):
-        return False
-    if abs(math.log(rv.scale) - math.log(t.scale)) >= params.eps_log_scale:
-        return False
-    residual = t.apply(match.moving_geometry.x) - match.fixed_geometry.x
-    norm = (t.scale * match.moving_geometry.sigma) * match.fixed_geometry.sigma
-    return bool(residual @ residual < params.eps_disp * norm)
+def consistency_mask(
+    matches: np.recarray, log_scales: np.ndarray, t: SimilarityTransform, params: HoughParams
+) -> np.ndarray:
+    """Votes consistent with t: per-axis rotation cosines, log-scale gap
+    (log_scales holds math.log of the vote scales), and scale-normalized
+    residual; the batched matrix products round like those of a single match.
+    """
+    cos = np.einsum("nai,ai->ni", np.ascontiguousarray(matches.rotation), t.rotation)
+    moved = (t.rotation @ np.ascontiguousarray(matches.moving_x)[..., None])[..., 0]
+    residual = t.scale * moved + t.translation - matches.fixed_x
+    dist_sq = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
+    norm = (t.scale * matches.moving_sigma) * matches.fixed_sigma
+    return (
+        ~np.any(cos <= params.eps_cos, axis=1)
+        & (np.abs(log_scales - math.log(t.scale)) < params.eps_log_scale)
+        & (dist_sq < params.eps_disp * norm)
+    )
 
 
-def _count_inliers(matches: list[Match], t: SimilarityTransform, params: HoughParams) -> int:
-    return sum(1 for m in matches if is_consistent(m, t, params))
-
-
-def _fit_to_matches(matches: list[Match]) -> SimilarityTransform:
-    """Closed-form similarity fit of the matched point pairs (moving onto fixed)."""
-    f = np.stack([m.fixed_geometry.x for m in matches])
-    mv = np.stack([m.moving_geometry.x for m in matches])
+def _fit_points(f: np.ndarray, mv: np.ndarray) -> SimilarityTransform:
+    """Closed-form similarity fit of matched point pairs (moving onto fixed)."""
     f_hat = f - f.mean(axis=0)
     m_hat = mv - mv.mean(axis=0)
     a = f_hat.T @ m_hat
@@ -133,7 +143,7 @@ def _fit_to_matches(matches: list[Match]) -> SimilarityTransform:
     return SimilarityTransform(rotation=r, scale=b, translation=t)
 
 
-def hough_init(matches: list[Match], params: HoughParams | None = None) -> HoughResult:
+def hough_init(matches: np.recarray, params: HoughParams | None = None) -> HoughResult:
     """Dominant similarity transform among the match votes.
 
     Votes are hashed on quantized (rotation-vector, log-scale, translation)
@@ -145,28 +155,27 @@ def hough_init(matches: list[Match], params: HoughParams | None = None) -> Hough
     params = params or HoughParams()
     if len(matches) < 3:
         raise InitializationFailureError(f"need at least 3 matches, got {len(matches)}")
-    rots = np.stack([m.transform.rotation for m in matches])
-    rotvecs = np.stack([rotvec_from_matrix(r) for r in rots])
-    log_scales = np.array([math.log(m.transform.scale) for m in matches])
-    trans = np.stack([m.transform.translation for m in matches])
-
-    cells: dict[tuple, list[int]] = {}
-    for i in range(len(matches)):
-        key = (
-            *np.floor(rotvecs[i] / params.rot_bin).astype(int),
-            int(math.floor(log_scales[i] / params.log_scale_bin)),
-            *np.floor(trans[i] / params.trans_bin).astype(int),
-        )
-        cells.setdefault(key, []).append(i)
-    seeds = sorted(cells.items(), key=lambda kv: (-len(kv[1]), kv[0]))[: params.max_seeds]
-
+    rots = np.ascontiguousarray(matches.rotation)
+    trans = matches.translation
+    # math.log, not np.log: the SIMD log differs in the last bit for some
+    # scales, and the cell means below depend on every bit
+    log_scales = np.array(list(map(math.log, matches.scale)))
+    keys = np.column_stack(
+        [
+            np.floor(rotvec_from_matrix(rots) / params.rot_bin),
+            np.floor(log_scales / params.log_scale_bin),
+            np.floor(trans / params.trans_bin),
+        ]
+    ).astype(np.int64)
+    _, cell_of, cell_size = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     candidates: list[SimilarityTransform] = []
-    for _, members in seeds:
-        r_hat = project_to_rotation(rots[members].mean(axis=0))
-        ls_hat = float(log_scales[members].mean())
-        t_hat = trans[members].mean(axis=0)
-        window = np.asarray(members)
-        previous: set[int] | None = None
+    # cells come in key order, so a stable sort on size gives (-size, key)
+    for cell in np.argsort(-cell_size, kind="stable")[: params.max_seeds]:
+        window = np.flatnonzero(cell_of == cell)
+        r_hat = project_to_rotation(rots[window].mean(axis=0))
+        ls_hat = float(log_scales[window].mean())
+        t_hat = trans[window].mean(axis=0)
+        previous = None
         for _ in range(params.max_shift_iters):
             cos_ang = np.clip(
                 (np.einsum("kij,ij->k", rots, r_hat) - 1.0) / 2.0, -1.0, 1.0
@@ -176,16 +185,15 @@ def hough_init(matches: list[Match], params: HoughParams | None = None) -> Hough
                 & (np.abs(log_scales - ls_hat) < params.log_scale_bin)
                 & (np.linalg.norm(trans - t_hat, axis=1) < params.trans_bin)
             )
-            window = np.nonzero(inside)[0]
+            window = np.flatnonzero(inside)
             if window.size == 0:
                 break
-            current = set(window.tolist())
             r_hat = project_to_rotation(rots[window].mean(axis=0))
             ls_hat = float(log_scales[window].mean())
             t_hat = trans[window].mean(axis=0)
-            if current == previous:
+            if previous is not None and np.array_equal(window, previous):
                 break
-            previous = current
+            previous = window
         candidates.append(
             SimilarityTransform(rotation=r_hat, scale=math.exp(ls_hat), translation=t_hat)
         )
@@ -194,38 +202,33 @@ def hough_init(matches: list[Match], params: HoughParams | None = None) -> Hough
         # sharper, so offer it as a second candidate for the same cluster.
         if window.size >= 3:
             try:
-                candidates.append(_fit_to_matches([matches[i] for i in window]))
+                candidates.append(_fit_points(matches.fixed_x[window], matches.moving_x[window]))
             except ValueError:
                 pass
 
-    best: SimilarityTransform | None = None
-    best_count = -1
-    for cand in candidates:
-        count = _count_inliers(matches, cand, params)
-        if count > best_count:
-            best, best_count = cand, count
-    if best is None or best_count < 3:
+    counts = [int(consistency_mask(matches, log_scales, c, params).sum()) for c in candidates]
+    if max(counts, default=0) < 3:
         raise InitializationFailureError(
-            f"no transform cluster with >= 3 consistent votes (best {max(best_count, 0)})"
+            f"no transform cluster with >= 3 consistent votes (best {max(counts, default=0)})"
         )
-    inliers = [m for m in matches if is_consistent(m, best, params)]
+    best = candidates[int(np.argmax(counts))]
+    inliers = consistency_mask(matches, log_scales, best, params)
     # Re-fit to the inlier pairs and recount until membership stabilizes; the
     # mean-shift mode is a vote average while the least-squares fit of the
     # matched endpoints is sharper, which recovers inliers the residual test
     # rejects under the coarser mode.
     for _ in range(params.max_refit_iters):
-        if len(inliers) < 3:
+        if inliers.sum() < 3:
             break
         try:
-            refit = _fit_to_matches(inliers)
+            refit = _fit_points(matches.fixed_x[inliers], matches.moving_x[inliers])
         except ValueError:
             break
-        new_inliers = [m for m in matches if is_consistent(m, refit, params)]
-        if len(new_inliers) < len(inliers):
+        new_inliers = consistency_mask(matches, log_scales, refit, params)
+        if new_inliers.sum() < inliers.sum():
             break
         best = refit
-        if [id(m) for m in new_inliers] == [id(m) for m in inliers]:
-            inliers = new_inliers
+        if np.array_equal(new_inliers, inliers):
             break
         inliers = new_inliers
-    return HoughResult(t_star=best, inliers=inliers, vote_count=len(inliers))
+    return HoughResult(t_star=best, inliers=matches[inliers])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .descriptors import Feature
+from .descriptors import Feature, feature_geometry
 from .errors import (
     DegenerateCorrespondenceError,
     DegenerateGeometryError,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .kernels import KernelParams, kernel_matrix
 from .matching import HoughParams, HoughResult, hough_init, match_features
-from .transforms import Geometry, SimilarityTransform
+from .transforms import SimilarityTransform
 
 log = logging.getLogger(__name__)
 
@@ -45,8 +45,6 @@ class RegistrationConfig:
     lambda_sq_floor: float = 1e-12
     kernel: KernelParams = field(default_factory=KernelParams)
     hough: HoughParams = field(default_factory=HoughParams)
-    # test hook: run a kernel variant with K forced to 1
-    force_constant_kernel: bool = False
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -65,7 +63,7 @@ class RegistrationResult:
     iterations: int
     lambda_sq_history: list[float]
     probability: np.ndarray | None
-    inliers: list
+    inliers: np.recarray
     converged: bool
     runtime: float
     init: HoughResult | None = None
@@ -81,15 +79,7 @@ def init_lambda_sq(fixed_points: np.ndarray, moving_points: np.ndarray) -> float
     return float(np.einsum("mnd,mnd->", diff, diff) / (3.0 * f.shape[0] * m.shape[0]))
 
 
-def _geometry_arrays(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    geoms = [it.geometry(0) if isinstance(it, Feature) else it for it in items]
-    x = np.stack([g.x for g in geoms])
-    s = np.array([g.sigma for g in geoms])
-    t = np.stack([g.theta for g in geoms])
-    return x, s, t
-
-
-def _e_step_arrays(
+def e_step(
     x_f: np.ndarray,
     s_f: np.ndarray,
     t_f: np.ndarray,
@@ -99,12 +89,17 @@ def _e_step_arrays(
     lambda_sq: float,
     config: RegistrationConfig,
 ) -> np.ndarray:
+    """Correspondence probabilities, shape (moving, fixed), columns sum <= 1.
+
+    Inputs are stacked locations (n, 3), scales (n,) and frames (n, 3, 3);
+    the moving geometry must already be mapped through the current transform.
+    """
     if not lambda_sq > 0.0:
         raise RejectedInputError(f"lambda_sq must be positive, got {lambda_sq}")
     m, n = x_m.shape[0], x_f.shape[0]
     diff = x_m[:, None, :] - x_f[None, :, :]
     dist_sq = np.einsum("mnd,mnd->mn", diff, diff)
-    if config.variant == "cpd" or config.force_constant_kernel:
+    if config.variant == "cpd":
         kern = np.ones((m, n))
     else:
         kern = kernel_matrix(x_f, s_f, t_f, x_m, s_m, t_m, config.kernel)
@@ -124,17 +119,6 @@ def _e_step_arrays(
     with np.errstate(invalid="ignore"):
         p = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
     return p
-
-
-def e_step(fixed, moving_transformed, lambda_sq: float, config: RegistrationConfig) -> np.ndarray:
-    """Correspondence probabilities, shape (moving, fixed), columns sum <= 1.
-
-    Accepts features or geometry records; moving entries must already be
-    mapped through the current transform.
-    """
-    x_f, s_f, t_f = _geometry_arrays(fixed)
-    x_m, s_m, t_m = _geometry_arrays(moving_transformed)
-    return _e_step_arrays(x_f, s_f, t_f, x_m, s_m, t_m, lambda_sq, config)
 
 
 def solve_rigid(
@@ -178,16 +162,6 @@ def solve_rigid(
     return SimilarityTransform(rotation=r, scale=b, translation=t), lambda_sq
 
 
-def _transform_geoms(t: SimilarityTransform, x, s, theta):
-    return t.apply(x), t.scale * s, np.einsum("ij,njk->nik", t.rotation, theta)
-
-
-def _star_subsets(fixed, moving, inliers):
-    fixed_idx = sorted({m.fixed_index for m in inliers})
-    moving_idx = sorted({m.moving_index for m in inliers})
-    return [fixed[i] for i in fixed_idx], [moving[i] for i in moving_idx]
-
-
 def register(
     fixed: list[Feature], moving: list[Feature], config: RegistrationConfig | None = None
 ) -> RegistrationResult:
@@ -198,25 +172,29 @@ def register(
     init = hough_init(matches, cfg.hough)
     t = init.t_star
 
-    fixed_use, moving_use = fixed, moving
+    x_f, s_f, t_f = feature_geometry(fixed)
+    x_m, s_m, t_m = feature_geometry(moving)
     if cfg.variant == "sift_cpd_star":
-        fixed_use, moving_use = _star_subsets(fixed, moving, init.inliers)
-    x_f, s_f, t_f = _geometry_arrays(fixed_use)
-    x_m, s_m, t_m = _geometry_arrays(moving_use)
+        keep = np.unique(init.inliers.fixed_index)
+        x_f, s_f, t_f = x_f[keep], s_f[keep], t_f[keep]
+        keep = np.unique(init.inliers.moving_index)
+        x_m, s_m, t_m = x_m[keep], s_m[keep], t_m[keep]
 
     history: list[float] = []
     p = None
     converged = False
     if cfg.variant == "icp":
         tree = cKDTree(x_f)
+        previous = None
         for _ in range(cfg.max_iterations):
-            moved = t.apply(x_m)
-            _, nearest = tree.query(moved)
+            _, nearest = tree.query(t.apply(x_m))
+            # converged once the last fit saw the assignment of the one before
+            converged = previous is not None and np.array_equal(nearest, previous)
+            previous = nearest
             p = np.zeros((x_m.shape[0], x_f.shape[0]))
             p[np.arange(x_m.shape[0]), nearest] = 1.0
             t, lam = solve_rigid(x_f, x_m, p)
             history.append(lam)
-        converged = True
     else:
         lam = init_lambda_sq(x_f, t.apply(x_m))
         lam_init = lam
@@ -224,8 +202,8 @@ def register(
             if lam <= cfg.lambda_sq_floor:
                 converged = True
                 break
-            xt, st, tt = _transform_geoms(t, x_m, s_m, t_m)
-            p = _e_step_arrays(x_f, s_f, t_f, xt, st, tt, lam, cfg)
+            theta = np.einsum("ij,njk->nik", t.rotation, t_m)
+            p = e_step(x_f, s_f, t_f, t.apply(x_m), t.scale * s_m, theta, lam, cfg)
             if p.sum() <= 1e-12:
                 # the background term has absorbed all mass; the posterior
                 # carries no geometry, so keep the last transform

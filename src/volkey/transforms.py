@@ -42,38 +42,39 @@ def matrix_from_rotvec(v: np.ndarray) -> np.ndarray:
 
 
 def rotvec_from_matrix(r: np.ndarray) -> np.ndarray:
-    """Inverse of matrix_from_rotvec, stable near 0 and pi."""
+    """Inverse of matrix_from_rotvec, stable near 0 and pi; r is (..., 3, 3)."""
     r = np.asarray(r, dtype=float)
-    cos_a = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    angle = float(np.arccos(cos_a))
-    skew = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if angle < 1e-7:
-        # R ~ I + [v]_x for small angles
-        return skew / 2.0
-    if angle > np.pi - 1e-5:
-        # near pi the skew part vanishes; recover the axis from R + I
-        b = (r + np.eye(3)) / 2.0
-        axis = np.sqrt(np.clip(np.diag(b), 0.0, None))
-        # fix relative signs from the largest component
-        i = int(np.argmax(axis))
-        if axis[i] > 0:
-            axis = axis.copy()
-            for j in range(3):
-                if j != i and b[i, j] < 0:
-                    axis[j] = -axis[j]
-        axis /= max(np.linalg.norm(axis), 1e-300)
-        # orient so the result is consistent with the skew part when nonzero
-        if np.dot(axis, skew) < 0:
-            axis = -axis
-        return axis * angle
-    return skew / (2.0 * np.sin(angle)) * angle
+    stack = r.reshape(-1, 3, 3)
+    angle = np.arccos(np.clip((np.trace(stack, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0))
+    skew = stack[:, [2, 0, 1], [1, 2, 0]] - stack[:, [1, 2, 0], [2, 0, 1]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = skew / (2.0 * np.sin(angle))[:, None] * angle[:, None]
+    # R ~ I + [v]_x for small angles
+    small = angle < 1e-7
+    out[small] = skew[small] / 2.0
+    # near pi the skew part vanishes; recover the axis from R + I
+    near_pi = ~small & (angle > np.pi - 1e-5)
+    b = (stack[near_pi] + np.eye(3)) / 2.0
+    axis = np.sqrt(np.clip(np.diagonal(b, axis1=1, axis2=2), 0.0, None))
+    # fix relative signs from the largest component
+    i = np.argmax(axis, axis=1)[:, None]
+    row = np.take_along_axis(b, i[:, :, None], axis=1)[:, 0]
+    flip = (np.take_along_axis(axis, i, axis=1) > 0) & (np.arange(3) != i) & (row < 0)
+    axis[flip] *= -1.0
+    # (1, 3) @ (3, 1) products round like the dot product of two vectors
+    axis /= np.maximum(np.sqrt(axis[:, None] @ axis[:, :, None]), 1e-300)[:, 0]
+    # orient so the result is consistent with the skew part when nonzero
+    axis[(axis[:, None] @ skew[near_pi][:, :, None])[:, 0, 0] < 0] *= -1.0
+    out[near_pi] = axis * angle[near_pi, None]
+    return out.reshape(r.shape[:-2] + (3,))
 
 
 def project_to_rotation(m: np.ndarray) -> np.ndarray:
-    """Nearest proper rotation in the Frobenius sense (orthogonal Procrustes)."""
+    """Nearest proper rotation in the Frobenius sense (orthogonal Procrustes); m is (..., 3, 3)."""
     u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    c = np.broadcast_to(np.eye(3), u.shape).copy()
+    c[..., 2, 2] = np.sign(np.linalg.det(u @ vt))
+    return u @ c @ vt
 
 
 def is_rotation(r: np.ndarray, tol: float = SO3_TOL) -> bool:

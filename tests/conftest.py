@@ -3,7 +3,8 @@
 The 40-blob phantom, its scale space and its extracted features are session
 fixtures: extraction is the expensive step and every consumer treats the
 results as read-only.  ``gaussian_blob`` builds single-blob volumes for
-closed-form oracles.
+closed-form oracles; ``geometry_arrays`` and ``pair_table`` turn hand-built
+Geometry records into the stacked arrays and match tables the library takes.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from volkey.descriptors import ExtractionConfig, extract_features
+from volkey.matching import match_table
 from volkey.synth import make_phantom, random_similarity
 from volkey.volume import ScalarVolume, build_scale_space, resample
 
@@ -60,6 +62,28 @@ def gaussian_blob(
     q = np.einsum("...i,ij,...j->...", d, prec, d)
     return ScalarVolume(
         dims=dims, spacing=tuple(sp), origin=(0.0, 0.0, 0.0), data=amplitude * np.exp(-0.5 * q)
+    )
+
+
+def geometry_arrays(geoms):
+    """Stacked locations (n, 3), scales (n,) and frames (n, 3, 3) of Geometry records."""
+    return (
+        np.array([g.x for g in geoms]).reshape(-1, 3),
+        np.array([g.sigma for g in geoms]),
+        np.array([g.theta for g in geoms]).reshape(-1, 3, 3),
+    )
+
+
+def pair_table(pairs):
+    """Match table of (moving, fixed) Geometry pairs; row i pairs index i with i at state 0."""
+    n = len(pairs)
+    return match_table(
+        geometry_arrays([f for _, f in pairs]),
+        geometry_arrays([m for m, _ in pairs]),
+        np.arange(n),
+        np.arange(n),
+        np.zeros(n, dtype=int),
+        np.zeros(n),
     )
 
 

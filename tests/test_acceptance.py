@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, EXTRACTION, PHANTOM_SEED, negated, volume_center
+from conftest import (
+    ACCEPTANCE_LINES,
+    EXTRACTION,
+    PHANTOM_SEED,
+    geometry_arrays,
+    negated,
+    pair_table,
+    volume_center,
+)
 from volkey.config import default_config, kernel_params
 from volkey.descriptors import compute_descriptor, extract_features
 from volkey.errors import RejectedInputError
@@ -28,7 +36,7 @@ from volkey.kernels import (
     kernel_scale,
 )
 from volkey.keypoints import Keypoint
-from volkey.matching import Match, hough_init, match_features, transform_between
+from volkey.matching import hough_init, match_features
 from volkey.registration import RegistrationConfig, e_step, register, solve_rigid
 from volkey.synth import make_phantom, random_similarity
 from volkey.transforms import (
@@ -73,13 +81,9 @@ def _errors(t_est, t_true):
 
 
 def _verified_probes(matches, t_true, fallback_volume):
-    probes = [
-        m.fixed_geometry.x
-        for m in matches
-        if np.linalg.norm(t_true.apply(m.moving_geometry.x) - m.fixed_geometry.x) < 1.0
-    ]
-    if probes:
-        return np.asarray(probes)
+    verified = np.linalg.norm(t_true.apply(matches.moving_x) - matches.fixed_x, axis=1) < 1.0
+    if verified.any():
+        return matches.fixed_x[verified]
     return probe_grid(fallback_volume)
 
 
@@ -305,7 +309,7 @@ def test_criterion_6_correspondence_oracle():
             )
             for _ in range(7)
         ]
-        p = e_step(fixed, moving, lam, cfg)
+        p = e_step(*geometry_arrays(fixed), *geometry_arrays(moving), lam, cfg)
         sums = p.sum(axis=0)
         ok = ok and bool(np.all(sums <= 1.0 + 1e-12))
         if w == 0.0:
@@ -363,7 +367,7 @@ def test_criterion_8_vote_robustness():
             theta=matrix_from_rotvec(rng.normal(size=3)),
         )
 
-    matches = []
+    pairs = []
     for i in range(30):
         g_mov = geom()
         g_fix = t_true.apply_to_geometry(g_mov)
@@ -372,15 +376,11 @@ def test_criterion_8_vote_robustness():
             sigma=g_mov.sigma * float(np.exp(rng.normal(0.0, 0.02))),
             theta=matrix_from_rotvec(rng.normal(0.0, np.radians(0.6), 3)) @ g_mov.theta,
         )
-        matches.append(
-            Match(i, i, 0, 0.0, transform_between(g_mov, g_fix), g_fix, g_mov)
-        )
+        pairs.append((g_mov, g_fix))
     for i in range(70):
         g_mov, g_fix = geom(), geom()
-        matches.append(
-            Match(30 + i, 30 + i, 0, 0.0, transform_between(g_mov, g_fix), g_fix, g_mov)
-        )
-    res = hough_init(matches)  # default thresholds (0.7, log 1.5, 0.25)
+        pairs.append((g_mov, g_fix))
+    res = hough_init(pair_table(pairs))  # default thresholds (0.7, log 1.5, 0.25)
     rot_err = float(np.degrees(np.linalg.norm(rotvec_from_matrix(res.t_star.rotation @ t_true.rotation.T))))
     trans_err = float(np.linalg.norm(res.t_star.translation - t_true.translation))
     planted = sum(1 for m in res.inliers if m.fixed_index < 30)

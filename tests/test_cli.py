@@ -1,12 +1,15 @@
 """End-to-end command line workflows driven in process."""
 from __future__ import annotations
 
+import gzip
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from volkey.cli import main
+from volkey.synth import make_phantom
 
 
 def _run(capsys, *args):
@@ -86,6 +89,38 @@ def test_extract_reports_counts(workspace, capsys):
     assert int(values["num_keypoints"]) >= 30
     assert int(values["num_features"]) >= 30
     assert values["estimator"] == "max_gradient"
+
+
+def _nifti_f32(volume) -> bytes:
+    """Single-file NIfTI-1 image of a volume, float32 data after a 352-byte header."""
+    hdr = bytearray(352)
+    struct.pack_into("<i", hdr, 0, 348)
+    struct.pack_into("<8h", hdr, 40, 3, *volume.dims, 1, 1, 1, 1)
+    struct.pack_into("<h", hdr, 70, 16)
+    struct.pack_into("<8f", hdr, 76, 0.0, *volume.spacing, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into("<f", hdr, 108, 352.0)
+    hdr[344:348] = b"n+1\x00"
+    return bytes(hdr) + volume.data.astype("<f4").ravel(order="F").tobytes()
+
+
+def test_extract_reads_gzipped_nifti(tmp_path, capsys):
+    image = _nifti_f32(make_phantom(seed=3, num_blobs=8, dims=(32, 32, 32)))
+    (tmp_path / "a.nii").write_bytes(image)
+    (tmp_path / "a.nii.gz").write_bytes(gzip.compress(image))
+    runs = []
+    for name in ("a.nii", "a.nii.gz"):
+        out = tmp_path / f"{name}.vkf"
+        with pytest.warns(UserWarning, match="orientation"):
+            code, values = _run(
+                capsys, "extract", "--volume", tmp_path / name, "--format", "auto",
+                "--out", out, "--num-octaves", 2,
+            )
+        assert code == 0
+        del values["out"]
+        records = out.read_bytes().split(b"END\n", 1)[1]
+        runs.append((values, records))
+    assert int(runs[0][0]["num_features"]) >= 1
+    assert runs[0] == runs[1]
 
 
 def test_extract_is_reproducible(workspace, capsys):

@@ -13,7 +13,9 @@ from volkey.config import (
     load_config,
     registration_config,
 )
+from volkey.descriptors import ExtractionConfig
 from volkey.errors import RejectedInputError
+from volkey.matching import HoughParams
 
 
 def test_defaults_cover_all_sections():
@@ -65,3 +67,28 @@ def test_invalid_values_fail_at_construction(tmp_path):
     cfg = load_config(path)
     with pytest.raises(RejectedInputError):
         registration_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExtractionConfig(max_count=-1),
+        lambda: ExtractionConfig(max_count=0),
+        lambda: ExtractionConfig(window_factor=0.0),
+        lambda: ExtractionConfig(base_sigma=float("nan")),
+        lambda: ExtractionConfig(num_octaves=0),
+        lambda: ExtractionConfig(min_abs_response=-1e-3),
+        lambda: ExtractionConfig(estimator="fancy"),
+        lambda: HoughParams(trans_bin=0.0),
+        lambda: HoughParams(rot_bin=-1.0),
+        lambda: HoughParams(log_scale_bin=float("inf")),
+        lambda: HoughParams(eps_disp=0.0),
+        lambda: HoughParams(eps_log_scale=float("nan")),
+        lambda: HoughParams(eps_cos=1.0),
+        lambda: HoughParams(max_seeds=0),
+        lambda: HoughParams(max_refit_iters=-1),
+    ],
+)
+def test_config_dataclasses_validate_at_construction(make):
+    with pytest.raises(RejectedInputError):
+        make()

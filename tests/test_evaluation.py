@@ -13,9 +13,9 @@ from volkey.evaluation import (
     probe_grid,
     state_histogram,
 )
-from volkey.matching import Match
+from volkey.matching import MATCH_DTYPE
 from volkey.synth import random_similarity
-from volkey.transforms import Geometry, SimilarityTransform, matrix_from_rotvec, rotation_z
+from volkey.transforms import SimilarityTransform, matrix_from_rotvec, rotation_z
 from volkey.volume import ScalarVolume
 
 
@@ -68,19 +68,8 @@ def test_probe_grid_covers_the_volume():
 
 
 def test_state_histogram_counts_transitions():
-    def match_with_state(k):
-        g = Geometry(x=np.zeros(3), sigma=1.0, theta=np.eye(3))
-        return Match(
-            fixed_index=0,
-            moving_index=0,
-            moving_state=k,
-            descriptor_distance=0.0,
-            transform=SimilarityTransform.identity(),
-            fixed_geometry=g,
-            moving_geometry=g,
-        )
-
-    matches = [match_with_state(k) for k in (0, 0, 3, 1, 0, 3)]
+    matches = np.zeros(6, dtype=MATCH_DTYPE).view(np.recarray)
+    matches.moving_state = (0, 0, 3, 1, 0, 3)
     hist = state_histogram(matches)
     assert hist.shape == (4, 4)
     np.testing.assert_array_equal(hist[0], [3, 1, 0, 2])
@@ -115,7 +104,8 @@ def test_evaluate_attaches_optional_metrics():
     blob = gaussian_blob(widths=5.0)
     t = SimilarityTransform.identity()
     probes = probe_grid(blob, count=3)
-    report = evaluate(t, t, probes, fixed=blob, moving=blob, inliers=[], runtime=1.25)
+    no_inliers = np.zeros(0, dtype=MATCH_DTYPE).view(np.recarray)
+    report = evaluate(t, t, probes, fixed=blob, moving=blob, inliers=no_inliers, runtime=1.25)
     assert report.ssd == pytest.approx(0.0, abs=1e-18)
     assert report.inlier_count == 0
     assert report.runtime == 1.25

@@ -1,6 +1,7 @@
 """File formats: raw volumes with text headers, NIfTI-1, feature sets."""
 from __future__ import annotations
 
+import gzip
 import struct
 
 import numpy as np
@@ -151,6 +152,21 @@ def test_read_nifti_rejects_bad_files(tmp_path):
         read_nifti(weird_type)
 
 
+def test_read_nifti_gzip(tmp_path):
+    plain = tmp_path / "img.nii"
+    plain.write_bytes(_nifti_bytes())
+    packed = tmp_path / "img.nii.gz"
+    packed.write_bytes(gzip.compress(_nifti_bytes()))
+    with pytest.warns(UserWarning):
+        a, b = read_nifti(plain), read_nifti(packed)
+    np.testing.assert_array_equal(a.data, b.data)
+    assert (a.dims, a.spacing) == (b.dims, b.spacing)
+    cut = tmp_path / "cut.nii.gz"
+    cut.write_bytes(gzip.compress(_nifti_bytes())[:-12])
+    with pytest.raises(ParseError, match="gzip"):
+        read_nifti(cut)
+
+
 def _random_feature(rng):
     kp = Keypoint(
         x=rng.uniform(0.0, 60.0, 3),
@@ -255,6 +271,48 @@ def test_feature_file_corruption_errors(tmp_path):
     no_end.write_bytes(bytes(raw).replace(b"END\n", b"EGG\n", 1))
     with pytest.raises(ParseError, match="END"):
         read_features(no_end)
+
+
+def _header(old, new):
+    def corrupt(raw):
+        assert raw.count(old) == 1
+        return raw.replace(old, new)
+
+    return corrupt
+
+
+def _pack_record(fmt, offset, *values):
+    def corrupt(raw):
+        start = raw.find(b"END\n") + 4
+        out = bytearray(raw)
+        struct.pack_into(fmt, out, start + offset, *values)
+        return bytes(out)
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(_pack_record("<d", 8, float("nan")), id="nan-location"),
+        pytest.param(_pack_record("<d", 24, float("inf")), id="inf-sigma"),
+        pytest.param(_pack_record("<d", 24, float("nan")), id="nan-sigma"),
+        pytest.param(_header(b"count = 1\n", b"count = 1.5\n"), id="count-float"),
+        pytest.param(_header(b"count = 1\n", b"count = one\n"), id="count-word"),
+        pytest.param(_header(b"count = 1\n", b"count = -1\n"), id="count-negative"),
+        pytest.param(_header(b"VOLKEYFEAT 1", b"VOLKEYFEAT 0"), id="version-0"),
+        pytest.param(_header(b"VOLKEYFEAT 1", b"VOLKEYFEAT -3"), id="version-neg"),
+        pytest.param(_pack_record("<64B", 106 + 64, *([7] * 64)), id="constant-ranks"),
+        pytest.param(_pack_record("<2B", 106, 0, 0), id="repeated-rank"),
+    ],
+)
+def test_feature_file_boundary_rejects(tmp_path, corrupt):
+    path = tmp_path / "good.vkf"
+    write_features(path, [_random_feature(np.random.default_rng(54))])
+    bad = tmp_path / "bad.vkf"
+    bad.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ParseError, match="byte offset"):
+        read_features(bad)
 
 
 def test_config_digest_is_stable_and_sensitive():

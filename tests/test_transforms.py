@@ -59,6 +59,24 @@ def test_project_to_rotation_recovers_noisy_rotation():
     np.testing.assert_allclose(project_to_rotation(r), r, atol=1e-14)
 
 
+def test_stacked_rotation_utilities_match_single_calls():
+    rng = np.random.default_rng(6)
+    vecs = [rng.normal(size=3) for _ in range(20)]
+    vecs += [1e-9 * rng.normal(size=3) for _ in range(5)]
+    vecs += [a / np.linalg.norm(a) * (np.pi - 1e-7) for a in rng.normal(size=(5, 3))]
+    mats = [matrix_from_rotvec(v) for v in vecs] + [np.diag([1.0, -1.0, -1.0]), np.eye(3)]
+    stack = np.array(mats).reshape(4, 8, 3, 3)
+    rotvecs = rotvec_from_matrix(stack)
+    assert rotvecs.shape == (4, 8, 3)
+    np.testing.assert_array_equal(rotvecs.reshape(-1, 3), [rotvec_from_matrix(m) for m in mats])
+    noisy = stack + 0.1 * rng.normal(size=stack.shape)
+    projected = project_to_rotation(noisy)
+    assert projected.shape == (4, 8, 3, 3)
+    np.testing.assert_array_equal(
+        projected.reshape(-1, 3, 3), [project_to_rotation(m) for m in noisy.reshape(-1, 3, 3)]
+    )
+
+
 def test_is_rotation_rejects_reflections_and_scalings():
     assert is_rotation(np.eye(3))
     assert not is_rotation(np.diag([1.0, 1.0, -1.0]))
