@@ -198,12 +198,12 @@ def cmd_register(args) -> int:
     _emit("variant", args.variant or rcfg.variant)
     _emit("iterations", result.iterations)
     _emit("converged", str(result.converged).lower())
-    _emit("inlier_count", len(result.inliers))
+    _emit("inlier_count", len(result.init.inliers))
     _emit("scale", result.transform.scale)
     if args.dump_inliers:
         with open(args.dump_inliers, "w") as fh:
             fh.write("fixed_x\tfixed_y\tfixed_z\tmoving_x\tmoving_y\tmoving_z\tstate\n")
-            for m in result.inliers:
+            for m in result.init.inliers:
                 fx = "\t".join(repr(float(v)) for v in m.fixed_x)
                 mx = "\t".join(repr(float(v)) for v in m.moving_x)
                 fh.write(f"{fx}\t{mx}\t{m.moving_state}\n")

@@ -1,7 +1,8 @@
 """Layered run configuration: built-in defaults, optional JSON file, CLI flags.
 
 Precedence is flag > config file > defaults.  The schema mirrors the
-parameter dataclasses; unknown keys are rejected so typos fail loudly.
+parameter dataclasses; unknown keys, malformed JSON and values whose type
+differs from the default's are rejected so typos fail loudly.
 """
 from __future__ import annotations
 
@@ -48,13 +49,30 @@ def default_config() -> dict:
     }
 
 
+# keys whose default is None, and the type they take when set
+_NULLABLE = {"extraction.num_octaves": int}
+
+
+def _check_type(path, name: str, value, default) -> None:
+    """A value has its default's type; an int may stand for a float."""
+    if value is None and name in _NULLABLE:
+        return
+    want = _NULLABLE.get(name, type(default))
+    accepted = (int, float) if want is float else want
+    if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
+        raise RejectedInputError(f"{path}: {name} must be of type {want.__name__}, got {value!r}")
+
+
 def load_config(path: str | Path | None) -> dict:
     """Defaults overlaid with a JSON config file (section -> key -> value)."""
     cfg = default_config()
     if path is None:
         return cfg
-    with open(path) as fh:
-        user = json.load(fh)
+    try:
+        with open(path) as fh:
+            user = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise RejectedInputError(f"{path}: malformed JSON ({exc})") from exc
     if not isinstance(user, dict):
         raise RejectedInputError(f"{path}: config root must be an object")
     for section, entries in user.items():
@@ -65,6 +83,7 @@ def load_config(path: str | Path | None) -> dict:
         for key, value in entries.items():
             if key not in cfg[section]:
                 raise RejectedInputError(f"{path}: unknown key {section}.{key}")
+            _check_type(path, f"{section}.{key}", value, cfg[section][key])
             cfg[section][key] = value
     return cfg
 

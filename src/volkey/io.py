@@ -22,18 +22,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptors import Descriptor, ExtractionConfig, Feature
+from .descriptors import Descriptor, ExtractionConfig, Feature, feature_geometry
 from .errors import ParseError, RejectedInputError
 from .frames import Frame
 from .keypoints import Keypoint
-from .transforms import is_rotation
 from .volume import ScalarVolume
 
 _DTYPES = {"u8": np.uint8, "i16": np.dtype("<i2"), "f32": np.dtype("<f4")}
 
 FEATURE_MAGIC = "VOLKEYFEAT"
 FEATURE_VERSION = 1
-_RECORD = struct.Struct("<3d d 9d b B 256B")
+# one packed little-endian record per feature, 362 bytes
+_RECORD = np.dtype(
+    [
+        ("x", "<f8", 3), ("sigma", "<f8"), ("frame", "<f8", (3, 3)),
+        ("sign", "i1"), ("border", "u1"), ("ranks", "u1", (4, 64)),
+    ]
+)
 
 
 def _parse_header(path: Path) -> tuple[dict, dict]:
@@ -163,7 +168,10 @@ def read_nifti(path: str | Path) -> ScalarVolume:
         )
     pixdim = struct.unpack_from(endian + "8f", raw, 76)
     spacing = tuple(abs(float(p)) if p != 0.0 else 1.0 for p in pixdim[1:4])
-    vox_offset = int(struct.unpack_from(endian + "f", raw, 108)[0])
+    vox_offset = struct.unpack_from(endian + "f", raw, 108)[0]
+    if not 0.0 <= vox_offset < math.inf:
+        raise ParseError(f"{path}: bad vox_offset {vox_offset} at byte offset 108")
+    vox_offset = int(vox_offset)
     scl_slope, scl_inter = struct.unpack_from(endian + "2f", raw, 112)
     if magic == b"ni1\x00":
         raise ParseError(f"{path}: two-file images are not supported")
@@ -208,23 +216,17 @@ def write_features(
         f"count = {len(features)}\n"
         "END\n"
     )
-    chunks = [header.encode("ascii")]
-    for f in features:
-        kp = f.keypoint
-        ranks: list[int] = []
-        for d in f.descriptors:
-            ranks.extend(int(v) for v in d.ranked)
-        chunks.append(
-            _RECORD.pack(
-                *kp.x.tolist(),
-                kp.sigma,
-                *f.frame.matrix.reshape(-1).tolist(),
-                kp.sign,
-                1 if f.border else 0,
-                *ranks,
-            )
-        )
-    Path(path).write_bytes(b"".join(chunks))
+    ranks = np.array(
+        [[d.ranked for d in f.descriptors] for f in features], dtype=np.int64
+    ).reshape(-1, 4, 64)
+    if np.any((ranks < 0) | (ranks > 255)):
+        raise RejectedInputError("descriptor ranks must lie in 0..255")
+    records = np.zeros(len(features), dtype=_RECORD)
+    records["x"], records["sigma"], records["frame"] = feature_geometry(features)
+    records["sign"] = [f.keypoint.sign for f in features]
+    records["border"] = [bool(f.border) for f in features]
+    records["ranks"] = ranks
+    path.write_bytes(header.encode("ascii") + records.tobytes())
 
 
 def read_features(path: str | Path) -> tuple[list[Feature], dict]:
@@ -255,37 +257,46 @@ def read_features(path: str | Path) -> tuple[list[Feature], dict]:
         raise ParseError(f"{path}: header count missing or not a count (byte offset 0)")
     count = int(meta["count"])
     body = raw[end + 4 :]
-    expected = count * _RECORD.size
+    expected = count * _RECORD.itemsize
     if len(body) != expected:
         raise ParseError(
             f"{path}: record block size mismatch at byte offset "
             f"{end + 4 + min(len(body), expected)}: expected {expected} bytes, found {len(body)}"
         )
+    records = np.frombuffer(body, dtype=_RECORD)
+    x, sigma, frames = records["x"].copy(), records["sigma"].copy(), records["frame"].copy()
+    sign, ranks = records["sign"].astype(int), records["ranks"].astype(np.int16)
+    # the checks of is_rotation, record by record; non-finite frames fail,
+    # and so do huge ones whose products overflow
+    finite = np.isfinite(frames).all(axis=(1, 2))
+    frames_ok = np.where(finite[:, None, None], frames, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(frames_ok, 1, 2) @ frames_ok
+        det = np.linalg.det(frames_ok)
+    gram_ok = np.abs(gram - np.eye(3)).max(axis=(1, 2)) <= 1e-6
+    rotation = finite & gram_ok & (np.abs(det - 1.0) <= 1e-6)
+    located = (0.0 < sigma) & (sigma < math.inf) & np.isfinite(x).all(axis=1)
     # each state's descriptor is a rank order of its 64 bins
-    ranks = np.frombuffer(body, np.uint8).reshape(count, _RECORD.size)[:, -256:].reshape(-1, 4, 64)
     permuted = np.all(np.sort(ranks, axis=2) == np.arange(64), axis=(1, 2))
-    features: list[Feature] = []
-    for i in range(count):
-        fields = _RECORD.unpack_from(body, i * _RECORD.size)
-        x = np.array(fields[0:3])
-        sigma = fields[3]
-        theta = np.array(fields[4:13]).reshape(3, 3)
-        sign = int(fields[13])
-        border = bool(fields[14])
-        offset = end + 4 + i * _RECORD.size
-        if not is_rotation(theta, tol=1e-6):
-            raise ParseError(f"{path}: record {i} frame is not a rotation (byte offset {offset})")
-        if sign not in (-1, 1):
-            raise ParseError(f"{path}: record {i} has sign {sign} (byte offset {offset})")
-        if not (0.0 < sigma < math.inf and all(map(math.isfinite, fields[0:3]))):
-            raise ParseError(f"{path}: record {i} has x {x}, sigma {sigma} (byte offset {offset})")
-        if not permuted[i]:
-            raise ParseError(
-                f"{path}: record {i} ranks are not a permutation of 0..63 (byte offset {offset})"
-            )
-        kp = Keypoint(x=x, sigma=sigma, sign=sign, response=float(sign), border=border)
-        descriptors = [Descriptor(bins=None, ranked=r) for r in ranks[i]]
-        features.append(
-            Feature(keypoint=kp, frame=Frame(theta), descriptors=descriptors, border=border)
+    bad = np.stack([~rotation, (sign != 1) & (sign != -1), ~located, ~permuted])
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        why = (
+            "frame is not a rotation",
+            f"has sign {sign[i]}",
+            f"has x {x[i]}, sigma {sigma[i]}",
+            "ranks are not a permutation of 0..63",
+        )[int(np.argmax(bad[:, i]))]
+        offset = end + 4 + i * _RECORD.itemsize
+        raise ParseError(f"{path}: record {i} {why} (byte offset {offset})")
+    border = (records["border"] != 0).tolist()
+    features = [
+        Feature(
+            keypoint=Keypoint(x=x[i], sigma=s, sign=g, response=float(g), border=b),
+            frame=Frame(frames[i]),
+            descriptors=[Descriptor(bins=None, ranked=r) for r in ranks[i]],
+            border=b,
         )
+        for i, (s, g, b) in enumerate(zip(sigma.tolist(), sign.tolist(), border))
+    ]
     return features, meta

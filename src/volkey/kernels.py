@@ -9,6 +9,9 @@ Three unit-height factors, multiplied into one geometry kernel:
 
 The location bandwidth grows with the feature scales (factor k) on top of a
 constant floor sigma_t^2, so distant coarse features still see each other.
+
+`log_kernel_matrix` is the log of the product for all pairs, which the E-step
+adds to its log location term; `kernel_matrix` is its exp.
 """
 from __future__ import annotations
 
@@ -76,6 +79,27 @@ def kernel_geometry(g_n: Geometry, g_m: Geometry, params: KernelParams) -> float
     )
 
 
+def log_kernel_matrix(
+    dist_sq: np.ndarray,
+    s_f: np.ndarray,
+    t_f: np.ndarray,
+    s_m: np.ndarray,
+    t_m: np.ndarray,
+    params: KernelParams,
+) -> np.ndarray:
+    """Log of kernel_matrix, given the (moving, fixed) squared distances dist_sq."""
+    if np.any(s_f <= 0.0) or np.any(s_m <= 0.0):
+        raise RejectedInputError("scales must be positive")
+    log_d = np.log(s_m)[:, None] - np.log(s_f)[None, :]
+    diag = np.einsum("mai,nai->mni", t_m, t_f)
+    if params.use_orientation_states:
+        score = np.max(np.einsum("ki,mni->mnk", _STATE_DIAGS, diag), axis=-1)
+    else:
+        score = diag.sum(axis=-1)
+    bandwidth = params.k * s_m[:, None] * s_f[None, :] + params.sigma_t_sq
+    return score - 3.0 - log_d * log_d - dist_sq / bandwidth
+
+
 def kernel_matrix(
     x_f: np.ndarray,
     s_f: np.ndarray,
@@ -85,21 +109,8 @@ def kernel_matrix(
     t_m: np.ndarray,
     params: KernelParams,
 ) -> np.ndarray:
-    """All-pairs geometry kernel, shaped (moving, fixed).
-
-    Inputs are stacked arrays: locations (n, 3), scales (n,), frames (n, 3, 3).
-    """
-    if np.any(s_f <= 0.0) or np.any(s_m <= 0.0):
-        raise RejectedInputError("scales must be positive")
+    """All-pairs geometry kernel, shaped (moving, fixed), of stacked locations
+    (n, 3), scales (n,) and frames (n, 3, 3)."""
     diff = x_m[:, None, :] - x_f[None, :, :]
     dist_sq = np.einsum("mnd,mnd->mn", diff, diff)
-    log_d = np.log(s_m)[:, None] - np.log(s_f)[None, :]
-    k_scale = np.exp(-log_d * log_d)
-    k_loc = np.exp(-dist_sq / (params.k * s_m[:, None] * s_f[None, :] + params.sigma_t_sq))
-    diag = np.einsum("mai,nai->mni", t_m, t_f)
-    if params.use_orientation_states:
-        score = np.max(np.einsum("ki,mni->mnk", _STATE_DIAGS, diag), axis=-1)
-    else:
-        score = diag.sum(axis=-1)
-    k_orient = np.exp(-3.0 + score)
-    return k_scale * k_orient * k_loc
+    return np.exp(log_kernel_matrix(dist_sq, s_f, t_f, s_m, t_m, params))

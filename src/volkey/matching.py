@@ -12,14 +12,20 @@ Matches live in one record array of MATCH_DTYPE, one row per fixed feature.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .descriptors import Feature, feature_geometry
-from .errors import InitializationFailureError, RejectedInputError
+from .errors import DegenerateGeometryError, InitializationFailureError, RejectedInputError
 from .frames import STATE_SIGNS
-from .transforms import SimilarityTransform, project_to_rotation, rotvec_from_matrix
+from .transforms import (
+    SimilarityTransform,
+    fit_similarity,
+    project_to_rotation,
+    rotvec_from_matrix,
+)
 
 MATCH_DTYPE = np.dtype(
     [
@@ -130,19 +136,6 @@ def consistency_mask(
     )
 
 
-def _fit_points(f: np.ndarray, mv: np.ndarray) -> SimilarityTransform:
-    """Closed-form similarity fit of matched point pairs (moving onto fixed)."""
-    f_hat = f - f.mean(axis=0)
-    m_hat = mv - mv.mean(axis=0)
-    a = f_hat.T @ m_hat
-    u, s, vt = np.linalg.svd(a)
-    c = np.diag([1.0, 1.0, float(np.sign(np.linalg.det(u @ vt)))])
-    r = u @ c @ vt
-    b = float(np.trace(a.T @ r)) / float((m_hat * m_hat).sum())
-    t = f.mean(axis=0) - b * (r @ mv.mean(axis=0))
-    return SimilarityTransform(rotation=r, scale=b, translation=t)
-
-
 def hough_init(matches: np.recarray, params: HoughParams | None = None) -> HoughResult:
     """Dominant similarity transform among the match votes.
 
@@ -201,10 +194,10 @@ def hough_init(matches: np.recarray, params: HoughParams | None = None) -> Hough
         # least-squares fit of the window members' matched endpoints is much
         # sharper, so offer it as a second candidate for the same cluster.
         if window.size >= 3:
-            try:
-                candidates.append(_fit_points(matches.fixed_x[window], matches.moving_x[window]))
-            except ValueError:
-                pass
+            f, mv = matches.fixed_x[window], matches.moving_x[window]
+            ones = np.ones(window.size)
+            with suppress(DegenerateGeometryError, RejectedInputError):
+                candidates.append(fit_similarity(f, mv, ones, ones, mv)[0])
 
     counts = [int(consistency_mask(matches, log_scales, c, params).sum()) for c in candidates]
     if max(counts, default=0) < 3:
@@ -220,9 +213,11 @@ def hough_init(matches: np.recarray, params: HoughParams | None = None) -> Hough
     for _ in range(params.max_refit_iters):
         if inliers.sum() < 3:
             break
+        f, mv = matches.fixed_x[inliers], matches.moving_x[inliers]
+        ones = np.ones(len(f))
         try:
-            refit = _fit_points(matches.fixed_x[inliers], matches.moving_x[inliers])
-        except ValueError:
+            refit = fit_similarity(f, mv, ones, ones, mv)[0]
+        except (DegenerateGeometryError, RejectedInputError):
             break
         new_inliers = consistency_mask(matches, log_scales, refit, params)
         if new_inliers.sum() < inliers.sum():

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import DegenerateCorrespondenceError, DegenerateGeometryError, RejectedInputError
 
 SO3_TOL = 1e-9
 
@@ -84,6 +84,40 @@ def is_rotation(r: np.ndarray, tol: float = SO3_TOL) -> bool:
     if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
         return False
     return bool(abs(np.linalg.det(r) - 1.0) <= tol)
+
+
+def fit_similarity(
+    f: np.ndarray, m: np.ndarray, col: np.ndarray, row: np.ndarray, pm: np.ndarray
+) -> tuple[SimilarityTransform, float]:
+    """Weighted closed-form similarity fit of moving points m onto fixed points f.
+
+    Weights P (moving, fixed) enter only through col = P^T 1 (one per fixed
+    point), row = P 1 (one per moving point) and pm = P^T m; paired points are
+    P = I.  Returns the transform and the residual variance lambda^2.
+    """
+    n_p = float(col.sum())
+    if not n_p > 1e-12:
+        raise DegenerateCorrespondenceError("correspondence weights sum to zero")
+    mu_f, mu_m = f.T @ col / n_p, m.T @ row / n_p
+    f_hat, m_hat = f - mu_f, m - mu_m
+    # P^T m_hat = P^T m - (P^T 1) mu_m^T
+    a = f_hat.T @ (pm - col[:, None] * mu_m)
+    u, s, vt = np.linalg.svd(a)
+    if s[0] <= 0.0 or s[1] <= 1e-12 * s[0]:
+        raise DegenerateGeometryError("points are collinear or coincident")
+    c = np.diag([1.0, 1.0, float(np.sign(np.linalg.det(u @ vt)))])
+    r = u @ c @ vt
+    denom = float(np.einsum("m,mi,mi->", row, m_hat, m_hat))
+    if denom <= 0.0:
+        raise DegenerateGeometryError("moving points carry no spread under the weights")
+    trace_ar = float(np.trace(a.T @ r))
+    b = trace_ar / denom
+    if not b > 0.0:
+        raise DegenerateGeometryError("similarity scale collapsed to zero")
+    t = mu_f - b * (r @ mu_m)
+    var_f = float(np.einsum("n,ni,ni->", col, f_hat, f_hat))
+    lambda_sq = max((var_f - b * trace_ar) / (3.0 * n_p), 0.0)
+    return SimilarityTransform(rotation=r, scale=b, translation=t), lambda_sq
 
 
 @dataclass(frozen=True, eq=False)

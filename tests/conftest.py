@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from volkey.descriptors import ExtractionConfig, extract_features
 from volkey.matching import match_table
@@ -21,6 +22,11 @@ from volkey.volume import ScalarVolume, build_scale_space, resample
 # noise extrema, and a 250-keypoint budget.
 PHANTOM_SEED = 7
 EXTRACTION = ExtractionConfig(num_octaves=3, min_abs_response=1e-3, max_count=250)
+
+# Property tests draw the same examples on every run (no example database,
+# seed from the test itself); shared hosts time too unevenly for deadlines.
+settings.register_profile("volkey", derandomize=True, deadline=None, database=None)
+settings.load_profile("volkey")
 
 # One pass/fail line per acceptance criterion, printed after the run.
 ACCEPTANCE_LINES: list[str] = []

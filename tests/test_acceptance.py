@@ -110,7 +110,7 @@ def suite(phantom, phantom_features):
                 rec.trans_axes.append(trans)
                 rec.pre.append(point_registration_error(res.transform, t_true, probes))
                 rec.runtime.append(res.runtime)
-                rec.inliers.append(len(res.inliers))
+                rec.inliers.append(len(res.init.inliers))
     return {
         "records": records,
         "neg_records": neg_records,
@@ -395,7 +395,7 @@ def test_criterion_8_vote_robustness():
 
 def test_criterion_9_state_transitions(phantom, phantom_features):
     self_res = register(phantom_features, phantom_features)
-    hist_self = state_histogram(self_res.inliers)
+    hist_self = state_histogram(self_res.init.inliers)
     total = hist_self.sum()
     identity_share = hist_self[0, 0] / total if total else 0.0
 

@@ -70,6 +70,39 @@ def test_invalid_values_fail_at_construction(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, match",
+    [
+        pytest.param('{"registration": {"w": 0.2', "malformed JSON", id="malformed-json"),
+        pytest.param('{"registration": {"w": "abc"}}', "registration.w", id="string-for-float"),
+        pytest.param(
+            '{"registration": {"max_iterations": null}}',
+            "registration.max_iterations",
+            id="null-for-int",
+        ),
+        pytest.param(
+            '{"extraction": {"max_count": 2.5}}', "extraction.max_count", id="float-for-int"
+        ),
+    ],
+)
+def test_load_config_rejects_malformed_values(tmp_path, text, match):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(RejectedInputError, match=match):
+        load_config(path)
+
+
+def test_load_config_accepts_ints_for_floats_and_null_octaves(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kernel": {"k": 6}, "extraction": {"num_octaves": None}}))
+    cfg = load_config(path)
+    assert kernel_params(cfg).k == 6.0
+    assert extraction_config(cfg).num_octaves is None
+    path.write_text(json.dumps({"kernel": {"use_orientation_states": 1}}))
+    with pytest.raises(RejectedInputError, match="kernel.use_orientation_states"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda: ExtractionConfig(max_count=-1),

@@ -6,9 +6,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from volkey.descriptors import Descriptor, ExtractionConfig, Feature
-from volkey.errors import ParseError
+from volkey.errors import ParseError, RejectedInputError
 from volkey.frames import Frame
 from volkey.io import (
     config_digest,
@@ -152,6 +154,16 @@ def test_read_nifti_rejects_bad_files(tmp_path):
         read_nifti(weird_type)
 
 
+@pytest.mark.parametrize("vox_offset", [float("nan"), float("inf"), float("-inf"), -4.0])
+def test_read_nifti_rejects_bad_vox_offset(tmp_path, vox_offset):
+    raw = bytearray(_nifti_bytes())
+    struct.pack_into("<f", raw, 108, vox_offset)
+    path = tmp_path / "offset.nii"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="vox_offset .* byte offset 108"):
+        read_nifti(path)
+
+
 def test_read_nifti_gzip(tmp_path):
     plain = tmp_path / "img.nii"
     plain.write_bytes(_nifti_bytes())
@@ -214,6 +226,13 @@ def test_feature_file_rewrite_is_byte_identical(tmp_path):
     second = tmp_path / "two.vkf"
     write_features(second, loaded, volume_id="x")
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_write_features_rejects_ranks_beyond_a_byte(tmp_path):
+    feature = _random_feature(np.random.default_rng(55))
+    feature.descriptors[2].ranked[5] = 256
+    with pytest.raises(RejectedInputError, match="ranks"):
+        write_features(tmp_path / "wide.vkf", [feature])
 
 
 def test_empty_feature_file(tmp_path):
@@ -313,6 +332,29 @@ def test_feature_file_boundary_rejects(tmp_path, corrupt):
     bad.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ParseError, match="byte offset"):
         read_features(bad)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=8
+    ),
+    cut=st.one_of(st.none(), st.integers(0, 10**6)),
+)
+def test_feature_file_byte_corruption_raises_only_parse_error(tmp_path, edits, cut):
+    path = tmp_path / "good.vkf"
+    rng = np.random.default_rng(56)
+    write_features(path, [_random_feature(rng) for _ in range(3)], volume_id="v")
+    raw = bytearray(path.read_bytes())
+    for position, value in edits:
+        raw[position % len(raw)] = value
+    if cut is not None:
+        raw = raw[: cut % len(raw)]
+    path.write_bytes(bytes(raw))
+    try:
+        read_features(path)
+    except ParseError:
+        pass
 
 
 def test_config_digest_is_stable_and_sensitive():

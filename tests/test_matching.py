@@ -225,7 +225,7 @@ def _random_features(rng, count, pool):
     return features
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_fixed=st.integers(1, 9),
@@ -287,7 +287,7 @@ def _is_consistent(m, t, params):
     return bool(residual @ residual < params.eps_disp * norm)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(1, 40),

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXTRACTION, geometry_arrays, negated, volume_center
 from volkey.descriptors import Feature, extract_features, feature_geometry
@@ -12,7 +14,7 @@ from volkey.errors import (
     RejectedInputError,
 )
 from volkey.frames import Frame
-from volkey.kernels import kernel_geometry
+from volkey.kernels import kernel_geometry, kernel_matrix
 from volkey.keypoints import Keypoint
 from volkey.registration import (
     RegistrationConfig,
@@ -25,6 +27,7 @@ from volkey.synth import random_similarity
 from volkey.transforms import (
     Geometry,
     SimilarityTransform,
+    fit_similarity,
     matrix_from_rotvec,
     rotvec_from_matrix,
 )
@@ -119,6 +122,56 @@ def test_e_step_column_sums():
                 np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
+def _e_step_linear(x_f, s_f, t_f, x_m, s_m, t_m, lambda_sq, config):
+    """The E-step in linear space, with a separate w = 0 branch: the oracle."""
+    m, n = x_m.shape[0], x_f.shape[0]
+    diff = x_m[:, None, :] - x_f[None, :, :]
+    dist_sq = np.einsum("mnd,mnd->mn", diff, diff)
+    if config.variant == "cpd":
+        kern = np.ones((m, n))
+    else:
+        kern = kernel_matrix(x_f, s_f, t_f, x_m, s_m, t_m, config.kernel)
+    if config.w == 0.0:
+        shifted = dist_sq - dist_sq.min(axis=0, keepdims=True)
+        num = np.exp(-shifted / (2.0 * lambda_sq)) * kern
+        denom = num.sum(axis=0, keepdims=True)
+    else:
+        num = np.exp(-dist_sq / (2.0 * lambda_sq)) * kern
+        eta = (2.0 * np.pi * lambda_sq) ** 1.5 * (config.w / (1.0 - config.w)) * (m / n)
+        denom = num.sum(axis=0, keepdims=True) + eta
+    with np.errstate(invalid="ignore"):
+        return np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_fixed=st.integers(1, 8),
+    n_moving=st.integers(1, 8),
+    w=st.sampled_from([0.0, 1e-4, 0.3, 0.9]),
+    variant=st.sampled_from(["cpd", "sift_cpd"]),
+)
+def test_e_step_at_vanishing_variance_matches_linear_oracle(seed, n_fixed, n_moving, w, variant):
+    # distinct points on a 1 mm grid: every distance is at least 1 mm, so at
+    # lambda^2 = 1e-300 the linear-space eta underflows while log eta does not
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(40**3, n_fixed + n_moving, replace=False)
+    points = np.stack(np.unravel_index(cells, (40, 40, 40)), axis=1).astype(float)
+    geoms = [
+        Geometry(x=x, sigma=rng.uniform(1.5, 6.0), theta=matrix_from_rotvec(rng.normal(size=3)))
+        for x in points
+    ]
+    cfg = RegistrationConfig(variant=variant, w=w)
+    args = (*geometry_arrays(geoms[:n_fixed]), *geometry_arrays(geoms[n_fixed:]), 1e-300, cfg)
+    p = e_step(*args)
+    np.testing.assert_allclose(p, _e_step_linear(*args), rtol=0.0, atol=1e-12)
+    sums = p.sum(axis=0)
+    if w == 0.0:
+        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+    else:
+        assert np.all(sums <= 1e-12)
+
+
 def test_e_step_rejects_bad_variance(phantom_features):
     cfg = RegistrationConfig()
     geometry = feature_geometry(phantom_features[:3])
@@ -196,6 +249,34 @@ def test_solve_rigid_never_returns_reflection():
         assert np.linalg.det(t.rotation) == pytest.approx(1.0, abs=1e-9)
 
 
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_fixed=st.integers(1, 12),
+    n_moving=st.integers(3, 12),
+)
+def test_icp_pair_fit_equals_one_hot_solve_rigid(seed, n_fixed, n_moving):
+    rng = np.random.default_rng(seed)
+    fixed = rng.uniform(0.0, 50.0, (n_fixed, 3))
+    moving = rng.uniform(0.0, 50.0, (n_moving, 3))
+    nearest = rng.integers(0, n_fixed, n_moving)
+    # the dense one-hot assignment ICP used to build on every iteration
+    p = np.zeros((n_moving, n_fixed))
+    p[np.arange(n_moving), nearest] = 1.0
+    ones = np.ones(n_moving)
+    try:
+        expected, lam_expected = solve_rigid(fixed, moving, p)
+    except DegenerateGeometryError:
+        with pytest.raises(DegenerateGeometryError):
+            fit_similarity(fixed[nearest], moving, ones, ones, moving)
+        return
+    t, lam = fit_similarity(fixed[nearest], moving, ones, ones, moving)
+    np.testing.assert_allclose(t.rotation, expected.rotation, rtol=0.0, atol=1e-12)
+    assert t.scale == pytest.approx(expected.scale, rel=1e-12)
+    np.testing.assert_allclose(t.translation, expected.translation, rtol=0.0, atol=1e-12)
+    assert lam == pytest.approx(lam_expected, rel=1e-12, abs=1e-12)
+
+
 def test_solve_rigid_degenerate_inputs():
     pts = np.random.default_rng(36).uniform(0.0, 10.0, (5, 3))
     with pytest.raises(DegenerateCorrespondenceError):
@@ -256,7 +337,7 @@ def test_negated_moving_registers_identically(phantom, phantom_features, planted
     res = register(fixed, flipped, RegistrationConfig(w=1e-4))
     assert _rot_err_deg(res.transform.rotation, t_true.rotation) < 0.5
     assert np.linalg.norm(res.transform.translation - t_true.translation) < 1.0
-    assert len(res.inliers) >= 0.8 * len(base.inliers)
+    assert len(res.init.inliers) >= 0.8 * len(base.init.inliers)
 
 
 def test_lambda_history_shrinks(planted_pair):
