@@ -7,7 +7,6 @@ from .descriptors import (
     compute_descriptor,
     extract_features,
     extract_features_with_stats,
-    rank_normalize,
 )
 from .errors import (
     AmbiguousFrameError,
@@ -29,13 +28,7 @@ from .frames import (
     estimate_frame_structure_tensor,
     frame_from_tensor,
 )
-from .kernels import (
-    KernelParams,
-    kernel_geometry,
-    kernel_location,
-    kernel_orientation,
-    kernel_scale,
-)
+from .kernels import KernelParams
 from .keypoints import Keypoint, detect_keypoints
 from .matching import (
     MATCH_DTYPE,
@@ -51,10 +44,9 @@ from .registration import (
     e_step,
     init_lambda_sq,
     register,
-    solve_rigid,
 )
 from .synth import make_phantom, random_similarity
-from .transforms import Geometry, SimilarityTransform
+from .transforms import SimilarityTransform
 from .volume import (
     ScalarVolume,
     ScaleSpace,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,6 +26,7 @@ from .config import (
     registration_config,
 )
 from .descriptors import extract_features_with_stats
+from .errors import ParseError, VolkeyError
 from .evaluation import evaluate, probe_grid, state_histogram
 from .matching import hough_init, match_features
 from .registration import register
@@ -60,8 +62,31 @@ def _read_volume(path: str, fmt: str) -> ScalarVolume:
 
 
 def _load_transform(path: str) -> SimilarityTransform:
+    try:
+        with open(path) as fh:
+            return SimilarityTransform.from_dict(json.load(fh))
+    except VolkeyError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: not a transform JSON ({exc!r})") from exc
+
+
+def _read_probes(path: str) -> np.ndarray:
+    """x y z per line; further columns and a dumped inlier table's header are skipped."""
+    rows = []
     with open(path) as fh:
-        return SimilarityTransform.from_dict(json.load(fh))
+        for number, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("fixed_x"):
+                continue
+            try:
+                row = [float(v) for v in line.split()[:3]]
+            except ValueError:
+                row = []
+            if len(row) != 3 or not all(map(math.isfinite, row)):
+                raise ParseError(f"{path}: line {number} is not three numbers: {line!r}")
+            rows.append(row)
+    return np.asarray(rows)
 
 
 def _save_transform(path: str, t: SimilarityTransform) -> None:
@@ -127,18 +152,8 @@ def cmd_synth_transform(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = load_config(args.config)
-    _override(
-        cfg["extraction"],
-        args,
-        {
-            "base_sigma": "base_sigma",
-            "num_octaves": "num_octaves",
-            "min_abs_response": "min_abs_response",
-            "max_count": "max_count",
-            "estimator": "estimator",
-            "window_factor": "window_factor",
-        },
-    )
+    # every extraction key has a flag of the same name
+    _override(cfg["extraction"], args, {key: key for key in cfg["extraction"]})
     ecfg = extraction_config(cfg)
     volume = _read_volume(args.volume, args.format)
     start = time.perf_counter()
@@ -220,15 +235,7 @@ def cmd_evaluate(args) -> int:
     t_est = _load_transform(args.est)
     t_gt = _load_transform(args.gt)
     if args.probes:
-        rows = []
-        with open(args.probes) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("fixed_x"):
-                    continue
-                parts = line.split()
-                rows.append([float(v) for v in parts[:3]])
-        probes = np.asarray(rows)
+        probes = _read_probes(args.probes)
     elif args.volume:
         probes = probe_grid(_read_volume(args.volume, args.format))
     else:
@@ -364,7 +371,12 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    # rejected inputs and unreadable files end like usage errors; bugs still raise
+    try:
+        return args.func(args)
+    except (VolkeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

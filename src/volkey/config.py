@@ -1,13 +1,14 @@
 """Layered run configuration: built-in defaults, optional JSON file, CLI flags.
 
-Precedence is flag > config file > defaults.  The schema mirrors the
-parameter dataclasses; unknown keys, malformed JSON and values whose type
-differs from the default's are rejected so typos fail loudly.
+Precedence is flag > config file > defaults.  The schema and the defaults
+are the parameter dataclasses' own fields; unknown keys, malformed JSON and
+values whose type differs from the default's are rejected so typos fail
+loudly.
 """
 from __future__ import annotations
 
 import json
-import math
+from dataclasses import fields
 from pathlib import Path
 
 from .descriptors import ExtractionConfig
@@ -16,36 +17,21 @@ from .kernels import KernelParams
 from .matching import HoughParams
 from .registration import RegistrationConfig
 
+# each section's keys and defaults are the fields of its parameter dataclass
+_SECTIONS = {
+    "extraction": ExtractionConfig,
+    "kernel": KernelParams,
+    "hough": HoughParams,
+    "registration": RegistrationConfig,
+}
+
 
 def default_config() -> dict:
+    """Section -> key -> default, read off the parameter dataclasses; the
+    registration section leaves out its nested kernel and hough sections."""
     return {
-        "extraction": {
-            "base_sigma": 1.6,
-            "num_octaves": None,
-            "min_abs_response": 0.0,
-            "max_count": 6000,
-            "estimator": "max_gradient",
-            "window_factor": 1.5,
-        },
-        "kernel": {
-            "k": 12.0,
-            "sigma_t_sq": 200.0,
-            "use_orientation_states": True,
-        },
-        "hough": {
-            "eps_cos": 0.7,
-            "eps_log_scale": math.log(1.5),
-            "eps_disp": 0.25,
-            "rot_bin": math.pi / 8.0,
-            "log_scale_bin": math.log(1.5),
-            "trans_bin": 10.0,
-        },
-        "registration": {
-            "variant": "sift_cpd",
-            "w": 0.1,
-            "max_iterations": 100,
-            "lambda_sq_floor": 1e-12,
-        },
+        name: {f.name: f.default for f in fields(cls) if f.name not in _SECTIONS}
+        for name, cls in _SECTIONS.items()
     }
 
 

@@ -70,12 +70,6 @@ def rank_normalize_bins(bins: np.ndarray) -> np.ndarray:
     return ranked
 
 
-def rank_normalize(d: Descriptor) -> Descriptor:
-    if d.bins is None:
-        raise RejectedInputError("descriptor has no bin magnitudes to rank")
-    return Descriptor(bins=d.bins, ranked=rank_normalize_bins(d.bins))
-
-
 def compute_descriptor(ss: ScaleSpace, kp: Keypoint, frame: Frame) -> Descriptor:
     """Descriptor of one keypoint under one orientation frame."""
     points = kp.x + kp.sigma * (_LATTICE @ frame.matrix.T)

@@ -22,9 +22,6 @@ class EvaluationReport:
     rotation_error_deg: np.ndarray
     translation_error_mm: np.ndarray
     ssd: float | None = None
-    inlier_count: int | None = None
-    runtime: float | None = None
-    state_histogram: np.ndarray | None = None
 
 
 def probe_grid(volume: ScalarVolume, count: int = 5) -> np.ndarray:
@@ -89,8 +86,6 @@ def evaluate(
     probes: np.ndarray,
     fixed: ScalarVolume | None = None,
     moving: ScalarVolume | None = None,
-    inliers: np.recarray | None = None,
-    runtime: float | None = None,
 ) -> EvaluationReport:
     """Bundle of registration metrics against a known ground truth."""
     pre = point_registration_error(t_est, t_gt, probes)
@@ -105,7 +100,4 @@ def evaluate(
         rotation_error_deg=rot_err,
         translation_error_mm=trans_err,
         ssd=ssd,
-        inlier_count=len(inliers) if inliers is not None else None,
-        runtime=runtime,
-        state_histogram=state_histogram(inliers) if inliers is not None else None,
     )

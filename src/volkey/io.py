@@ -41,6 +41,14 @@ _RECORD = np.dtype(
 )
 
 
+def _check_finite(path: Path, flat: np.ndarray, start: int) -> None:
+    """ParseError at the byte offset of the first non-finite sample."""
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        offset = start + int(bad[0]) * flat.itemsize
+        raise ParseError(f"{path}: non-finite intensity at byte offset {offset}")
+
+
 def _parse_header(path: Path) -> tuple[dict, dict]:
     """Key-value lines with the byte offset of each line start."""
     values: dict[str, str] = {}
@@ -70,22 +78,23 @@ def read_volume(path: str | Path) -> ScalarVolume:
     def bad(key: str, why: str) -> ParseError:
         return ParseError(f"{path}: {why} at byte offset {offsets[key]}")
 
-    def parse_triplet(key: str, cast):
+    def parse_triplet(key: str, cast, ok, what: str):
         try:
-            return tuple(cast(v) for v in values[key].split())
+            value = tuple(cast(v) for v in values[key].split())
         except ValueError as exc:
             raise bad(key, f"non-numeric {key} field {values[key]!r}") from exc
+        if len(value) != 3 or not all(map(ok, value)):
+            raise bad(key, f"{key} needs three {what}, got {values[key]!r}")
+        return value
 
-    dims = parse_triplet("dims", int)
-    spacing = parse_triplet("spacing", float)
-    origin = parse_triplet("origin", float)
-    if len(dims) != 3 or len(spacing) != 3 or len(origin) != 3:
-        raise bad("dims", "dims, spacing and origin need three entries each")
+    dims = parse_triplet("dims", int, lambda d: d >= 1, "positive integers")
+    spacing = parse_triplet("spacing", float, lambda s: 0.0 < s < math.inf, "finite sizes > 0")
+    origin = parse_triplet("origin", float, math.isfinite, "finite numbers")
     dtype_name = values["dtype"]
     if dtype_name not in _DTYPES:
         raise bad("dtype", f"unsupported dtype {dtype_name!r} (want u8, i16 or f32)")
     blob = path.with_suffix(".raw") if "data" not in values else path.parent / values["data"]
-    if not blob.exists():
+    if not blob.is_file():
         raise ParseError(f"{path}: data file {blob} not found")
     raw = blob.read_bytes()
     dtype = np.dtype(_DTYPES[dtype_name])
@@ -96,6 +105,7 @@ def read_volume(path: str | Path) -> ScalarVolume:
             f"expected {expected} bytes for dims {dims}, found {len(raw)}"
         )
     flat = np.frombuffer(raw, dtype=dtype)
+    _check_finite(blob, flat, 0)
     data = flat.reshape(dims, order="F").astype(np.float64)
     return ScalarVolume(dims=dims, spacing=spacing, origin=origin, data=data)
 
@@ -155,11 +165,16 @@ def read_nifti(path: str | Path) -> ScalarVolume:
     dim = struct.unpack_from(endian + "8h", raw, 40)
     ndim = dim[0]
     if ndim < 3:
-        raise ParseError(f"{path}: need a 3D image, header says {ndim}D")
+        raise ParseError(f"{path}: need a 3D image, header says {ndim}D (byte offset 40)")
     extra = [d for d in dim[4 : 1 + ndim] if d > 1]
     if extra:
-        raise ParseError(f"{path}: need a 3D image, trailing dims {extra} exceed 1")
+        raise ParseError(
+            f"{path}: need a 3D image, trailing dims {extra} exceed 1 (byte offset 48)"
+        )
     dims = (int(dim[1]), int(dim[2]), int(dim[3]))
+    for i, d in enumerate(dims):
+        if d < 1:
+            raise ParseError(f"{path}: dim[{i + 1}] = {d} at byte offset {42 + 2 * i}")
     datatype = struct.unpack_from(endian + "h", raw, 70)[0]
     if datatype not in _NIFTI_DTYPES:
         raise ParseError(
@@ -167,14 +182,20 @@ def read_nifti(path: str | Path) -> ScalarVolume:
             "(supported: 2 = u8, 4 = i16, 16 = f32)"
         )
     pixdim = struct.unpack_from(endian + "8f", raw, 76)
+    for i, p in enumerate(pixdim[1:4]):
+        if not math.isfinite(p):
+            raise ParseError(f"{path}: pixdim[{i + 1}] = {p} at byte offset {80 + 4 * i}")
     spacing = tuple(abs(float(p)) if p != 0.0 else 1.0 for p in pixdim[1:4])
     vox_offset = struct.unpack_from(endian + "f", raw, 108)[0]
     if not 0.0 <= vox_offset < math.inf:
         raise ParseError(f"{path}: bad vox_offset {vox_offset} at byte offset 108")
     vox_offset = int(vox_offset)
     scl_slope, scl_inter = struct.unpack_from(endian + "2f", raw, 112)
+    for name, value, at in (("scl_slope", scl_slope, 112), ("scl_inter", scl_inter, 116)):
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: {name} = {value} at byte offset {at}")
     if magic == b"ni1\x00":
-        raise ParseError(f"{path}: two-file images are not supported")
+        raise ParseError(f"{path}: two-file images are not supported (byte offset 344)")
     warnings.warn(
         f"{path.name}: orientation and remaining header fields ignored; origin set to 0",
         stacklevel=2,
@@ -185,6 +206,7 @@ def read_nifti(path: str | Path) -> ScalarVolume:
     if len(raw) < need:
         raise ParseError(f"{path}: truncated data at byte offset {len(raw)} (need {need})")
     flat = np.frombuffer(raw, dtype=dtype, count=count, offset=vox_offset)
+    _check_finite(path, flat, vox_offset)
     data = flat.reshape(dims, order="F").astype(np.float64)
     slope = float(scl_slope) if scl_slope != 0.0 else 1.0
     if slope != 1.0 or scl_inter != 0.0:

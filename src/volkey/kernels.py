@@ -1,4 +1,4 @@
-"""Geometric compatibility kernels between feature pairs.
+"""Geometric compatibility kernels between feature pairs, for all pairs at once.
 
 Three unit-height factors, multiplied into one geometry kernel:
 
@@ -10,8 +10,11 @@ Three unit-height factors, multiplied into one geometry kernel:
 The location bandwidth grows with the feature scales (factor k) on top of a
 constant floor sigma_t^2, so distant coarse features still see each other.
 
-`log_kernel_matrix` is the log of the product for all pairs, which the E-step
-adds to its log location term; `kernel_matrix` is its exp.
+`log_kernel_matrix` is the log of the product for every (moving, fixed) pair
+of stacked geometries, which the E-step adds to its log location term;
+`kernel_matrix` is its exp.  These are the only implementations: a pair's
+kernel is the 1x1 case, and the scalar factor formulas live in the tests as
+oracles.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ import numpy as np
 
 from .errors import RejectedInputError
 from .frames import STATE_SIGNS
-from .transforms import Geometry
 
 # diagonal sign patterns of the four states, for vectorized trace scoring
 _STATE_DIAGS = np.stack([np.diag(m) for m in STATE_SIGNS])  # (4, 3)
@@ -38,45 +40,6 @@ class KernelParams:
             raise RejectedInputError("kernel k must be positive")
         if not self.sigma_t_sq >= 0.0:
             raise RejectedInputError("kernel sigma_t_sq must be nonnegative")
-
-
-def kernel_scale(sigma_n: float, sigma_m: float) -> float:
-    if not (sigma_n > 0.0 and sigma_m > 0.0):
-        raise RejectedInputError("scales must be positive")
-    d = np.log(sigma_n) - np.log(sigma_m)
-    return float(np.exp(-d * d))
-
-
-def kernel_orientation(
-    theta_n: np.ndarray, theta_m: np.ndarray, use_states: bool = False
-) -> float:
-    """exp(-3 + trace(theta_n^T theta_m)); optionally max over moving states."""
-    tn = np.asarray(theta_n, dtype=float)
-    tm = np.asarray(theta_m, dtype=float)
-    diag = np.einsum("ai,ai->i", tn, tm)
-    if use_states:
-        score = float(np.max(_STATE_DIAGS @ diag))
-    else:
-        score = float(diag.sum())
-    return float(np.exp(-3.0 + score))
-
-
-def kernel_location(
-    x_n: np.ndarray, x_m: np.ndarray, sigma_n: float, sigma_m: float, params: KernelParams
-) -> float:
-    if not (sigma_n > 0.0 and sigma_m > 0.0):
-        raise RejectedInputError("scales must be positive")
-    d = np.asarray(x_n, dtype=float) - np.asarray(x_m, dtype=float)
-    return float(np.exp(-(d @ d) / (params.k * sigma_n * sigma_m + params.sigma_t_sq)))
-
-
-def kernel_geometry(g_n: Geometry, g_m: Geometry, params: KernelParams) -> float:
-    """Product of the scale, orientation and location factors for one pair."""
-    return (
-        kernel_scale(g_n.sigma, g_m.sigma)
-        * kernel_orientation(g_n.theta, g_m.theta, use_states=params.use_orientation_states)
-        * kernel_location(g_n.x, g_m.x, g_n.sigma, g_m.sigma, params)
-    )
 
 
 def log_kernel_matrix(

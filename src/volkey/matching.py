@@ -43,6 +43,11 @@ MATCH_DTYPE = np.dtype(
 # the whole (N, 4M) table
 _BLOCK_BYTES = 8 << 20
 
+# vote search caps: seed cells, mean-shift steps per seed, inlier refits
+MAX_SEEDS = 64
+MAX_SHIFT_ITERS = 30
+MAX_REFIT_ITERS = 10
+
 
 def transform_between(src, dst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Similarity transforms (rotation, scale, translation) carrying source
@@ -97,9 +102,6 @@ class HoughParams:
     rot_bin: float = math.pi / 8.0
     log_scale_bin: float = math.log(1.5)
     trans_bin: float = 10.0
-    max_seeds: int = 64
-    max_shift_iters: int = 30
-    max_refit_iters: int = 10
 
     def __post_init__(self) -> None:
         if not -1.0 <= self.eps_cos < 1.0:
@@ -107,8 +109,6 @@ class HoughParams:
         for name in ("eps_log_scale", "eps_disp", "rot_bin", "log_scale_bin", "trans_bin"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise RejectedInputError(f"{name} must be positive and finite")
-        if self.max_seeds < 1 or self.max_shift_iters < 0 or self.max_refit_iters < 0:
-            raise RejectedInputError("max_seeds must be positive, iteration caps nonnegative")
 
 
 @dataclass(eq=False)
@@ -163,13 +163,13 @@ def hough_init(matches: np.recarray, params: HoughParams | None = None) -> Hough
     _, cell_of, cell_size = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     candidates: list[SimilarityTransform] = []
     # cells come in key order, so a stable sort on size gives (-size, key)
-    for cell in np.argsort(-cell_size, kind="stable")[: params.max_seeds]:
+    for cell in np.argsort(-cell_size, kind="stable")[:MAX_SEEDS]:
         window = np.flatnonzero(cell_of == cell)
         r_hat = project_to_rotation(rots[window].mean(axis=0))
         ls_hat = float(log_scales[window].mean())
         t_hat = trans[window].mean(axis=0)
         previous = None
-        for _ in range(params.max_shift_iters):
+        for _ in range(MAX_SHIFT_ITERS):
             cos_ang = np.clip(
                 (np.einsum("kij,ij->k", rots, r_hat) - 1.0) / 2.0, -1.0, 1.0
             )
@@ -210,7 +210,7 @@ def hough_init(matches: np.recarray, params: HoughParams | None = None) -> Hough
     # mean-shift mode is a vote average while the least-squares fit of the
     # matched endpoints is sharper, which recovers inliers the residual test
     # rejects under the coarser mode.
-    for _ in range(params.max_refit_iters):
+    for _ in range(MAX_REFIT_ITERS):
         if inliers.sum() < 3:
             break
         f, mv = matches.fixed_x[inliers], matches.moving_x[inliers]

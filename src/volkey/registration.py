@@ -115,19 +115,6 @@ def e_step(
     return p
 
 
-def solve_rigid(
-    fixed_points: np.ndarray, moving_points: np.ndarray, p: np.ndarray
-) -> tuple[SimilarityTransform, float]:
-    """Weighted similarity fit of moving onto fixed under the (moving, fixed)
-    weight matrix p; returns the transform and the residual variance lambda^2."""
-    f = np.asarray(fixed_points, dtype=float).reshape(-1, 3)
-    m = np.asarray(moving_points, dtype=float).reshape(-1, 3)
-    p = np.asarray(p, dtype=float)
-    if p.shape != (m.shape[0], f.shape[0]):
-        raise RejectedInputError(f"p shape {p.shape} does not match point counts")
-    return fit_similarity(f, m, p.sum(axis=0), p.sum(axis=1), p.T @ m)
-
-
 def register(
     fixed: list[Feature], moving: list[Feature], config: RegistrationConfig | None = None
 ) -> RegistrationResult:

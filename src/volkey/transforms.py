@@ -45,27 +45,26 @@ def rotvec_from_matrix(r: np.ndarray) -> np.ndarray:
     """Inverse of matrix_from_rotvec, stable near 0 and pi; r is (..., 3, 3)."""
     r = np.asarray(r, dtype=float)
     stack = r.reshape(-1, 3, 3)
-    angle = np.arccos(np.clip((np.trace(stack, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0))
+    cos = np.clip((np.trace(stack, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
+    angle = np.arccos(cos)
     skew = stack[:, [2, 0, 1], [1, 2, 0]] - stack[:, [1, 2, 0], [2, 0, 1]]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = skew / (2.0 * np.sin(angle))[:, None] * angle[:, None]
     # R ~ I + [v]_x for small angles
     small = angle < 1e-7
     out[small] = skew[small] / 2.0
-    # near pi the skew part vanishes; recover the axis from R + I
-    near_pi = ~small & (angle > np.pi - 1e-5)
-    b = (stack[near_pi] + np.eye(3)) / 2.0
-    axis = np.sqrt(np.clip(np.diagonal(b, axis1=1, axis2=2), 0.0, None))
-    # fix relative signs from the largest component
-    i = np.argmax(axis, axis=1)[:, None]
-    row = np.take_along_axis(b, i[:, :, None], axis=1)[:, 0]
-    flip = (np.take_along_axis(axis, i, axis=1) > 0) & (np.arange(3) != i) & (row < 0)
-    axis[flip] *= -1.0
-    # (1, 3) @ (3, 1) products round like the dot product of two vectors
-    axis /= np.maximum(np.sqrt(axis[:, None] @ axis[:, :, None]), 1e-300)[:, 0]
-    # orient so the result is consistent with the skew part when nonzero
-    axis[(axis[:, None] @ skew[near_pi][:, :, None])[:, 0, 0] < 0] *= -1.0
-    out[near_pi] = axis * angle[near_pi, None]
+    # past pi/2 the skew part fades and arccos loses digits: the symmetric
+    # part (R + R^T)/2 - cos I is (1 - cos) a a^T, whose largest column gives
+    # the axis up to sign, and atan2 of the sine |skew|/2 and cos the angle
+    obtuse = angle > np.pi / 2.0
+    s, c, sk = stack[obtuse], cos[obtuse], skew[obtuse]
+    aat = (s + np.swapaxes(s, 1, 2)) / 2.0 - c[:, None, None] * np.eye(3)
+    j = np.argmax(np.diagonal(aat, axis1=1, axis2=2), axis=1)
+    axis = aat[np.arange(len(j)), :, j]
+    axis /= np.linalg.norm(axis, axis=1)[:, None]
+    # the skew part is 2 sin(angle) a: orient the axis along it
+    axis[np.einsum("ni,ni->n", axis, sk) < 0] *= -1.0
+    out[obtuse] = axis * np.arctan2(np.linalg.norm(sk, axis=1) / 2.0, c)[:, None]
     return out.reshape(r.shape[:-2] + (3,))
 
 
@@ -121,20 +120,6 @@ def fit_similarity(
 
 
 @dataclass(frozen=True, eq=False)
-class Geometry:
-    """Location, scale and orientation frame of one feature (frame axes as columns)."""
-
-    x: np.ndarray
-    sigma: float
-    theta: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(3))
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float).reshape(3, 3))
-        object.__setattr__(self, "sigma", float(self.sigma))
-
-
-@dataclass(frozen=True, eq=False)
 class SimilarityTransform:
     """x -> scale * rotation @ x + translation."""
 
@@ -156,20 +141,9 @@ class SimilarityTransform:
         object.__setattr__(self, "scale", b)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "SimilarityTransform":
-        return SimilarityTransform()
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         return self.scale * (p @ self.rotation.T) + self.translation
-
-    def apply_to_geometry(self, g: Geometry) -> Geometry:
-        return Geometry(
-            x=self.apply(g.x),
-            sigma=self.scale * g.sigma,
-            theta=self.rotation @ g.theta,
-        )
 
     def inverse(self) -> "SimilarityTransform":
         rt = self.rotation.T

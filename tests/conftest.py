@@ -5,16 +5,26 @@ fixtures: extraction is the expensive step and every consumer treats the
 results as read-only.  ``gaussian_blob`` builds single-blob volumes for
 closed-form oracles; ``geometry_arrays`` and ``pair_table`` turn hand-built
 Geometry records into the stacked arrays and match tables the library takes.
+
+The scalar oracles live here too: one feature's `Geometry` and its image
+under a similarity, the per-pair kernel factors that `kernels.kernel_matrix`
+vectorizes, and `solve_rigid`, the dense-weight-matrix form of
+`transforms.fit_similarity`.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from volkey.descriptors import ExtractionConfig, extract_features
+from volkey.frames import STATE_SIGNS
+from volkey.kernels import KernelParams
 from volkey.matching import match_table
 from volkey.synth import make_phantom, random_similarity
+from volkey.transforms import SimilarityTransform, fit_similarity
 from volkey.volume import ScalarVolume, build_scale_space, resample
 
 # Settings shared by the unit tests and the acceptance suite: 40 blobs on a
@@ -69,6 +79,61 @@ def gaussian_blob(
     return ScalarVolume(
         dims=dims, spacing=tuple(sp), origin=(0.0, 0.0, 0.0), data=amplitude * np.exp(-0.5 * q)
     )
+
+
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """Location, scale and orientation frame of one feature (frame axes as columns)."""
+
+    x: np.ndarray
+    sigma: float
+    theta: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(3))
+        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float).reshape(3, 3))
+        object.__setattr__(self, "sigma", float(self.sigma))
+
+
+def apply_to_geometry(t: SimilarityTransform, g: Geometry) -> Geometry:
+    """x' = b R x + t, sigma' = b sigma, Theta' = R Theta."""
+    return Geometry(x=t.apply(g.x), sigma=t.scale * g.sigma, theta=t.rotation @ g.theta)
+
+
+def kernel_scale(sigma_n: float, sigma_m: float) -> float:
+    d = np.log(sigma_n) - np.log(sigma_m)
+    return float(np.exp(-d * d))
+
+
+def kernel_orientation(theta_n, theta_m, use_states: bool = False) -> float:
+    """exp(-3 + trace(theta_n^T theta_m)); optionally max over moving states."""
+    tn, tm = np.asarray(theta_n, dtype=float), np.asarray(theta_m, dtype=float)
+    if use_states:
+        return max(kernel_orientation(tn, tm @ s) for s in STATE_SIGNS)
+    return float(np.exp(-3.0 + np.trace(tn.T @ tm)))
+
+
+def kernel_location(x_n, x_m, sigma_n: float, sigma_m: float, params: KernelParams) -> float:
+    d = np.asarray(x_n, dtype=float) - np.asarray(x_m, dtype=float)
+    return float(np.exp(-(d @ d) / (params.k * sigma_n * sigma_m + params.sigma_t_sq)))
+
+
+def kernel_geometry(g_n: Geometry, g_m: Geometry, params: KernelParams) -> float:
+    """Product of the scale, orientation and location factors for one pair."""
+    return (
+        kernel_scale(g_n.sigma, g_m.sigma)
+        * kernel_orientation(g_n.theta, g_m.theta, use_states=params.use_orientation_states)
+        * kernel_location(g_n.x, g_m.x, g_n.sigma, g_m.sigma, params)
+    )
+
+
+def solve_rigid(fixed_points, moving_points, p):
+    """Weighted similarity fit under the dense (moving, fixed) weight matrix p:
+    fit_similarity with the sums P^T 1, P 1 and P^T m formed from p."""
+    f = np.asarray(fixed_points, dtype=float).reshape(-1, 3)
+    m = np.asarray(moving_points, dtype=float).reshape(-1, 3)
+    p = np.asarray(p, dtype=float)
+    return fit_similarity(f, m, p.sum(axis=0), p.sum(axis=1), p.T @ m)
 
 
 def geometry_arrays(geoms):

@@ -9,7 +9,7 @@ once in a module fixture and shared.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,10 @@ from conftest import (
     ACCEPTANCE_LINES,
     EXTRACTION,
     PHANTOM_SEED,
+    Geometry,
+    apply_to_geometry,
     geometry_arrays,
+    kernel_geometry,
     negated,
     pair_table,
     volume_center,
@@ -28,20 +31,14 @@ from volkey.descriptors import compute_descriptor, extract_features
 from volkey.errors import RejectedInputError
 from volkey.evaluation import point_registration_error, probe_grid, state_histogram
 from volkey.frames import enumerate_states
-from volkey.kernels import (
-    KernelParams,
-    kernel_geometry,
-    kernel_location,
-    kernel_orientation,
-    kernel_scale,
-)
+from volkey.kernels import kernel_matrix
 from volkey.keypoints import Keypoint
 from volkey.matching import hough_init, match_features
-from volkey.registration import RegistrationConfig, e_step, register, solve_rigid
+from volkey.registration import RegistrationConfig, e_step, register
 from volkey.synth import make_phantom, random_similarity
 from volkey.transforms import (
-    Geometry,
     SimilarityTransform,
+    fit_similarity,
     is_rotation,
     matrix_from_rotvec,
     rotvec_from_matrix,
@@ -260,7 +257,7 @@ def test_criterion_5_weighted_fit_oracle():
         fixed = rng.uniform(0.0, 40.0, (nf, 3))
         moving = rng.uniform(0.0, 40.0, (nm, 3))
         p = rng.uniform(0.0, 1.0, (nm, nf))
-        t, _ = solve_rigid(fixed, moving, p)
+        t, _ = fit_similarity(fixed, moving, p.sum(axis=0), p.sum(axis=1), p.T @ moving)
         r, b, tr = _pairwise_umeyama(fixed, moving, p)
         gap = max(
             float(np.abs(t.rotation - r).max()),
@@ -273,7 +270,8 @@ def test_criterion_5_weighted_fit_oracle():
     for _ in range(100):
         moving = rng.uniform(0.0, 30.0, (8, 3))
         fixed = moving * np.array([-1.0, 1.0, 1.0])
-        t, _ = solve_rigid(fixed, moving, rng.uniform(0.0, 1.0, (8, 8)))
+        p = rng.uniform(0.0, 1.0, (8, 8))
+        t, _ = fit_similarity(fixed, moving, p.sum(axis=0), p.sum(axis=1), p.T @ moving)
         dets.append(float(np.linalg.det(t.rotation)))
     refl_ok = all(abs(d - 1.0) < 1e-9 for d in dets)
     ok = ok and refl_ok
@@ -332,17 +330,23 @@ def test_criterion_6_correspondence_oracle():
 
 def test_criterion_7_kernel_unit_values():
     params = kernel_params(default_config())
+    plain = replace(params, use_orientation_states=False)
+
+    def pair(x_m=(0.0, 0.0, 0.0), s_f=1.0, s_m=1.0, t_m=np.eye(3), kernel=params):
+        """The library's all-pairs kernel of a fixed geometry at the origin and one moving."""
+        fixed = (np.zeros((1, 3)), np.array([s_f]), np.eye(3)[None])
+        moving = (np.array([x_m]), np.array([s_m]), t_m[None])
+        return float(kernel_matrix(*fixed, *moving, kernel)[0, 0])
+
+    gap = np.sqrt(params.k * 2.0 * 3.0 + params.sigma_t_sq)
     checks = [
-        abs(kernel_scale(2.0, 1.0) - np.exp(-np.log(2.0) ** 2)) < 1e-12,
-        abs(kernel_orientation(np.eye(3), -np.eye(3)) - np.exp(-6.0)) < 1e-15,
+        abs(pair(s_f=2.0) - np.exp(-np.log(2.0) ** 2)) < 1e-12,
+        abs(pair(t_m=-np.eye(3), kernel=plain) - np.exp(-6.0)) < 1e-15,
         params.k == 12.0,
         params.sigma_t_sq == 200.0,
+        # over the coincident pair, which carries the same scale factor
+        abs(pair((gap, 0.0, 0.0), 2.0, 3.0) / pair(s_f=2.0, s_m=3.0) - np.exp(-1.0)) < 1e-12,
     ]
-    gap = np.sqrt(params.k * 2.0 * 3.0 + params.sigma_t_sq)
-    x = np.zeros(3)
-    checks.append(
-        abs(kernel_location(x, np.array([gap, 0, 0]), 2.0, 3.0, params) - np.exp(-1.0)) < 1e-12
-    )
     ok = all(checks)
     _report(
         7,
@@ -370,7 +374,7 @@ def test_criterion_8_vote_robustness():
     pairs = []
     for i in range(30):
         g_mov = geom()
-        g_fix = t_true.apply_to_geometry(g_mov)
+        g_fix = apply_to_geometry(t_true, g_mov)
         g_mov = Geometry(
             x=g_mov.x + rng.normal(0.0, 0.2, 3),
             sigma=g_mov.sigma * float(np.exp(rng.normal(0.0, 0.02))),

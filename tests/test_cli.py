@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import re
 import struct
 
 import numpy as np
@@ -334,3 +335,48 @@ def test_cli_error_exits(workspace, tmp_path, capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def _error_exit(capsys, *args):
+    """Exit status and stderr of a failing command."""
+    code = main([str(a) for a in args])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_rejected_inputs_end_in_one_error_line(workspace, tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"rotation": [[1, 0, 0]')
+    no_scale = tmp_path / "no_scale.json"
+    no_scale.write_text(json.dumps({"rotation": np.eye(3).tolist(), "translation": [0, 0, 0]}))
+    probes = tmp_path / "probes.txt"
+    probes.write_text("1 2 3\n4 five 6\n")
+    short = tmp_path / "short.txt"
+    short.write_text("1 2\n")
+    gt = workspace / "t_inv.json"
+    feats = ("--fixed", workspace / "fixed.vkf", "--moving", workspace / "moving.vkf")
+    volume = ("--volume", workspace / "fixed.txt")
+    cases = [
+        ("No such", "register", "--config", "/nonexistent.json", *feats, "--out", tmp_path / "e"),
+        ("not a transform JSON", "evaluate", "--est", bad_json, "--gt", gt, *volume),
+        ("'scale'", "evaluate", "--est", no_scale, "--gt", gt, *volume),
+        ("line 2 .*'4 five 6'", "evaluate", "--est", gt, "--gt", gt, "--probes", probes),
+        ("line 1 ", "evaluate", "--est", gt, "--gt", gt, "--probes", short),
+        ("No such file", "extract", "--volume", tmp_path / "no.txt", "--out", tmp_path / "f"),
+    ]
+    for message, *args in cases:
+        code, err = _error_exit(capsys, *args)
+        assert code == 2, args
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert re.search(message, err), err
+
+
+def test_other_exceptions_still_propagate(monkeypatch, workspace, tmp_path):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a bug, not an input")
+
+    monkeypatch.setattr("volkey.cli.register", broken)
+    feats = ["--fixed", str(workspace / "fixed.vkf"), "--moving", str(workspace / "moving.vkf")]
+    with pytest.raises(ZeroDivisionError):
+        main(["register", *feats, "--out", str(tmp_path / "e.json")])

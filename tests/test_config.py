@@ -15,7 +15,9 @@ from volkey.config import (
 )
 from volkey.descriptors import ExtractionConfig
 from volkey.errors import RejectedInputError
+from volkey.kernels import KernelParams
 from volkey.matching import HoughParams
+from volkey.registration import RegistrationConfig
 
 
 def test_defaults_cover_all_sections():
@@ -118,8 +120,8 @@ def test_load_config_accepts_ints_for_floats_and_null_octaves(tmp_path):
         lambda: HoughParams(eps_disp=0.0),
         lambda: HoughParams(eps_log_scale=float("nan")),
         lambda: HoughParams(eps_cos=1.0),
-        lambda: HoughParams(max_seeds=0),
-        lambda: HoughParams(max_refit_iters=-1),
+        lambda: KernelParams(k=float("nan")),
+        lambda: RegistrationConfig(lambda_sq_floor=float("nan")),
     ],
 )
 def test_config_dataclasses_validate_at_construction(make):

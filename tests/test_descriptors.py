@@ -8,12 +8,10 @@ from conftest import EXTRACTION, negated, volume_center
 from volkey.descriptors import (
     NUM_BINS,
     STATE_BIN_MASKS,
-    Descriptor,
     ExtractionConfig,
     compute_descriptor,
     extract_features,
     extract_features_with_stats,
-    rank_normalize,
     rank_normalize_bins,
 )
 from volkey.errors import RejectedInputError
@@ -98,12 +96,6 @@ def test_rank_idempotence_on_permutations():
     for _ in range(10):
         perm = rng.permutation(NUM_BINS).astype(float)
         np.testing.assert_array_equal(rank_normalize_bins(perm), perm.astype(np.int16))
-
-
-def test_rank_normalize_requires_bins():
-    stripped = Descriptor(bins=None, ranked=np.arange(NUM_BINS, dtype=np.int16))
-    with pytest.raises(RejectedInputError):
-        rank_normalize(stripped)
 
 
 def test_state_descriptors_permute_state_zero_bins(phantom_features):

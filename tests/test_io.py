@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,66 @@ def test_read_volume_parse_errors_carry_offsets(tmp_path):
         read_volume(short)
 
 
+_HEADER = ["dims = 2 2 2", "spacing = 1 1 1", "origin = 0 0 0", "dtype = f32", "data = v.raw"]
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [
+        pytest.param(0, "dims = -2 -2 2", id="two-negative-dims"),
+        pytest.param(0, "dims = 0 2 2", id="zero-dim"),
+        pytest.param(1, "spacing = nan 1 1", id="nan-spacing"),
+        pytest.param(1, "spacing = 1 inf 1", id="infinite-spacing"),
+        pytest.param(1, "spacing = 1 1 -1", id="negative-spacing"),
+        pytest.param(2, "origin = 0 -inf 0", id="infinite-origin"),
+    ],
+)
+def test_read_volume_rejects_header_values_at_their_offset(tmp_path, line, value):
+    lines = list(_HEADER)
+    lines[line] = value
+    header = _write_raw_pair(tmp_path, lines, np.zeros(8, dtype="<f4").tobytes(), "v")
+    offset = sum(len(text) + 1 for text in lines[:line])
+    with pytest.raises(ParseError, match=f"byte offset {offset}$"):
+        read_volume(header)
+
+
+def test_read_volume_rejects_non_finite_intensity_at_its_offset(tmp_path):
+    blob = np.zeros(8, dtype="<f4")
+    blob[5] = np.nan
+    header = _write_raw_pair(tmp_path, _HEADER, blob.tobytes(), "v")
+    with pytest.raises(ParseError, match="non-finite intensity at byte offset 20"):
+        read_volume(header)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edits=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 10**6), st.integers(0, 255)),
+        min_size=1,
+        max_size=8,
+    ),
+    cut=st.one_of(st.none(), st.integers(0, 10**6)),
+)
+def test_raw_meta_byte_corruption_raises_only_parse_error(tmp_path, edits, cut):
+    data = np.arange(60.0).reshape(3, 4, 5)
+    volume = ScalarVolume((3, 4, 5), (1.0, 0.5, 2.0), (-1.0, 0.0, 3.0), data)
+    header = tmp_path / "v.txt"
+    write_volume(header, volume, dtype="f32")
+    files = {True: header, False: header.with_suffix(".raw")}
+    raws = {key: bytearray(path.read_bytes()) for key, path in files.items()}
+    for in_header, position, value in edits:
+        raw = raws[in_header]
+        raw[position % len(raw)] = value
+    if cut is not None:
+        raws[False] = raws[False][: cut % (len(raws[False]) + 1)]
+    for key, path in files.items():
+        path.write_bytes(bytes(raws[key]))
+    try:
+        read_volume(header)
+    except ParseError:
+        pass
+
+
 def _nifti_bytes(dims=(4, 3, 2), datatype=4, value=3, slope=2.0, inter=1.0, magic=b"n+1\x00"):
     hdr = bytearray(348)
     struct.pack_into("<i", hdr, 0, 348)
@@ -162,6 +223,64 @@ def test_read_nifti_rejects_bad_vox_offset(tmp_path, vox_offset):
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match="vox_offset .* byte offset 108"):
         read_nifti(path)
+
+
+@pytest.mark.parametrize(
+    "fmt, at, value, offset",
+    [
+        pytest.param("<3h", 42, (-4, -3, 2), 42, id="two-negative-dims"),
+        pytest.param("<h", 44, 0, 44, id="zero-dim"),
+        pytest.param("<f", 84, float("nan"), 84, id="nan-pixdim"),
+        pytest.param("<f", 88, float("inf"), 88, id="infinite-pixdim"),
+        pytest.param("<f", 112, float("inf"), 112, id="infinite-slope"),
+        pytest.param("<f", 116, float("nan"), 116, id="nan-intercept"),
+    ],
+)
+def test_read_nifti_rejects_header_values_at_their_offset(tmp_path, fmt, at, value, offset):
+    raw = bytearray(_nifti_bytes())
+    struct.pack_into(fmt, raw, at, *np.atleast_1d(value).tolist())
+    path = tmp_path / "bad.nii"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match=f"byte offset {offset}$"):
+        read_nifti(path)
+
+
+def _f32_nifti_bytes() -> bytearray:
+    """A 4x3x2 float32 image: the header of _nifti_bytes and 24 float32 samples."""
+    return bytearray(_nifti_bytes(datatype=16)[:352] + np.arange(24, dtype="<f4").tobytes())
+
+
+def test_read_nifti_rejects_non_finite_intensity_at_its_offset(tmp_path):
+    raw = _f32_nifti_bytes()
+    struct.pack_into("<f", raw, 352 + 4 * 3, float("-inf"))
+    path = tmp_path / "inf.nii"
+    path.write_bytes(bytes(raw))
+    with pytest.warns(UserWarning), pytest.raises(ParseError, match="byte offset 364"):
+        read_nifti(path)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=8
+    ),
+    cut=st.one_of(st.none(), st.integers(0, 10**6)),
+)
+def test_nifti_byte_corruption_raises_only_parse_error(tmp_path, edits, cut):
+    raw = _f32_nifti_bytes()
+    for position, value in edits:
+        # half the edits land in the 348-byte header
+        raw[position % (348 if position % 2 else len(raw))] = value
+    if cut is not None:
+        raw = raw[: cut % (len(raw) + 1)]
+    path = tmp_path / "img.nii"
+    path.write_bytes(bytes(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            read_nifti(path)
+        except ParseError:
+            pass
 
 
 def test_read_nifti_gzip(tmp_path):

@@ -1,21 +1,26 @@
-"""Geometry kernels weighting the probabilistic correspondence step."""
+"""Geometry kernels weighting the probabilistic correspondence step.
+
+The library computes kernels only for all pairs at once; a single pair is the
+1x1 case, checked here against the scalar factor oracles in conftest.
+"""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from volkey.config import default_config, kernel_params
-from volkey.errors import RejectedInputError
-from volkey.frames import STATE_SIGNS
-from volkey.kernels import (
-    KernelParams,
+from conftest import (
+    Geometry,
+    geometry_arrays,
     kernel_geometry,
     kernel_location,
-    kernel_matrix,
     kernel_orientation,
     kernel_scale,
 )
-from volkey.transforms import Geometry, matrix_from_rotvec, rotation_z
+from volkey.config import default_config, kernel_params
+from volkey.errors import RejectedInputError
+from volkey.frames import STATE_SIGNS
+from volkey.kernels import KernelParams, kernel_matrix, log_kernel_matrix
+from volkey.transforms import matrix_from_rotvec, rotation_z
 
 
 def _random_geometry(rng):
@@ -26,13 +31,25 @@ def _random_geometry(rng):
     )
 
 
+def _pair(
+    x_n=(0.0, 0.0, 0.0), x_m=(0.0, 0.0, 0.0), s_n=1.0, s_m=1.0, t_n=None, t_m=None, params=None
+):
+    """Library kernel of one (fixed n, moving m) pair; the defaults make every factor 1."""
+    t_n = np.eye(3) if t_n is None else t_n
+    t_m = np.eye(3) if t_m is None else t_m
+    fixed = geometry_arrays([Geometry(x=x_n, sigma=s_n, theta=t_n)])
+    moving = geometry_arrays([Geometry(x=x_m, sigma=s_m, theta=t_m)])
+    return float(kernel_matrix(*fixed, *moving, params or KernelParams())[0, 0])
+
+
 def test_unit_values():
     # doubled scale
-    assert kernel_scale(2.0, 1.0) == pytest.approx(np.exp(-np.log(2.0) ** 2), abs=1e-12)
-    assert kernel_scale(3.0, 6.0) == pytest.approx(np.exp(-np.log(2.0) ** 2), abs=1e-12)
+    assert _pair(s_n=2.0, s_m=1.0) == pytest.approx(np.exp(-np.log(2.0) ** 2), abs=1e-12)
+    assert _pair(s_n=3.0, s_m=6.0) == pytest.approx(np.exp(-np.log(2.0) ** 2), abs=1e-12)
     # anti-aligned and quarter-turned frames
-    assert kernel_orientation(np.eye(3), -np.eye(3)) == pytest.approx(np.exp(-6.0), abs=1e-15)
-    assert kernel_orientation(np.eye(3), rotation_z(np.pi / 2.0)) == pytest.approx(
+    plain = KernelParams(use_orientation_states=False)
+    assert _pair(t_m=-np.eye(3), params=plain) == pytest.approx(np.exp(-6.0), abs=1e-15)
+    assert _pair(t_m=rotation_z(np.pi / 2.0), params=plain) == pytest.approx(
         np.exp(-2.0), abs=1e-12
     )
     # displacement equal to the kernel's length scale
@@ -40,11 +57,11 @@ def test_unit_values():
     sn, sm = 2.0, 3.0
     gap = np.sqrt(params.k * sn * sm + params.sigma_t_sq)
     x = np.array([5.0, 6.0, 7.0])
-    assert kernel_location(x, x + [gap, 0, 0], sn, sm, params) == pytest.approx(
-        np.exp(-1.0), abs=1e-12
-    )
+    # divided by the coincident pair: the scale factor exp(-ln(2/3)^2) cancels
+    located = _pair(x, x + [gap, 0, 0], sn, sm, params=params) / _pair(x, x, sn, sm)
+    assert located == pytest.approx(np.exp(-1.0), abs=1e-12)
     # 10 mm apart at sigma 5 under the default constants
-    assert kernel_location(x, x + [10.0, 0, 0], 5.0, 5.0, params) == pytest.approx(
+    assert _pair(x, x + [10.0, 0, 0], 5.0, 5.0, params=params) == pytest.approx(
         np.exp(-0.2), abs=1e-12
     )
 
@@ -59,40 +76,39 @@ def test_default_parameters_come_from_config():
 
 def test_coincident_geometries_score_one():
     rng = np.random.default_rng(7)
-    params = KernelParams()
-    for _ in range(10):
-        g = _random_geometry(rng)
-        assert kernel_geometry(g, g, params) == pytest.approx(1.0, abs=1e-12)
+    geoms = geometry_arrays([_random_geometry(rng) for _ in range(10)])
+    mat = kernel_matrix(*geoms, *geoms, KernelParams())
+    np.testing.assert_allclose(np.diag(mat), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_symmetry_and_range():
     rng = np.random.default_rng(8)
+    a = geometry_arrays([_random_geometry(rng) for _ in range(50)])
+    b = geometry_arrays([_random_geometry(rng) for _ in range(50)])
     for states in (True, False):
         params = KernelParams(use_orientation_states=states)
-        for _ in range(50):
-            a, b = _random_geometry(rng), _random_geometry(rng)
-            kab = kernel_geometry(a, b, params)
-            kba = kernel_geometry(b, a, params)
-            assert kab == pytest.approx(kba, rel=1e-12)
-            assert 0.0 < kab <= 1.0
+        kab = kernel_matrix(*a, *b, params)
+        kba = kernel_matrix(*b, *a, params)
+        np.testing.assert_allclose(kab, kba.T, rtol=1e-12, atol=0.0)
+        assert np.all((0.0 < kab) & (kab <= 1.0))
 
 
 def test_scale_kernel_is_ratio_invariant():
     rng = np.random.default_rng(9)
     for _ in range(50):
         s1, s2, a = rng.uniform(0.5, 10.0, size=3)
-        assert kernel_scale(a * s1, a * s2) == pytest.approx(kernel_scale(s1, s2), abs=1e-12)
+        assert _pair(s_n=a * s1, s_m=a * s2) == pytest.approx(_pair(s_n=s1, s_m=s2), abs=1e-12)
+        assert _pair(s_n=s1, s_m=s2) == pytest.approx(kernel_scale(s1, s2), abs=1e-12)
 
 
 def test_location_kernel_monotonicity():
-    params = KernelParams()
     x = np.zeros(3)
     gaps = [1.0, 5.0, 10.0, 20.0]
-    vals = [kernel_location(x, np.array([g, 0, 0]), 3.0, 3.0, params) for g in gaps]
+    vals = [_pair(x, [g, 0, 0], 3.0, 3.0) for g in gaps]
     assert vals == sorted(vals, reverse=True)
     # larger feature scales forgive the same displacement more
     sigs = [1.0, 2.0, 4.0, 8.0]
-    vals = [kernel_location(x, np.array([10.0, 0, 0]), s, s, params) for s in sigs]
+    vals = [_pair(x, [10.0, 0, 0], s, s) for s in sigs]
     assert vals == sorted(vals)
 
 
@@ -106,18 +122,20 @@ def test_geometry_kernel_factorizes():
             * kernel_orientation(a.theta, b.theta)
             * kernel_location(a.x, b.x, a.sigma, b.sigma, params)
         )
-        assert kernel_geometry(a, b, params) == pytest.approx(product, rel=1e-12)
+        assert _pair(a.x, b.x, a.sigma, b.sigma, a.theta, b.theta, params) == pytest.approx(
+            product, rel=1e-12
+        )
 
 
 def test_state_max_ignores_state_relabeling():
     rng = np.random.default_rng(11)
     params = KernelParams(use_orientation_states=True)
-    for _ in range(20):
-        a, b = _random_geometry(rng), _random_geometry(rng)
-        base = kernel_geometry(a, b, params)
-        for s in STATE_SIGNS:
-            relabeled = Geometry(x=b.x, sigma=b.sigma, theta=b.theta @ s)
-            assert kernel_geometry(a, relabeled, params) == pytest.approx(base, abs=1e-12)
+    fixed = geometry_arrays([_random_geometry(rng) for _ in range(20)])
+    x_m, s_m, t_m = geometry_arrays([_random_geometry(rng) for _ in range(20)])
+    base = kernel_matrix(*fixed, x_m, s_m, t_m, params)
+    for s in STATE_SIGNS:
+        relabeled = kernel_matrix(*fixed, x_m, s_m, t_m @ s, params)
+        np.testing.assert_allclose(relabeled, base, rtol=0.0, atol=1e-12)
 
 
 def test_kernel_matrix_matches_scalar_loop():
@@ -126,15 +144,7 @@ def test_kernel_matrix_matches_scalar_loop():
     moving = [_random_geometry(rng) for _ in range(7)]
     for states in (True, False):
         params = KernelParams(use_orientation_states=states)
-        mat = kernel_matrix(
-            np.stack([g.x for g in fixed]),
-            np.array([g.sigma for g in fixed]),
-            np.stack([g.theta for g in fixed]),
-            np.stack([g.x for g in moving]),
-            np.array([g.sigma for g in moving]),
-            np.stack([g.theta for g in moving]),
-            params,
-        )
+        mat = kernel_matrix(*geometry_arrays(fixed), *geometry_arrays(moving), params)
         assert mat.shape == (7, 5)
         for m, gm in enumerate(moving):
             for n, gn in enumerate(fixed):
@@ -142,16 +152,15 @@ def test_kernel_matrix_matches_scalar_loop():
 
 
 def test_parameter_validation():
-    with pytest.raises(RejectedInputError):
-        kernel_scale(0.0, 1.0)
-    with pytest.raises(RejectedInputError):
-        kernel_scale(1.0, -2.0)
+    frame, ok = np.eye(3)[None], np.ones(1)
+    for bad in (np.zeros(1), np.full(1, -2.0)):
+        for s_f, s_m in ((bad, ok), (ok, bad)):
+            with pytest.raises(RejectedInputError):
+                log_kernel_matrix(np.zeros((1, 1)), s_f, frame, s_m, frame, KernelParams())
     with pytest.raises(RejectedInputError):
         KernelParams(k=0.0)
     with pytest.raises(RejectedInputError):
         KernelParams(sigma_t_sq=-1.0)
     # a vanishing positional floor is allowed; the scale product then rules
     params = KernelParams(sigma_t_sq=0.0)
-    assert kernel_location(np.zeros(3), np.zeros(3), 1.0, 1.0, params) == 1.0
-    with pytest.raises(RejectedInputError):
-        kernel_location(np.zeros(3), np.ones(3), 0.0, 1.0, params)
+    assert _pair(params=params) == 1.0

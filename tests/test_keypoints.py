@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gaussian_blob, negated
 from volkey.errors import RejectedInputError
-from volkey.keypoints import detect_keypoints
+from volkey.keypoints import _newton_steps, detect_keypoints
+from volkey.synth import make_phantom
 from volkey.volume import ScalarVolume, build_scale_space
 
 
@@ -106,3 +109,86 @@ def test_border_flag_near_volume_edge():
 def test_rejects_negative_threshold(phantom_scale_space):
     with pytest.raises(RejectedInputError):
         detect_keypoints(phantom_scale_space, min_abs_response=-1.0)
+
+
+def _quadratic_step(stack: np.ndarray, j: int, x: int, y: int, z: int):
+    """Scalar oracle: gradient, Hessian and Newton offset of the 4D fit at one voxel.
+
+    Offset order is (x, y, z, scale); spatial steps are one voxel, scale steps
+    one pyramid interval.
+    """
+    d = stack
+    g = np.array(
+        [
+            (d[j, x + 1, y, z] - d[j, x - 1, y, z]) / 2.0,
+            (d[j, x, y + 1, z] - d[j, x, y - 1, z]) / 2.0,
+            (d[j, x, y, z + 1] - d[j, x, y, z - 1]) / 2.0,
+            (d[j + 1, x, y, z] - d[j - 1, x, y, z]) / 2.0,
+        ]
+    )
+    c = d[j, x, y, z]
+    h = np.empty((4, 4))
+    h[0, 0] = d[j, x + 1, y, z] - 2 * c + d[j, x - 1, y, z]
+    h[1, 1] = d[j, x, y + 1, z] - 2 * c + d[j, x, y - 1, z]
+    h[2, 2] = d[j, x, y, z + 1] - 2 * c + d[j, x, y, z - 1]
+    h[3, 3] = d[j + 1, x, y, z] - 2 * c + d[j - 1, x, y, z]
+    h[0, 1] = h[1, 0] = (
+        d[j, x + 1, y + 1, z] - d[j, x + 1, y - 1, z] - d[j, x - 1, y + 1, z] + d[j, x - 1, y - 1, z]
+    ) / 4.0
+    h[0, 2] = h[2, 0] = (
+        d[j, x + 1, y, z + 1] - d[j, x + 1, y, z - 1] - d[j, x - 1, y, z + 1] + d[j, x - 1, y, z - 1]
+    ) / 4.0
+    h[1, 2] = h[2, 1] = (
+        d[j, x, y + 1, z + 1] - d[j, x, y + 1, z - 1] - d[j, x, y - 1, z + 1] + d[j, x, y - 1, z - 1]
+    ) / 4.0
+    h[0, 3] = h[3, 0] = (
+        d[j + 1, x + 1, y, z] - d[j + 1, x - 1, y, z] - d[j - 1, x + 1, y, z] + d[j - 1, x - 1, y, z]
+    ) / 4.0
+    h[1, 3] = h[3, 1] = (
+        d[j + 1, x, y + 1, z] - d[j + 1, x, y - 1, z] - d[j - 1, x, y + 1, z] + d[j - 1, x, y - 1, z]
+    ) / 4.0
+    h[2, 3] = h[3, 2] = (
+        d[j + 1, x, y, z + 1] - d[j + 1, x, y, z - 1] - d[j - 1, x, y, z + 1] + d[j - 1, x, y, z - 1]
+    ) / 4.0
+    try:
+        offset = -np.linalg.solve(h, g)
+    except np.linalg.LinAlgError:
+        offset = np.zeros(4)
+    return g, offset
+
+
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(3, 5), st.integers(3, 7), st.integers(3, 7), st.integers(3, 7)),
+    count=st.integers(0, 30),
+    flat_from=st.integers(1, 7),
+)
+def test_batched_refinement_equals_scalar_oracle(seed, shape, count, flat_from):
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=shape)
+    # from x = flat_from on the stack does not vary along z: there every
+    # Hessian has a zero row, so the oracle's solve fails and the offset is 0
+    stack[:, flat_from:] = stack[:, flat_from:, :, :1]
+    at = np.stack([rng.integers(1, n - 1, count) for n in shape], axis=1).reshape(-1, 4)
+    g, offset = _newton_steps(stack, at)
+    for i, (j, x, y, z) in enumerate(at):
+        g_oracle, offset_oracle = _quadratic_step(stack, j, x, y, z)
+        np.testing.assert_array_equal(g[i], g_oracle)
+        np.testing.assert_array_equal(offset[i], offset_oracle)
+        if x - 1 >= flat_from:
+            np.testing.assert_array_equal(offset[i], 0.0)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), num_blobs=st.integers(4, 12))
+def test_negation_flips_only_signs_and_responses(seed, num_blobs):
+    volume = make_phantom(seed, num_blobs, dims=(24, 24, 24), width_range=(1.5, 4.0))
+    pos = detect_keypoints(build_scale_space(volume, num_octaves=2))
+    neg = detect_keypoints(build_scale_space(negated(volume), num_octaves=2))
+    assert len(pos) == len(neg)
+    for a, b in zip(pos, neg):
+        np.testing.assert_array_equal(a.x, b.x)
+        assert (a.sigma, a.border) == (b.sigma, b.border)
+        assert a.response == -b.response
+        assert a.sign == -b.sign

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXTRACTION, geometry_arrays, negated, pair_table
+from conftest import (
+    EXTRACTION,
+    Geometry,
+    apply_to_geometry,
+    geometry_arrays,
+    negated,
+    pair_table,
+)
 from volkey import matching
 from volkey.descriptors import NUM_BINS, Descriptor, Feature, extract_features
 from volkey.errors import InitializationFailureError, RejectedInputError
@@ -23,7 +30,6 @@ from volkey.matching import (
     transform_between,
 )
 from volkey.transforms import (
-    Geometry,
     SimilarityTransform,
     matrix_from_rotvec,
     rotvec_from_matrix,
@@ -49,7 +55,7 @@ def _planted_pairs(rng, t_true, n_in=30, n_out=70, jitter=True):
     pairs = []
     for i in range(n_in):
         g_mov = _rand_geom(rng)
-        g_fix = t_true.apply_to_geometry(g_mov)
+        g_fix = apply_to_geometry(t_true, g_mov)
         if jitter:
             g_mov = Geometry(
                 x=g_mov.x + rng.normal(0.0, 0.2, 3),
@@ -146,7 +152,7 @@ def test_transform_between_round_trip():
         for a, b in zip(stacked, single):
             np.testing.assert_array_equal(a[k], b)
         t = SimilarityTransform(*single)
-        mapped = t.apply_to_geometry(src)
+        mapped = apply_to_geometry(t, src)
         np.testing.assert_allclose(mapped.x, dst.x, atol=1e-9)
         assert mapped.sigma == pytest.approx(dst.sigma, rel=1e-12)
         np.testing.assert_allclose(mapped.theta, dst.theta, atol=1e-12)
@@ -267,8 +273,9 @@ def test_match_table_equals_brute_force(
         assert row.moving_sigma == g.keypoint.sigma
         # the vote carries the matched moving geometry onto the fixed one
         vote = SimilarityTransform(row.rotation, row.scale, row.translation)
-        mapped = vote.apply_to_geometry(
-            Geometry(x=g.keypoint.x, sigma=g.keypoint.sigma, theta=g.frame.matrix @ STATE_SIGNS[k])
+        mapped = apply_to_geometry(
+            vote,
+            Geometry(x=g.keypoint.x, sigma=g.keypoint.sigma, theta=g.frame.matrix @ STATE_SIGNS[k]),
         )
         np.testing.assert_allclose(mapped.x, f.keypoint.x, atol=1e-9)
         assert mapped.sigma == pytest.approx(f.keypoint.sigma, rel=1e-12)
@@ -309,7 +316,7 @@ def test_consistency_mask_equals_scalar_predicate(
     for _ in range(count):
         # votes spread from exact agreement with t to unrelated, per row
         g_mov = _rand_geom(rng)
-        g_fix = t.apply_to_geometry(g_mov)
+        g_fix = apply_to_geometry(t, g_mov)
         level = noise * rng.uniform()
         g_fix = Geometry(
             x=g_fix.x + rng.normal(0.0, 5.0 * level, 3),

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from volkey.errors import RejectedInputError
 from volkey.transforms import (
-    Geometry,
     SimilarityTransform,
     is_rotation,
     matrix_from_rotvec,
@@ -24,28 +25,52 @@ def test_axis_rotations_act_on_basis_vectors():
     np.testing.assert_allclose(rotation_y(np.pi / 2) @ [0, 0, 1], [1, 0, 0], atol=1e-15)
 
 
-def test_rotvec_round_trip_random():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        v = rng.normal(size=3)
-        v *= rng.uniform(0.0, np.pi - 1e-3) / np.linalg.norm(v)
-        r = matrix_from_rotvec(v)
-        assert is_rotation(r, tol=1e-12)
-        np.testing.assert_allclose(rotvec_from_matrix(r), v, atol=1e-9)
+# unit rotation axes, drawn away from the zero vector
+_AXES = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .map(np.array)
+    .filter(lambda a: np.linalg.norm(a) > 1e-3)
+    .map(lambda a: a / np.linalg.norm(a))
+)
+# any rotation, scales in [0.5, 2], translations within 3 mm per axis
+_SIMILARITIES = st.builds(
+    lambda axis, angle, scale, t: SimilarityTransform(matrix_from_rotvec(axis * angle), scale, t),
+    _AXES,
+    st.floats(0.0, np.pi),
+    st.floats(0.5, 2.0),
+    st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(np.array),
+)
+# points within 3 mm per axis
+_POINTS = np.linspace(-3.0, 3.0, 30).reshape(10, 3)
 
 
-def test_rotvec_stable_near_zero_and_pi():
-    tiny = np.array([1e-9, -2e-9, 5e-10])
-    np.testing.assert_allclose(rotvec_from_matrix(matrix_from_rotvec(tiny)), tiny, atol=1e-15)
+@given(axis=_AXES, angle=st.floats(0.0, np.pi - 1e-12))
+def test_rotvec_round_trip_random(axis, angle):
+    # 1e-12 rad up to 1e-12 short of a half turn
+    v = axis * angle
+    r = matrix_from_rotvec(v)
+    assert is_rotation(r, tol=1e-12)
+    np.testing.assert_allclose(rotvec_from_matrix(r), v, rtol=0.0, atol=1e-12)
+
+
+@given(axis=_AXES, gap=st.floats(0.0, 1e-6))
+def test_rotvec_stable_near_zero_and_pi(axis, gap):
+    # within 1e-6 rad of no turn: 1e-15 rad; below 1e-14 rad
+    # matrix_from_rotvec returns the identity, whose rotation vector is 0
+    tiny = axis * gap
+    expected = tiny if np.linalg.norm(tiny) >= 1e-14 else np.zeros(3)
+    np.testing.assert_allclose(rotvec_from_matrix(matrix_from_rotvec(tiny)), expected, atol=1e-15)
     np.testing.assert_allclose(rotvec_from_matrix(np.eye(3)), np.zeros(3), atol=1e-15)
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        v = axis * (np.pi - 1e-9)
-        back = rotvec_from_matrix(matrix_from_rotvec(v))
-        # near pi the axis sign is ambiguous; compare as rotations
-        np.testing.assert_allclose(matrix_from_rotvec(back), matrix_from_rotvec(v), atol=1e-6)
+    # within 1e-6 rad of a half turn: 1e-12 rad; closer than 1e-12 the
+    # axis sign drowns in rounding (a half turn about a and -a is the same
+    # rotation), so there the two rotations are compared, also at 1e-12
+    v = axis * (np.pi - gap)
+    r = matrix_from_rotvec(v)
+    back = rotvec_from_matrix(r)
+    assert np.linalg.norm(back) <= np.pi + 1e-12
+    np.testing.assert_allclose(matrix_from_rotvec(back), r, rtol=0.0, atol=1e-12)
+    if gap >= 1e-12:
+        np.testing.assert_allclose(back, v, rtol=0.0, atol=1e-12)
 
 
 def test_project_to_rotation_recovers_noisy_rotation():
@@ -96,44 +121,20 @@ def test_apply_matches_direct_formula():
     assert t.apply(pts[0]).shape == (3,)
 
 
-def test_inverse_composes_to_identity():
-    rng = np.random.default_rng(7)
-    t = SimilarityTransform(
-        rotation=matrix_from_rotvec(rng.normal(size=3)),
-        scale=0.6,
-        translation=rng.normal(size=3),
-    )
-    both = t.compose(t.inverse())
-    np.testing.assert_allclose(both.rotation, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(both.scale, 1.0, atol=1e-12)
-    np.testing.assert_allclose(both.translation, np.zeros(3), atol=1e-12)
-    pts = rng.normal(size=(10, 3))
-    np.testing.assert_allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-12)
+@given(t=_SIMILARITIES)
+def test_inverse_composes_to_identity(t):
+    # 1e-12 on every entry, in either order
+    for both in (t.compose(t.inverse()), t.inverse().compose(t)):
+        np.testing.assert_allclose(both.rotation, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(both.scale, 1.0, atol=1e-12)
+        np.testing.assert_allclose(both.translation, np.zeros(3), atol=1e-12)
+    np.testing.assert_allclose(t.inverse().apply(t.apply(_POINTS)), _POINTS, atol=1e-12)
 
 
-def test_compose_applies_other_first():
-    rng = np.random.default_rng(8)
-    t1 = SimilarityTransform(
-        rotation=matrix_from_rotvec(rng.normal(size=3)), scale=2.0, translation=rng.normal(size=3)
-    )
-    t2 = SimilarityTransform(
-        rotation=matrix_from_rotvec(rng.normal(size=3)), scale=0.5, translation=rng.normal(size=3)
-    )
-    pts = rng.normal(size=(10, 3))
-    np.testing.assert_allclose(t1.compose(t2).apply(pts), t1.apply(t2.apply(pts)), atol=1e-12)
-
-
-def test_apply_to_geometry_maps_all_three_components():
-    rng = np.random.default_rng(9)
-    frame = matrix_from_rotvec(rng.normal(size=3))
-    g = Geometry(x=[1.0, 2.0, 3.0], sigma=2.5, theta=frame)
-    t = SimilarityTransform(
-        rotation=rotation_z(0.3), scale=2.0, translation=[0.0, 1.0, 0.0]
-    )
-    out = t.apply_to_geometry(g)
-    np.testing.assert_allclose(out.x, t.apply(g.x), atol=1e-14)
-    assert out.sigma == pytest.approx(5.0)
-    np.testing.assert_allclose(out.theta, rotation_z(0.3) @ frame, atol=1e-14)
+@given(a=_SIMILARITIES, b=_SIMILARITIES)
+def test_compose_applies_other_first(a, b):
+    # 1e-12 mm on every coordinate
+    np.testing.assert_allclose(a.compose(b).apply(_POINTS), a.apply(b.apply(_POINTS)), atol=1e-12)
 
 
 def test_dict_round_trip():
@@ -156,6 +157,6 @@ def test_validation_rejects_bad_inputs():
 
 
 def test_identity_is_neutral():
-    t = SimilarityTransform.identity()
+    t = SimilarityTransform()
     pts = np.arange(12.0).reshape(4, 3)
     np.testing.assert_array_equal(t.apply(pts), pts)

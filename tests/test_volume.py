@@ -204,7 +204,7 @@ def test_trilinear_sample_modes():
 
 def test_resample_identity_and_integer_shift():
     vol = _random_volume(16)
-    same = resample(vol, SimilarityTransform.identity())
+    same = resample(vol, SimilarityTransform())
     np.testing.assert_allclose(same.data, vol.data, atol=1e-12)
     shift = resample(vol, SimilarityTransform(translation=[1.0, 0.0, 0.0]))
     np.testing.assert_allclose(shift.data[1:], vol.data[:-1], atol=1e-12)
