@@ -10,7 +10,6 @@ from .descriptors import (
 )
 from .errors import (
     AmbiguousFrameError,
-    BoundaryError,
     DegenerateCorrespondenceError,
     DegenerateGeometryError,
     InitializationFailureError,
@@ -52,8 +51,6 @@ from .volume import (
     ScaleSpace,
     build_scale_space,
     gaussian_blur,
-    gradient_at,
-    laplacian_at,
     resample,
     to_isotropic,
     trilinear_sample,

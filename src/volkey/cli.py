@@ -26,7 +26,7 @@ from .config import (
     registration_config,
 )
 from .descriptors import extract_features_with_stats
-from .errors import ParseError, VolkeyError
+from .errors import ParseError, RejectedInputError, VolkeyError
 from .evaluation import evaluate, probe_grid, state_histogram
 from .matching import hough_init, match_features
 from .registration import register
@@ -118,6 +118,8 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_synth_transform(args) -> int:
+    if args.apply_to and not args.out_volume:
+        raise RejectedInputError("--apply-to needs --out-volume")
     center = (0.0, 0.0, 0.0)
     if args.center is not None:
         center = tuple(args.center)
@@ -138,9 +140,6 @@ def cmd_synth_transform(args) -> int:
         _save_transform(args.out_inverse, t.inverse())
         _emit("out_inverse", args.out_inverse)
     if args.apply_to:
-        if not args.out_volume:
-            print("error: --apply-to needs --out-volume", file=sys.stderr)
-            return 2
         vol = _read_volume(args.apply_to, args.format)
         moved = resample(vol, t)
         if args.negate:
@@ -232,15 +231,14 @@ def cmd_register(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not (args.probes or args.volume):
+        raise RejectedInputError("need --probes or --volume for probe points")
     t_est = _load_transform(args.est)
     t_gt = _load_transform(args.gt)
     if args.probes:
         probes = _read_probes(args.probes)
-    elif args.volume:
-        probes = probe_grid(_read_volume(args.volume, args.format))
     else:
-        print("error: need --probes or --volume for probe points", file=sys.stderr)
-        return 2
+        probes = probe_grid(_read_volume(args.volume, args.format))
     fixed_vol = _read_volume(args.fixed_volume, args.format) if args.fixed_volume else None
     moving_vol = _read_volume(args.moving_volume, args.format) if args.moving_volume else None
     report = evaluate(t_est, t_gt, probes, fixed=fixed_vol, moving=moving_vol)

@@ -9,10 +9,6 @@ class RejectedInputError(VolkeyError, ValueError):
     """Input violates a documented precondition."""
 
 
-class BoundaryError(VolkeyError, ValueError):
-    """Requested sample point lies outside the scale-space domain."""
-
-
 class NoOrientationError(VolkeyError, RuntimeError):
     """Gradient field too weak to define an orientation frame."""
 

@@ -23,7 +23,7 @@ from scipy.spatial import ConvexHull
 
 from .errors import AmbiguousFrameError, NoOrientationError
 from .keypoints import Keypoint
-from .volume import ScaleSpace, _level_voxel, _nearest_level, _sample_gradients
+from .volume import ScaleSpace, _nearest_level, _sample_gradients
 
 SUPPORT_RADIUS = 3.0  # in units of keypoint sigma
 GRADIENT_FLOOR = 1e-12
@@ -103,19 +103,22 @@ def icosphere_faces() -> np.ndarray:
 
 
 def _window(ss: ScaleSpace, kp: Keypoint, window_factor: float):
-    """Gradient samples and Gaussian weights over the keypoint's support ball."""
-    o, i = _nearest_level(ss, kp.sigma)
-    octave = ss.octaves[o]
-    center = _level_voxel(octave, kp.x)
-    r_vox = SUPPORT_RADIUS * kp.sigma / octave.spacing
+    """Gradient samples and Gaussian weights over the keypoint's support ball.
+
+    The ball's points sit on the nearest level's voxel lattice around kp.x,
+    in world mm like every scale-space sample.
+    """
+    o, _ = _nearest_level(ss, kp.sigma)
+    spacing = ss.octaves[o].spacing
+    r_vox = SUPPORT_RADIUS * kp.sigma / spacing
     r = int(math.ceil(r_vox))
     ax = np.arange(-r, r + 1, dtype=float)
     ox, oy, oz = np.meshgrid(ax, ax, ax, indexing="ij")
     offsets = np.stack([ox, oy, oz], axis=-1).reshape(-1, 3)
     keep = (offsets**2).sum(axis=1) <= r_vox**2
     offsets = offsets[keep]
-    grads = _sample_gradients(ss, center + offsets, kp.sigma)
-    dist_sq = (offsets**2).sum(axis=1) * octave.spacing**2
+    grads = _sample_gradients(ss, kp.x + offsets * spacing, kp.sigma)
+    dist_sq = (offsets**2).sum(axis=1) * spacing**2
     weights = np.exp(-dist_sq / (2.0 * (window_factor * kp.sigma) ** 2))
     return grads, weights
 

@@ -26,6 +26,7 @@ from .descriptors import Descriptor, ExtractionConfig, Feature, feature_geometry
 from .errors import ParseError, RejectedInputError
 from .frames import Frame
 from .keypoints import Keypoint
+from .transforms import is_rotation
 from .volume import ScalarVolume
 
 _DTYPES = {"u8": np.uint8, "i16": np.dtype("<i2"), "f32": np.dtype("<f4")}
@@ -224,17 +225,15 @@ def write_features(
     features: list[Feature],
     volume_id: str = "",
     config: ExtractionConfig | None = None,
-    estimator: str | None = None,
 ) -> None:
     """Serialize features (geometry plus ranked descriptors) to one file."""
     path = Path(path)
     cfg = config or ExtractionConfig()
-    est = estimator if estimator is not None else cfg.estimator
     header = (
         f"{FEATURE_MAGIC} {FEATURE_VERSION}\n"
         f"volume_id = {volume_id}\n"
         f"config_digest = {config_digest(cfg)}\n"
-        f"estimator = {est}\n"
+        f"estimator = {cfg.estimator}\n"
         f"count = {len(features)}\n"
         "END\n"
     )
@@ -288,15 +287,7 @@ def read_features(path: str | Path) -> tuple[list[Feature], dict]:
     records = np.frombuffer(body, dtype=_RECORD)
     x, sigma, frames = records["x"].copy(), records["sigma"].copy(), records["frame"].copy()
     sign, ranks = records["sign"].astype(int), records["ranks"].astype(np.int16)
-    # the checks of is_rotation, record by record; non-finite frames fail,
-    # and so do huge ones whose products overflow
-    finite = np.isfinite(frames).all(axis=(1, 2))
-    frames_ok = np.where(finite[:, None, None], frames, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.swapaxes(frames_ok, 1, 2) @ frames_ok
-        det = np.linalg.det(frames_ok)
-    gram_ok = np.abs(gram - np.eye(3)).max(axis=(1, 2)) <= 1e-6
-    rotation = finite & gram_ok & (np.abs(det - 1.0) <= 1e-6)
+    rotation = is_rotation(frames, tol=1e-6)
     located = (0.0 < sigma) & (sigma < math.inf) & np.isfinite(x).all(axis=1)
     # each state's descriptor is a rank order of its 64 bins
     permuted = np.all(np.sort(ranks, axis=2) == np.arange(64), axis=(1, 2))

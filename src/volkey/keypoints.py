@@ -90,15 +90,14 @@ def detect_keypoints(
     footprint[1, 1, 1, 1] = False
     world, sigma, response = [], [], []
     for octave in ss.octaves:
-        stack = np.stack(octave.dog)
-        mag = np.abs(stack)
+        mag = np.abs(octave.dog)
         neighbor_max = ndimage.maximum_filter(
             mag, footprint=footprint, mode="constant", cval=np.inf
         )
         at = np.argwhere(mag > neighbor_max)
-        g, offset = _newton_steps(stack, at)
+        g, offset = _newton_steps(octave.dog, at)
         # (1, 4) @ (4, 1) products round like the dot product of two vectors
-        value = stack[tuple(at.T)] + 0.5 * (g[:, None, :] @ offset[:, :, None])[:, 0, 0]
+        value = octave.dog[tuple(at.T)] + 0.5 * (g[:, None, :] @ offset[:, :, None])[:, 0, 0]
         r = value * DOG_TO_LOG
         keep = ~(np.abs(offset).max(axis=1) > MAX_OFFSET) & (r != 0.0)
         keep &= ~(np.abs(r) < min_abs_response)

@@ -76,13 +76,21 @@ def project_to_rotation(m: np.ndarray) -> np.ndarray:
     return u @ c @ vt
 
 
-def is_rotation(r: np.ndarray, tol: float = SO3_TOL) -> bool:
+def is_rotation(r: np.ndarray, tol: float = SO3_TOL) -> bool | np.ndarray:
+    """Whether r (3, 3) is a proper rotation to within tol; a bool array for (..., 3, 3).
+
+    Non-finite matrices fail, and so do huge ones whose products overflow.
+    """
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
+    if r.shape[-2:] != (3, 3):
         return False
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
-        return False
-    return bool(abs(np.linalg.det(r) - 1.0) <= tol)
+    finite = np.isfinite(r).all(axis=(-2, -1))
+    r = np.where(finite[..., None, None], r, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(r, -2, -1) @ r
+        det = np.linalg.det(r)
+    ok = finite & (np.abs(gram - np.eye(3)).max(axis=(-2, -1)) <= tol) & (np.abs(det - 1.0) <= tol)
+    return ok if ok.ndim else bool(ok)
 
 
 def fit_similarity(

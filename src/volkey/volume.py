@@ -5,7 +5,8 @@ Conventions used throughout:
 - a volume stores its samples in an array indexed ``data[x, y, z]``; the
   serialized order (x fastest) is handled by the io module
 - world coordinates are millimetres: ``world = origin + index * spacing``,
-  voxel centers sit on the integer lattice
+  voxel centers sit on the integer lattice; scale-space sampling
+  (`_sample_gradients`) takes world points in mm, never level voxels
 - scale sigma is a world-unit Gaussian standard deviation; the input volume
   is treated as blur-free, so pyramid level k of octave o holds the input
   smoothed by ``base_sigma * 2**(o + k/3)``
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import BoundaryError, RejectedInputError
+from .errors import RejectedInputError
 from .transforms import SimilarityTransform
 
 INTERVALS = 3
@@ -33,9 +34,6 @@ MIN_DIM = 8
 # sqrt(k)/(k-1) for k = 2**(1/3): converts a DoG sample into the
 # scale-normalized Laplacian at the geometric-mean sigma
 DOG_TO_LOG = 2.0 ** (1.0 / 6.0) / (2.0 ** (1.0 / 3.0) - 1.0)
-# half of one scale step in log space; used to decide whether a requested
-# sigma sits on the DoG ladder
-_HALF_STEP = math.log(2.0) / 6.0
 
 
 @dataclass(eq=False)
@@ -136,22 +134,20 @@ def gaussian_blur(data: np.ndarray, sigma_vox: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class Octave:
-    """One resolution tier of the pyramid."""
+    """One resolution tier of the pyramid: levels (6, X, Y, Z), DoG (5, X, Y, Z)."""
 
-    data: list[np.ndarray]
+    data: np.ndarray
     sigmas: list[float]
-    dog: list[np.ndarray]
+    dog: np.ndarray
     dog_sigmas: list[float]
     spacing: float
     origin: np.ndarray
-    factor: int
 
 
 @dataclass(eq=False)
 class ScaleSpace:
     """Gaussian pyramid plus its adjacent-level differences."""
 
-    base_sigma: float
     octaves: list[Octave]
     source_dims: tuple[int, int, int]
     source_spacing: tuple[float, float, float]
@@ -220,26 +216,22 @@ def build_scale_space(
     for o in range(num_octaves):
         oct_base = base_sigma * (2.0**o)
         sigmas = [oct_base * 2.0 ** (i / INTERVALS) for i in range(LEVELS_PER_OCTAVE)]
-        if o == 0:
-            levels = [gaussian_blur(current, sigmas[0] / spacing)]
-        else:
-            # `current` was subsampled from the previous octave's level 3 and
-            # already carries blur oct_base
-            levels = [current.copy()]
+        levels = np.empty((LEVELS_PER_OCTAVE, *current.shape))
+        # past octave 0, `current` was subsampled from the previous octave's
+        # level 3 and already carries blur oct_base
+        levels[0] = gaussian_blur(current, sigmas[0] / spacing) if o == 0 else current
         for i in range(1, LEVELS_PER_OCTAVE):
             inc = math.sqrt(sigmas[i] ** 2 - sigmas[i - 1] ** 2) / spacing
-            levels.append(gaussian_blur(levels[i - 1], inc))
-        dog = [levels[i + 1] - levels[i] for i in range(LEVELS_PER_OCTAVE - 1)]
+            levels[i] = gaussian_blur(levels[i - 1], inc)
         dog_sigmas = [math.sqrt(sigmas[i] * sigmas[i + 1]) for i in range(LEVELS_PER_OCTAVE - 1)]
         octaves.append(
             Octave(
                 data=levels,
                 sigmas=sigmas,
-                dog=dog,
+                dog=levels[1:] - levels[:-1],
                 dog_sigmas=dog_sigmas,
                 spacing=spacing,
                 origin=origin.copy(),
-                factor=2**o,
             )
         )
         if o + 1 < num_octaves:
@@ -247,7 +239,6 @@ def build_scale_space(
             current = levels[INTERVALS][: 2 * half[0] : 2, : 2 * half[1] : 2, : 2 * half[2] : 2]
             spacing *= 2.0
     return ScaleSpace(
-        base_sigma=base_sigma,
         octaves=octaves,
         source_dims=volume.dims,
         source_spacing=volume.spacing,
@@ -277,16 +268,6 @@ def _nearest_level(ss: ScaleSpace, sigma: float) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def _level_voxel(octave: Octave, x: np.ndarray) -> np.ndarray:
-    return (np.asarray(x, dtype=float) - octave.origin) / octave.spacing
-
-
-def _check_domain(octave: Octave, v: np.ndarray, level: int = 0) -> None:
-    dims = np.asarray(octave.data[level].shape)
-    if np.any(v < -1e-9) or np.any(v > dims - 1 + 1e-9):
-        raise BoundaryError(f"point {v} (voxel units) outside level domain {tuple(dims)}")
-
-
 def _level_gradients(ss: ScaleSpace, o: int, i: int) -> tuple[np.ndarray, ...]:
     key = (o, i)
     if key not in ss._gradients:
@@ -295,65 +276,16 @@ def _level_gradients(ss: ScaleSpace, o: int, i: int) -> tuple[np.ndarray, ...]:
     return ss._gradients[key]
 
 
-def gradient_at(ss: ScaleSpace, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Central-difference intensity gradient (per mm) at world point x, scale sigma."""
+def _sample_gradients(ss: ScaleSpace, points: np.ndarray, sigma: float) -> np.ndarray:
+    """Gradients (per mm) at world points (..., 3) in mm, on the level nearest
+    sigma; points outside the level take the clamped edge values.  The one
+    scale-space sampler: frames and descriptors both read through it.
+    """
     o, i = _nearest_level(ss, sigma)
     octave = ss.octaves[o]
-    v = _level_voxel(octave, x)
-    _check_domain(octave, v)
-    g = _level_gradients(ss, o, i)
-    return np.array([float(trilinear_sample(gc, v)) for gc in g])
-
-
-def _sample_gradients(
-    ss: ScaleSpace, points: np.ndarray, sigma: float
-) -> np.ndarray:
-    """Clamped gradient samples at many world points; used by frames/descriptors."""
-    o, i = _nearest_level(ss, sigma)
-    octave = ss.octaves[o]
-    v = _level_voxel(octave, points)
+    v = (np.asarray(points, dtype=float) - octave.origin) / octave.spacing
     g = _level_gradients(ss, o, i)
     return np.stack([trilinear_sample(gc, v, mode="clamp") for gc in g], axis=-1)
-
-
-def laplacian_at(ss: ScaleSpace, x: np.ndarray, sigma: float, method: str = "auto") -> float:
-    """Scale-normalized Laplacian ``sigma^2 * lap I`` at world point x.
-
-    method "dog" snaps to the nearest adjacent-level difference; "stencil"
-    evaluates a 6-neighbor second difference on the nearest level; "auto"
-    uses the difference ladder whenever the requested sigma lies on it.
-    """
-    _check_sigma(ss, sigma)
-    ls = math.log(sigma)
-    best = None
-    for o, octave in enumerate(ss.octaves):
-        for j, s in enumerate(octave.dog_sigmas):
-            key = (abs(ls - math.log(s)), s, o)
-            if best is None or key < best[0]:
-                best = (key, o, j)
-    dist, o, j = best[0][0], best[1], best[2]
-    if method == "auto":
-        method = "dog" if dist <= _HALF_STEP * (1.0 + 1e-9) else "stencil"
-    if method == "dog":
-        octave = ss.octaves[o]
-        v = _level_voxel(octave, x)
-        _check_domain(octave, v)
-        return float(trilinear_sample(octave.dog[j], v)) * DOG_TO_LOG
-    if method != "stencil":
-        raise RejectedInputError(f"unknown laplacian method {method!r}")
-    o, i = _nearest_level(ss, sigma)
-    octave = ss.octaves[o]
-    v = _level_voxel(octave, x)
-    _check_domain(octave, v)
-    data = octave.data[i]
-    h = octave.spacing
-    center = float(trilinear_sample(data, v))
-    acc = 0.0
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        acc += float(trilinear_sample(data, v + e)) + float(trilinear_sample(data, v - e)) - 2.0 * center
-    return octave.sigmas[i] ** 2 * acc / (h * h)
 
 
 def resample(volume: ScalarVolume, t: SimilarityTransform) -> ScalarVolume:

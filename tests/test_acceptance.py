@@ -28,7 +28,6 @@ from conftest import (
 )
 from volkey.config import default_config, kernel_params
 from volkey.descriptors import compute_descriptor, extract_features
-from volkey.errors import RejectedInputError
 from volkey.evaluation import point_registration_error, probe_grid, state_histogram
 from volkey.frames import enumerate_states
 from volkey.kernels import kernel_matrix

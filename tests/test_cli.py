@@ -312,29 +312,24 @@ def test_probe_file_evaluation(workspace, tmp_path, capsys):
 
 
 def test_cli_error_exits(workspace, tmp_path, capsys):
-    code = main(
-        [
-            "evaluate",
-            "--est",
-            str(workspace / "t_inv.json"),
-            "--gt",
-            str(workspace / "t_inv.json"),
-        ]
-    )
-    assert code == 2
-    code = main(
-        [
-            "synth-transform",
-            "--seed",
-            "1",
-            "--out",
-            str(tmp_path / "t.json"),
-            "--apply-to",
-            str(workspace / "fixed.txt"),
-        ]
-    )
-    assert code == 2
-    capsys.readouterr()
+    # usage errors are found before any output: nothing on stdout, no file
+    gt = workspace / "t_inv.json"
+    out = tmp_path / "out"
+    out.mkdir()
+    cases = [
+        ("need --probes or --volume", "evaluate", "--est", gt, "--gt", gt),
+        (
+            "--apply-to needs --out-volume",
+            "synth-transform", "--seed", 1, "--out", out / "t.json",
+            "--out-inverse", out / "t_inv.json", "--apply-to", workspace / "fixed.txt",
+        ),
+    ]
+    for message, *args in cases:
+        code, err = _error_exit(capsys, *args)
+        assert code == 2, args
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err, err
+        assert list(out.iterdir()) == []
 
 
 def _error_exit(capsys, *args):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import gaussian_blob, volume_center
+from conftest import gaussian_blob
 from volkey.errors import RejectedInputError
 from volkey.evaluation import (
     evaluate,
@@ -15,7 +15,7 @@ from volkey.evaluation import (
 )
 from volkey.matching import MATCH_DTYPE
 from volkey.synth import random_similarity
-from volkey.transforms import SimilarityTransform, matrix_from_rotvec, rotation_z
+from volkey.transforms import SimilarityTransform, rotation_z
 from volkey.volume import ScalarVolume
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import gaussian_blob, negated
+from conftest import EXTRACTION, gaussian_blob, negated
+from volkey.descriptors import extract_features
 from volkey.errors import AmbiguousFrameError, NoOrientationError
 from volkey.frames import (
     STATE_SIGNS,
@@ -17,7 +18,7 @@ from volkey.frames import (
 )
 from volkey.keypoints import Keypoint, detect_keypoints
 from volkey.transforms import SimilarityTransform, is_rotation, rotation_z
-from volkey.volume import ScalarVolume, build_scale_space, resample
+from volkey.volume import ScalarVolume, _nearest_level, build_scale_space, resample
 
 #: worst-case angular resolution of the 320-face direction grid plus the
 #: half-degree circle refinement, with headroom for interpolation noise
@@ -66,21 +67,53 @@ def test_estimators_on_anisotropic_blob():
         assert _angle_deg(st.matrix[:, i], eye[i]) < 5.0
 
 
-def test_rotation_covariance_of_estimators():
-    blob, ss, kp = _aniso_setup()
-    mg = estimate_frame_max_gradient(ss, kp)
-    st = estimate_frame_structure_tensor(ss, kp)
+def _covariance_deg(blob, ss, kp):
+    """Worst axis angles (max_gradient, structure_tensor) between the frames
+    of a 20-degree z-rotation of the blob and the rotated frames of kp."""
     r = rotation_z(np.radians(20.0))
     c = np.array([31.5, 31.5, 31.5])
     t = SimilarityTransform(rotation=r, translation=c - r @ c)
     ss_rot = build_scale_space(resample(blob, t), num_octaves=3)
     kp_rot = detect_keypoints(ss_rot)[0]
     np.testing.assert_allclose(kp_rot.x, t.apply(kp.x), atol=0.5)
-    mg_rot = estimate_frame_max_gradient(ss_rot, kp_rot)
-    st_rot = estimate_frame_structure_tensor(ss_rot, kp_rot)
-    for i in range(3):
-        assert _angle_deg(mg_rot.matrix[:, i], (r @ mg.matrix)[:, i]) < 15.0
-        assert _angle_deg(st_rot.matrix[:, i], (r @ st.matrix)[:, i]) < 5.0
+    worst = []
+    for estimate in (estimate_frame_max_gradient, estimate_frame_structure_tensor):
+        want = r @ estimate(ss, kp).matrix
+        got = estimate(ss_rot, kp_rot).matrix
+        worst.append(max(_angle_deg(got[:, i], want[:, i]) for i in range(3)))
+    return worst
+
+
+def test_rotation_covariance_of_estimators():
+    blob, ss, kp = _aniso_setup()
+    mg, st = _covariance_deg(blob, ss, kp)
+    assert mg < 15.0
+    assert st < 5.0
+
+
+def test_rotation_covariance_in_a_coarse_octave():
+    # a wider blob whose keypoint samples octave 1 (2 mm voxels)
+    blob = gaussian_blob(widths=(6.0, 9.0, 14.0), center=(32.0, 32.0, 32.0))
+    ss = build_scale_space(blob, num_octaves=3)
+    kp = detect_keypoints(ss)[0]
+    assert _nearest_level(ss, kp.sigma)[0] == 1
+    mg, st = _covariance_deg(blob, ss, kp)
+    assert mg < 15.0
+    assert st < 5.0
+
+
+def test_extraction_commutes_with_origin_shift(phantom, phantom_features):
+    # frames and descriptors sample at world points, so moving the volume's
+    # origin moves every feature and changes nothing else
+    shift = np.array([-40.0, 25.0, 10.0])
+    shifted = ScalarVolume(phantom.dims, phantom.spacing, tuple(shift), phantom.data)
+    moved = extract_features(shifted, EXTRACTION)
+    assert len(moved) == len(phantom_features)
+    for a, b in zip(phantom_features, moved):
+        np.testing.assert_allclose(b.keypoint.x, a.keypoint.x + shift, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(b.frame.matrix, a.frame.matrix, rtol=0, atol=1e-9)
+        for da, db in zip(a.descriptors, b.descriptors):
+            np.testing.assert_array_equal(db.ranked, da.ranked)
 
 
 def test_frame_from_tensor_axis_aligned():

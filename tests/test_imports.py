@@ -1,0 +1,48 @@
+"""Source hygiene: every name a module imports is read in that module."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no expression reads.
+
+    `from __future__` imports bind no name; `import a.b` binds `a`.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nimport re\nfrom a import b, c as d\nd(re)\n"
+    assert unused_imports(source) == ["b (line 4)", "os (line 2)"]
+
+
+def test_no_unused_imports_in_src_and_tests():
+    # package __init__ files import names to re-export them
+    paths = [
+        p for d in ("src", "tests") for p in sorted((ROOT / d).rglob("*.py")) if p.name != "__init__.py"
+    ]
+    assert paths
+    unused = {}
+    for path in paths:
+        names = unused_imports(path.read_text())
+        if names:
+            unused[str(path.relative_to(ROOT))] = names
+    assert unused == {}

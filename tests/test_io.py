@@ -318,7 +318,7 @@ def test_feature_file_round_trip(tmp_path):
     features = [_random_feature(rng) for _ in range(1000)]
     path = tmp_path / "feats.vkf"
     cfg = ExtractionConfig(max_count=123)
-    write_features(path, features, volume_id="case-7", config=cfg, estimator="max_gradient")
+    write_features(path, features, volume_id="case-7", config=cfg)
     loaded, meta = read_features(path)
     assert meta["volume_id"] == "case-7"
     assert meta["estimator"] == "max_gradient"
@@ -404,6 +404,16 @@ def test_feature_file_corruption_errors(tmp_path):
     frame_path.write_bytes(bytes(skewed))
     with pytest.raises(ParseError):
         read_features(frame_path)
+
+    # the message names the first bad record of several
+    three = tmp_path / "three.vkf"
+    write_features(three, [_random_feature(rng) for _ in range(3)])
+    raw3 = bytearray(three.read_bytes())
+    for i in (1, 2):
+        struct.pack_into("<9d", raw3, start + i * 362 + 32, *([1e200] * 9))
+    three.write_bytes(bytes(raw3))
+    with pytest.raises(ParseError, match=f"record 1 frame is not a rotation .byte offset {start + 362}.$"):
+        read_features(three)
 
     no_end = tmp_path / "noend.vkf"
     no_end.write_bytes(bytes(raw).replace(b"END\n", b"EGG\n", 1))

@@ -13,7 +13,6 @@ from conftest import (
     kernel_geometry,
     negated,
     solve_rigid,
-    volume_center,
 )
 from volkey.descriptors import Feature, extract_features, feature_geometry
 from volkey.errors import (
@@ -30,7 +29,6 @@ from volkey.registration import (
     init_lambda_sq,
     register,
 )
-from volkey.synth import random_similarity
 from volkey.transforms import (
     SimilarityTransform,
     fit_similarity,

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from volkey.descriptors import extract_features
 from volkey.errors import RejectedInputError
 from volkey.synth import make_phantom, random_similarity
 from volkey.transforms import is_rotation, rotation_x, rotation_y, rotation_z

@@ -110,6 +110,22 @@ def test_is_rotation_rejects_reflections_and_scalings():
     assert not is_rotation(np.eye(4)[:3])
 
 
+def test_is_rotation_checks_each_matrix_of_a_stack():
+    mats = [
+        rotation_z(0.3),
+        np.diag([1.0, 1.0, -1.0]),
+        2.0 * np.eye(3),
+        np.full((3, 3), np.nan),
+        np.full((3, 3), 1e200),  # its Gram matrix overflows
+        np.eye(3),
+    ]
+    expected = [is_rotation(m) for m in mats]
+    assert expected == [True, False, False, False, False, True]
+    np.testing.assert_array_equal(is_rotation(np.stack(mats)), expected)
+    assert is_rotation(np.stack(mats).reshape(2, 3, 3, 3)).shape == (2, 3)
+    assert is_rotation(np.empty((0, 3, 3))).shape == (0,)
+
+
 def test_apply_matches_direct_formula():
     rng = np.random.default_rng(6)
     r = matrix_from_rotvec(rng.normal(size=3))

@@ -1,20 +1,24 @@
-"""Scale-space construction, differential operators and resampling."""
+"""Scale-space construction, differential operators and resampling.
+
+The operators are the ones the pipeline reads: `_sample_gradients` at world
+points in mm (frames and descriptors) and each octave's DoG array, the
+scale-normalized Laplacian up to the factor DOG_TO_LOG (detection).
+"""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from conftest import gaussian_blob, volume_center
-from volkey.errors import BoundaryError, RejectedInputError
+from volkey.errors import RejectedInputError
 from volkey.synth import random_similarity
 from volkey.transforms import SimilarityTransform
 from volkey.volume import (
     ScalarVolume,
+    _sample_gradients,
     build_scale_space,
     gaussian_blur,
     gaussian_kernel1d,
-    gradient_at,
-    laplacian_at,
     resample,
     to_isotropic,
     trilinear_sample,
@@ -120,13 +124,21 @@ def test_gaussian_semigroup_on_interior():
     assert rel < 1e-4
 
 
+def _gradient(ss, x, sigma):
+    return _sample_gradients(ss, np.array([x], dtype=float), sigma)[0]
+
+
+def _dog(data):
+    vol = ScalarVolume(data.shape, (1, 1, 1), (0, 0, 0), data)
+    return [octave.dog for octave in build_scale_space(vol, num_octaves=1).octaves]
+
+
 def test_gradient_of_linear_ramp():
     ax = np.arange(32.0)
     data = 2.0 * np.broadcast_to(ax[:, None, None], (32, 32, 32)).copy()
     vol = ScalarVolume(dims=(32, 32, 32), spacing=(1, 1, 1), origin=(0, 0, 0), data=data)
     ss = build_scale_space(vol, num_octaves=1)
-    g = gradient_at(ss, np.array([15.5, 15.5, 15.5]), 1.6)
-    np.testing.assert_allclose(g, [2.0, 0.0, 0.0], atol=1e-6)
+    np.testing.assert_allclose(_gradient(ss, [15.5, 15.5, 15.5], 1.6), [2.0, 0.0, 0.0], atol=1e-6)
 
 
 def test_gradient_matches_finite_differences_of_level():
@@ -141,45 +153,32 @@ def test_gradient_matches_finite_differences_of_level():
             (level[x, y, z + 1] - level[x, y, z - 1]) / 2.0,
         ]
     )
-    g = gradient_at(ss, np.array([float(x), float(y), float(z)]), ss.octaves[0].sigmas[0])
+    g = _gradient(ss, [x, y, z], ss.octaves[0].sigmas[0])
     np.testing.assert_allclose(g, fd, atol=1e-9)
 
 
-def test_gradient_rejects_out_of_domain_points():
-    vol = _random_volume(14)
-    ss = build_scale_space(vol, num_octaves=1)
-    with pytest.raises(BoundaryError):
-        gradient_at(ss, np.array([-5.0, 8.0, 8.0]), 1.6)
+def test_gradient_rejects_sigma_outside_pyramid():
+    ss = build_scale_space(_random_volume(14), num_octaves=1)
     with pytest.raises(RejectedInputError):
-        gradient_at(ss, np.array([8.0, 8.0, 8.0]), 100.0)  # sigma outside pyramid
+        _gradient(ss, [8.0, 8.0, 8.0], 100.0)
 
 
 def test_laplacian_constant_zero_and_blob_negative():
-    const = ScalarVolume(dims=(16, 16, 16), spacing=(1, 1, 1), origin=(0, 0, 0), data=np.ones((16, 16, 16)))
-    ss = build_scale_space(const, num_octaves=1)
-    x = np.array([8.0, 8.0, 8.0])
-    assert laplacian_at(ss, x, 2.0) == pytest.approx(0.0, abs=1e-12)
+    for dog in _dog(np.ones((16, 16, 16))):
+        np.testing.assert_allclose(dog, 0.0, atol=1e-12)
     blob = gaussian_blob(widths=6.0, center=(32, 32, 32))
-    ssb = build_scale_space(blob, num_octaves=3)
-    center = np.array([32.0, 32.0, 32.0])
-    assert laplacian_at(ssb, center, 3.0, method="dog") < 0.0
-    assert laplacian_at(ssb, center, 3.0, method="stencil") < 0.0
+    for octave in build_scale_space(blob, num_octaves=3).octaves:
+        at = tuple(int(v) for v in (32.0 - octave.origin) / octave.spacing)
+        assert np.all(octave.dog[(slice(None), *at)] < 0.0)
 
 
 def test_laplacian_linearity_and_negation():
     rng = np.random.default_rng(2)
     a = rng.random((16, 16, 16))
     b = rng.random((16, 16, 16))
-    combo = 2.0 * a - 3.0 * b
-    spaces = [
-        build_scale_space(ScalarVolume((16, 16, 16), (1, 1, 1), (0, 0, 0), d), num_octaves=1)
-        for d in (a, b, combo, -a)
-    ]
-    x = np.array([8.0, 8.0, 8.0])
-    for sigma in (1.8, 2.54):
-        la, lb, lc, lneg = (laplacian_at(s, x, sigma) for s in spaces)
-        assert lc == pytest.approx(2.0 * la - 3.0 * lb, rel=1e-6)
-        assert lneg == pytest.approx(-la, rel=1e-12)
+    (da,), (db,), (dc,), (dneg,) = (_dog(d) for d in (a, b, 2.0 * a - 3.0 * b, -a))
+    np.testing.assert_allclose(dc, 2.0 * da - 3.0 * db, rtol=1e-6)
+    np.testing.assert_array_equal(dneg, -da)
 
 
 def test_operators_invariant_to_constant_offset():
@@ -187,9 +186,9 @@ def test_operators_invariant_to_constant_offset():
     shifted = ScalarVolume(vol.dims, vol.spacing, vol.origin, vol.data + 7.0)
     ss0 = build_scale_space(vol, num_octaves=1)
     ss1 = build_scale_space(shifted, num_octaves=1)
-    x = np.array([8.0, 8.0, 8.0])
-    np.testing.assert_allclose(gradient_at(ss0, x, 1.6), gradient_at(ss1, x, 1.6), atol=1e-9)
-    assert laplacian_at(ss0, x, 1.8) == pytest.approx(laplacian_at(ss1, x, 1.8), abs=1e-9)
+    x = [8.0, 8.0, 8.0]
+    np.testing.assert_allclose(_gradient(ss0, x, 1.6), _gradient(ss1, x, 1.6), atol=1e-9)
+    np.testing.assert_allclose(ss0.octaves[0].dog, ss1.octaves[0].dog, atol=1e-9)
 
 
 def test_trilinear_sample_modes():
