@@ -90,14 +90,15 @@ def detect_keypoints(
     footprint[1, 1, 1, 1] = False
     world, sigma, response = [], [], []
     for octave in ss.octaves:
-        mag = np.abs(octave.dog)
+        dog = octave.dog
+        mag = np.abs(dog)
         neighbor_max = ndimage.maximum_filter(
             mag, footprint=footprint, mode="constant", cval=np.inf
         )
         at = np.argwhere(mag > neighbor_max)
-        g, offset = _newton_steps(octave.dog, at)
+        g, offset = _newton_steps(dog, at)
         # (1, 4) @ (4, 1) products round like the dot product of two vectors
-        value = octave.dog[tuple(at.T)] + 0.5 * (g[:, None, :] @ offset[:, :, None])[:, 0, 0]
+        value = dog[tuple(at.T)] + 0.5 * (g[:, None, :] @ offset[:, :, None])[:, 0, 0]
         r = value * DOG_TO_LOG
         keep = ~(np.abs(offset).max(axis=1) > MAX_OFFSET) & (r != 0.0)
         keep &= ~(np.abs(r) < min_abs_response)
@@ -105,7 +106,8 @@ def detect_keypoints(
         world.append(octave.origin + (at[:, 1:] + offset[:, :3]) * octave.spacing)
         # math.pow, not np.power: the vectorized power differs in the last bit
         steps = [math.pow(2.0, o) for o in offset[:, 3] / INTERVALS]
-        sigma.append(np.asarray(octave.dog_sigmas)[at[:, 0]] * np.array(steps))
+        s = np.asarray(octave.sigmas)
+        sigma.append(np.sqrt(s[:-1] * s[1:])[at[:, 0]] * np.array(steps))
         response.append(r[keep])
     world, sigma, response = (np.concatenate(a) for a in (world, sigma, response))
     vol_min = np.asarray(ss.source_origin, dtype=float)

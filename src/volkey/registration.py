@@ -168,7 +168,7 @@ def register(
                 converged = True
                 break
             lam = lam_new
-        if not converged:
+        else:
             log.warning(
                 "EM did not converge in %d iterations (lambda_sq %.3e)",
                 cfg.max_iterations,

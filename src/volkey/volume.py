@@ -16,11 +16,14 @@ Conventions used throughout:
 - the scale-normalized Laplacian is approximated by adjacent-level
   differences scaled by ``sqrt(k)/(k - 1)`` with ``k = 2**(1/3)``, attributed
   to the geometric mean of the two level sigmas
+- the scale space stores only its levels: the DoG is computed when it is
+  read, and gradients are differenced at the trilinear sample corners
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -31,6 +34,7 @@ from .transforms import SimilarityTransform
 INTERVALS = 3
 LEVELS_PER_OCTAVE = 6
 MIN_DIM = 8
+_SLAB_VOXELS = 4_000_000
 # sqrt(k)/(k-1) for k = 2**(1/3): converts a DoG sample into the
 # scale-normalized Laplacian at the geometric-mean sigma
 DOG_TO_LOG = 2.0 ** (1.0 / 6.0) / (2.0 ** (1.0 / 3.0) - 1.0)
@@ -72,41 +76,40 @@ class ScalarVolume:
         return self.world_min + (np.asarray(self.dims) - 1) * np.asarray(self.spacing)
 
 
-def trilinear_sample(
-    data: np.ndarray,
-    coords: np.ndarray,
-    mode: str = "clamp",
-    fill: float = 0.0,
-) -> np.ndarray:
-    """Trilinear interpolation of `data` at voxel coordinates `coords` (..., 3).
-
-    mode "clamp" extends edge values outward; mode "fill" writes `fill` for
-    coordinates outside [0, dim-1] on any axis.
-    """
+def _trilinear(value, shape: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
+    """Trilinear blend of value(ix, iy, iz) at the 8 grid corners around the
+    voxel coordinates `coords` (..., 3), clamped to the grid."""
     c = np.asarray(coords, dtype=float)
-    n = np.asarray(data.shape)
-    if mode == "fill":
-        valid = np.all((c >= 0.0) & (c <= n - 1), axis=-1)
+    n = np.asarray(shape)
     cc = np.clip(c, 0.0, n - 1)
-    i0 = np.minimum(np.floor(cc).astype(np.intp), n - 2)
-    i0 = np.maximum(i0, 0)
+    i0 = np.maximum(np.minimum(np.floor(cc).astype(np.intp), n - 2), 0)
     f = cc - i0
     x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
     x1, y1, z1 = np.minimum(x0 + 1, n[0] - 1), np.minimum(y0 + 1, n[1] - 1), np.minimum(z0 + 1, n[2] - 1)
     fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
     gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
-    out = (
-        data[x0, y0, z0] * gx * gy * gz
-        + data[x1, y0, z0] * fx * gy * gz
-        + data[x0, y1, z0] * gx * fy * gz
-        + data[x0, y0, z1] * gx * gy * fz
-        + data[x1, y1, z0] * fx * fy * gz
-        + data[x1, y0, z1] * fx * gy * fz
-        + data[x0, y1, z1] * gx * fy * fz
-        + data[x1, y1, z1] * fx * fy * fz
+    return (
+        value(x0, y0, z0) * gx * gy * gz
+        + value(x1, y0, z0) * fx * gy * gz
+        + value(x0, y1, z0) * gx * fy * gz
+        + value(x0, y0, z1) * gx * gy * fz
+        + value(x1, y1, z0) * fx * fy * gz
+        + value(x1, y0, z1) * fx * gy * fz
+        + value(x0, y1, z1) * gx * fy * fz
+        + value(x1, y1, z1) * fx * fy * fz
     )
+
+
+def trilinear_sample(data: np.ndarray, coords: np.ndarray, mode: str = "clamp") -> np.ndarray:
+    """Trilinear interpolation of `data` at voxel coordinates `coords` (..., 3).
+
+    mode "clamp" extends edge values outward; mode "fill" writes 0 for
+    coordinates outside [0, dim-1] on any axis.
+    """
+    out = _trilinear(lambda x, y, z: data[x, y, z], data.shape, coords)
     if mode == "fill":
-        out = np.where(valid, out, fill)
+        c = np.asarray(coords, dtype=float)
+        out = np.where(np.all((c >= 0.0) & (c <= np.asarray(data.shape) - 1), axis=-1), out, 0.0)
     return out
 
 
@@ -134,25 +137,27 @@ def gaussian_blur(data: np.ndarray, sigma_vox: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class Octave:
-    """One resolution tier of the pyramid: levels (6, X, Y, Z), DoG (5, X, Y, Z)."""
+    """One resolution tier of the pyramid: levels (6, X, Y, Z)."""
 
     data: np.ndarray
     sigmas: list[float]
-    dog: np.ndarray
-    dog_sigmas: list[float]
     spacing: float
     origin: np.ndarray
+
+    @property
+    def dog(self) -> np.ndarray:
+        """Adjacent-level differences (5, X, Y, Z), computed on each read."""
+        return self.data[1:] - self.data[:-1]
 
 
 @dataclass(eq=False)
 class ScaleSpace:
-    """Gaussian pyramid plus its adjacent-level differences."""
+    """Gaussian pyramid: the levels of each octave and nothing derived from them."""
 
     octaves: list[Octave]
     source_dims: tuple[int, int, int]
     source_spacing: tuple[float, float, float]
     source_origin: tuple[float, float, float]
-    _gradients: dict = field(default_factory=dict, repr=False)
 
     @property
     def sigma_min(self) -> float:
@@ -169,11 +174,8 @@ def to_isotropic(volume: ScalarVolume) -> ScalarVolume:
     if sp.max() == sp.min():
         return volume
     s = float(sp.min())
-    dims = np.asarray(volume.dims)
-    new_dims = tuple(int(math.floor((d - 1) * spc / s)) + 1 for d, spc in zip(dims, sp))
-    ax = [np.arange(nd) * s / spc for nd, spc in zip(new_dims, sp)]
-    grid = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
-    data = trilinear_sample(volume.data, grid, mode="clamp")
+    new_dims = tuple(int(math.floor((d - 1) * spc / s)) + 1 for d, spc in zip(volume.dims, sp))
+    data = _sample_grid(volume.data, new_dims, lambda index: index * s / sp, mode="clamp")
     return ScalarVolume(dims=new_dims, spacing=(s, s, s), origin=volume.origin, data=data)
 
 
@@ -223,17 +225,7 @@ def build_scale_space(
         for i in range(1, LEVELS_PER_OCTAVE):
             inc = math.sqrt(sigmas[i] ** 2 - sigmas[i - 1] ** 2) / spacing
             levels[i] = gaussian_blur(levels[i - 1], inc)
-        dog_sigmas = [math.sqrt(sigmas[i] * sigmas[i + 1]) for i in range(LEVELS_PER_OCTAVE - 1)]
-        octaves.append(
-            Octave(
-                data=levels,
-                sigmas=sigmas,
-                dog=levels[1:] - levels[:-1],
-                dog_sigmas=dog_sigmas,
-                spacing=spacing,
-                origin=origin.copy(),
-            )
-        )
+        octaves.append(Octave(data=levels, sigmas=sigmas, spacing=spacing, origin=origin.copy()))
         if o + 1 < num_octaves:
             half = [d // 2 for d in levels[INTERVALS].shape]
             current = levels[INTERVALS][: 2 * half[0] : 2, : 2 * half[1] : 2, : 2 * half[2] : 2]
@@ -268,14 +260,6 @@ def _nearest_level(ss: ScaleSpace, sigma: float) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def _level_gradients(ss: ScaleSpace, o: int, i: int) -> tuple[np.ndarray, ...]:
-    key = (o, i)
-    if key not in ss._gradients:
-        octave = ss.octaves[o]
-        ss._gradients[key] = tuple(np.gradient(octave.data[i], octave.spacing))
-    return ss._gradients[key]
-
-
 def _sample_gradients(ss: ScaleSpace, points: np.ndarray, sigma: float) -> np.ndarray:
     """Gradients (per mm) at world points (..., 3) in mm, on the level nearest
     sigma; points outside the level take the clamped edge values.  The one
@@ -283,9 +267,31 @@ def _sample_gradients(ss: ScaleSpace, points: np.ndarray, sigma: float) -> np.nd
     """
     o, i = _nearest_level(ss, sigma)
     octave = ss.octaves[o]
-    v = (np.asarray(points, dtype=float) - octave.origin) / octave.spacing
-    g = _level_gradients(ss, o, i)
-    return np.stack([trilinear_sample(gc, v, mode="clamp") for gc in g], axis=-1)
+    level, h = octave.data[i], octave.spacing
+
+    def difference(axis, *index):
+        # np.gradient's difference at a corner: central inside, one-sided on the faces
+        lo, hi = list(index), list(index)
+        lo[axis] = np.maximum(index[axis] - 1, 0)
+        hi[axis] = np.minimum(index[axis] + 1, level.shape[axis] - 1)
+        return (level[tuple(hi)] - level[tuple(lo)]) / ((hi[axis] - lo[axis]) * h)
+
+    v = (np.asarray(points, dtype=float) - octave.origin) / h
+    return np.stack([_trilinear(partial(difference, a), level.shape, v) for a in range(3)], axis=-1)
+
+
+def _sample_grid(data: np.ndarray, dims: tuple[int, int, int], voxels, mode: str) -> np.ndarray:
+    """Trilinear samples of `data` on a `dims` grid in x slabs of about _SLAB_VOXELS
+    samples; voxels maps a slab's grid indices (..., 3) to voxel coordinates."""
+    nx, ny, nz = dims
+    out = np.empty(dims)
+    step = max(1, _SLAB_VOXELS // (ny * nz))
+    for x0 in range(0, nx, step):
+        axes = (np.arange(x0, min(nx, x0 + step)), np.arange(ny), np.arange(nz))
+        # the index grid is a temporary, freed before the sampling
+        coords = voxels(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+        out[x0 : x0 + step] = trilinear_sample(data, coords, mode=mode)
+    return out
 
 
 def resample(volume: ScalarVolume, t: SimilarityTransform) -> ScalarVolume:
@@ -297,18 +303,10 @@ def resample(volume: ScalarVolume, t: SimilarityTransform) -> ScalarVolume:
     inv = t.inverse()
     sp = np.asarray(volume.spacing)
     org = np.asarray(volume.origin)
-    nx, ny, nz = volume.dims
-    out = np.empty(volume.dims, dtype=np.float64)
-    xs = (np.arange(nx) * sp[0] + org[0])
-    ys = (np.arange(ny) * sp[1] + org[1])
-    zs = (np.arange(nz) * sp[2] + org[2])
-    # slab over x to bound the temporary coordinate arrays
-    step = max(1, int(4_000_000 // max(1, ny * nz)))
-    for x0 in range(0, nx, step):
-        x1 = min(nx, x0 + step)
-        gx, gy, gz = np.meshgrid(xs[x0:x1], ys, zs, indexing="ij")
-        pts = np.stack([gx, gy, gz], axis=-1)
-        src = inv.apply(pts.reshape(-1, 3)).reshape(pts.shape)
-        vox = (src - org) / sp
-        out[x0:x1] = trilinear_sample(volume.data, vox, mode="fill", fill=0.0)
-    return ScalarVolume(dims=volume.dims, spacing=volume.spacing, origin=volume.origin, data=out)
+
+    def voxels(index):
+        pts = index * sp + org
+        return (inv.apply(pts.reshape(-1, 3)).reshape(pts.shape) - org) / sp
+
+    data = _sample_grid(volume.data, volume.dims, voxels, mode="fill")
+    return ScalarVolume(dims=volume.dims, spacing=volume.spacing, origin=volume.origin, data=data)

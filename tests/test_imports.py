@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,3 +47,20 @@ def test_no_unused_imports_in_src_and_tests():
         if names:
             unused[str(path.relative_to(ROOT))] = names
     assert unused == {}
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark is not collected here, so a deletion that breaks it
+    # would otherwise first show in a benchmark run
+    names = []
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "volkey":
+                names += [(path.name, node.module, alias.name) for alias in node.names]
+    assert names
+    missing = [
+        f"{file}: {module}.{name}"
+        for file, module, name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

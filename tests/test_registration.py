@@ -1,6 +1,8 @@
 """EM refinement: correspondence probabilities, the weighted fit, variants."""
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -350,6 +352,25 @@ def test_lambda_history_shrinks(planted_pair):
     assert all(h >= 0.0 for h in history)
     assert history[-1] <= history[0]
     assert res.converged
+
+
+def test_degenerate_stop_logs_only_its_own_warning(planted_pair, monkeypatch, caplog):
+    fixed, moving, _ = planted_pair
+    calls = []
+
+    def fit_failing_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise DegenerateCorrespondenceError("no mass left")
+        return fit_similarity(*args)
+
+    monkeypatch.setattr("volkey.registration.fit_similarity", fit_failing_third)
+    with caplog.at_level(logging.WARNING, logger="volkey.registration"):
+        res = register(fixed, moving, RegistrationConfig(w=1e-4))
+    assert res.iterations == 2
+    assert not res.converged
+    assert len(caplog.records) == 1
+    assert caplog.records[0].getMessage().startswith("EM stopped")
 
 
 def test_initialization_invariance(phantom_features, planted_pair):

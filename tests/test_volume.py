@@ -1,13 +1,17 @@
 """Scale-space construction, differential operators and resampling.
 
 The operators are the ones the pipeline reads: `_sample_gradients` at world
-points in mm (frames and descriptors) and each octave's DoG array, the
+points in mm (frames and descriptors) and each octave's DoG, the
 scale-normalized Laplacian up to the factor DOG_TO_LOG (detection).
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gaussian_blob, volume_center
 from volkey.errors import RejectedInputError
@@ -157,6 +161,51 @@ def test_gradient_matches_finite_differences_of_level():
     np.testing.assert_allclose(g, fd, atol=1e-9)
 
 
+@pytest.fixture(scope="module")
+def coarse_scale_space():
+    # octave 1 is (8, 8, 9) voxels at 3 mm; the origin keeps lattice points exact
+    data = np.random.default_rng(21).random((17, 16, 19))
+    volume = ScalarVolume(data.shape, (1.5, 1.5, 1.5), (-6.0, 3.0, 10.5), data)
+    return build_scale_space(volume, num_octaves=2)
+
+
+def _axis_coordinates(n):
+    """Voxel coordinates along an axis of n voxels: at, on and beyond its faces, or anywhere."""
+    faces = [-1.5, -1.0, -0.25, 0.0, 0.5, 1.0, n - 2.0, n - 1.5, n - 1.0, n - 0.75, n, n + 1.0]
+    return st.one_of(st.sampled_from(faces), st.floats(-2.0, n + 1.0))
+
+
+@settings(max_examples=60)
+@given(data=st.data(), i=st.integers(3, 5))
+def test_sampled_gradients_equal_np_gradient_oracle(coarse_scale_space, data, i):
+    # levels 3..5 of octave 1 lie above every octave-0 sigma, so sigma picks them
+    octave = coarse_scale_space.octaves[1]
+    level = octave.data[i]
+    corners = st.tuples(*(_axis_coordinates(n) for n in level.shape))
+    v = np.array(data.draw(st.lists(corners, min_size=1, max_size=16)))
+    points = octave.origin + v * octave.spacing
+    got = _sample_gradients(coarse_scale_space, points, octave.sigmas[i])
+    vox = (points - octave.origin) / octave.spacing
+    want = np.stack([trilinear_sample(g, vox) for g in np.gradient(level, octave.spacing)], axis=-1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gradient_sampling_allocates_less_than_a_level():
+    ss = build_scale_space(_random_volume(19, (64, 64, 64)), num_octaves=1)
+    # a frame's support ball: radius 3 sigma around the center
+    ax = np.arange(-10.0, 11.0)
+    ball = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    points = 32.0 + ball[(ball**2).sum(axis=1) <= 9.6**2]
+    tracemalloc.start()
+    try:
+        _sample_gradients(ss, points, 3.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ss.octaves[0].data[0].nbytes
+
+
 def test_gradient_rejects_sigma_outside_pyramid():
     ss = build_scale_space(_random_volume(14), num_octaves=1)
     with pytest.raises(RejectedInputError):
@@ -196,9 +245,9 @@ def test_trilinear_sample_modes():
     # exact at corners, linear midway
     assert trilinear_sample(data, np.array([1.0, 0.0, 1.0])) == pytest.approx(data[1, 0, 1])
     assert trilinear_sample(data, np.array([0.5, 0.5, 0.5])) == pytest.approx(data.mean())
-    # clamp extends edges, fill writes the fill value
+    # clamp extends edges, fill writes 0
     assert trilinear_sample(data, np.array([-1.0, 0.0, 0.0]), mode="clamp") == pytest.approx(data[0, 0, 0])
-    assert trilinear_sample(data, np.array([-1.0, 0.0, 0.0]), mode="fill", fill=9.0) == pytest.approx(9.0)
+    assert trilinear_sample(data, np.array([-1.0, 0.0, 0.0]), mode="fill") == 0.0
 
 
 def test_resample_identity_and_integer_shift():
@@ -208,6 +257,25 @@ def test_resample_identity_and_integer_shift():
     shift = resample(vol, SimilarityTransform(translation=[1.0, 0.0, 0.0]))
     np.testing.assert_allclose(shift.data[1:], vol.data[:-1], atol=1e-12)
     np.testing.assert_allclose(shift.data[0], 0.0, atol=1e-12)
+
+
+def test_slabbed_grids_equal_one_shot_oracles(monkeypatch):
+    monkeypatch.setattr("volkey.volume._SLAB_VOXELS", 300)
+    data = np.random.default_rng(22).random((12, 10, 9))
+    vol = ScalarVolume(data.shape, (1.0, 2.5, 1.5), (-4.0, 7.0, 2.5), data)
+    sp, org = np.asarray(vol.spacing), np.asarray(vol.origin)
+
+    iso = to_isotropic(vol)
+    ax = [np.arange(n) * iso.spacing[0] / s for n, s in zip(iso.dims, sp)]
+    grid = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
+    assert iso.data.tobytes() == trilinear_sample(data, grid, mode="clamp").tobytes()
+
+    t = random_similarity(5, center=(vol.world_min + vol.world_max) / 2.0)
+    ax = [np.arange(n) * s + o for n, s, o in zip(vol.dims, sp, org)]
+    pts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
+    src = t.inverse().apply(pts.reshape(-1, 3)).reshape(pts.shape)
+    want = trilinear_sample(data, (src - org) / sp, mode="fill")
+    assert resample(vol, t).data.tobytes() == want.tobytes()
 
 
 def test_resample_round_trip_on_smooth_blob():
