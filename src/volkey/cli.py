@@ -4,7 +4,8 @@ Commands: extract, match, register, evaluate, phantom, synth-transform,
 states.  Every command prints deterministic ``key=value`` lines on stdout
 (seeded runs are byte-identical across invocations); timings and progress go
 to stderr as log records.  ``--config`` points at a JSON file overriding the
-built-in defaults, and explicit flags override both.
+built-in defaults, and explicit flags override both: a flag's dest is the
+name of the dataclass field it sets.
 """
 from __future__ import annotations
 
@@ -14,17 +15,13 @@ import logging
 import math
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as vio
-from .config import (
-    extraction_config,
-    hough_params,
-    load_config,
-    registration_config,
-)
+from .config import load_config
 from .descriptors import extract_features_with_stats
 from .errors import ParseError, RejectedInputError, VolkeyError
 from .evaluation import evaluate, probe_grid, state_histogram
@@ -95,11 +92,10 @@ def _save_transform(path: str, t: SimilarityTransform) -> None:
         fh.write("\n")
 
 
-def _override(cfg_section: dict, args: argparse.Namespace, names: dict[str, str]) -> None:
-    for flag, key in names.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg_section[key] = value
+def _with_flags(section, args: argparse.Namespace):
+    """The config section with each field whose flag was given set from it."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(section)}
+    return replace(section, **{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_phantom(args) -> int:
@@ -150,10 +146,7 @@ def cmd_synth_transform(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cfg = load_config(args.config)
-    # every extraction key has a flag of the same name
-    _override(cfg["extraction"], args, {key: key for key in cfg["extraction"]})
-    ecfg = extraction_config(cfg)
+    ecfg = _with_flags(load_config(args.config)["extraction"], args)
     volume = _read_volume(args.volume, args.format)
     start = time.perf_counter()
     features, stats = extract_features_with_stats(volume, ecfg)
@@ -190,15 +183,17 @@ def cmd_match(args) -> int:
 
 
 def _configured_registration(args):
-    cfg = load_config(args.config)
-    _override(cfg["registration"], args, {"w": "w", "max_iterations": "max_iterations"})
-    _override(cfg["kernel"], args, {"kernel_k": "k", "kernel_sigma_t_sq": "sigma_t_sq"})
-    if args.variant is not None:
-        variant, iters = CLI_VARIANTS[args.variant]
-        cfg["registration"]["variant"] = variant
-        if iters is not None:
-            cfg["registration"]["max_iterations"] = iters
-    return registration_config(cfg)
+    rcfg = load_config(args.config)["registration"]
+    rcfg = replace(_with_flags(rcfg, args), kernel=_with_flags(rcfg.kernel, args))
+    if args.cli_variant is not None:
+        variant, iters = CLI_VARIANTS[args.cli_variant]
+        if iters is not None and args.max_iterations is not None:
+            raise RejectedInputError(
+                f"--max-iterations conflicts with --variant {args.cli_variant}, "
+                f"which caps iterations at {iters}"
+            )
+        rcfg = replace(rcfg, variant=variant, max_iterations=iters or rcfg.max_iterations)
+    return rcfg
 
 
 def cmd_register(args) -> int:
@@ -209,7 +204,7 @@ def cmd_register(args) -> int:
     log.info("registration took %.2fs", result.runtime)
     _save_transform(args.out, result.transform)
     _emit("out", args.out)
-    _emit("variant", args.variant or rcfg.variant)
+    _emit("variant", args.cli_variant or rcfg.variant)
     _emit("iterations", result.iterations)
     _emit("converged", str(result.converged).lower())
     _emit("inlier_count", len(result.init.inliers))
@@ -233,6 +228,8 @@ def cmd_register(args) -> int:
 def cmd_evaluate(args) -> int:
     if not (args.probes or args.volume):
         raise RejectedInputError("need --probes or --volume for probe points")
+    if bool(args.fixed_volume) != bool(args.moving_volume):
+        raise RejectedInputError("SSD needs both --fixed-volume and --moving-volume")
     t_est = _load_transform(args.est)
     t_gt = _load_transform(args.gt)
     if args.probes:
@@ -252,14 +249,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_states(args) -> int:
-    cfg = load_config(args.config)
+    hough = load_config(args.config)["hough"]
     fixed, _ = vio.read_features(args.fixed)
     moving, _ = vio.read_features(args.moving)
     matches = match_features(fixed, moving)
-    inliers = hough_init(matches, hough_params(cfg)).inliers
+    inliers = hough_init(matches, hough).inliers
     hist = state_histogram(inliers)
     if args.symmetric:
-        back = hough_init(match_features(moving, fixed), hough_params(cfg)).inliers
+        back = hough_init(match_features(moving, fixed), hough).inliers
         hist = hist + state_histogram(back).T
     for k in range(4):
         _emit(f"state_hist_row{k}", " ".join(str(int(v)) for v in hist[k]))
@@ -333,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--fixed", required=True)
     p.add_argument("--moving", required=True)
-    p.add_argument("--variant", choices=sorted(CLI_VARIANTS), default=None)
+    p.add_argument("--variant", dest="cli_variant", choices=sorted(CLI_VARIANTS), default=None)
     p.add_argument("--w", type=float, default=None, help="outlier fraction")
     p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--kernel-k", type=float, default=None)
-    p.add_argument("--kernel-sigma-t-sq", type=float, default=None)
+    p.add_argument("--kernel-k", dest="k", type=float, default=None)
+    p.add_argument("--kernel-sigma-t-sq", dest="sigma_t_sq", type=float, default=None)
     p.add_argument("--out", required=True, help="output transform JSON")
     p.add_argument("--dump-inliers", default=None, help="TSV of inlier locations and states")
     p.add_argument("--dump-lambda", default=None, help="text file of lambda^2 history")

@@ -1,9 +1,11 @@
-"""Layered run configuration: built-in defaults, optional JSON file, CLI flags.
+"""Run configuration: the parameter dataclasses, overlaid by a JSON file.
 
-Precedence is flag > config file > defaults.  The schema and the defaults
-are the parameter dataclasses' own fields; unknown keys, malformed JSON and
-values whose type differs from the default's are rejected so typos fail
-loudly.
+`load_config` returns one instance per section, each built from its
+dataclass defaults plus the file's values, so each validates itself as it is
+built.  Unknown sections and keys, malformed JSON, values whose type differs
+from the default's and values the dataclass rejects all fail inside
+`load_config`, naming the file.  The CLI then replaces the fields whose flags
+were given, so precedence is flag > config file > defaults.
 """
 from __future__ import annotations
 
@@ -17,23 +19,14 @@ from .kernels import KernelParams
 from .matching import HoughParams
 from .registration import RegistrationConfig
 
-# each section's keys and defaults are the fields of its parameter dataclass
+# each section's keys and defaults are the fields of its parameter dataclass;
+# registration's nested kernel and hough fields take the sections built before it
 _SECTIONS = {
     "extraction": ExtractionConfig,
     "kernel": KernelParams,
     "hough": HoughParams,
     "registration": RegistrationConfig,
 }
-
-
-def default_config() -> dict:
-    """Section -> key -> default, read off the parameter dataclasses; the
-    registration section leaves out its nested kernel and hough sections."""
-    return {
-        name: {f.name: f.default for f in fields(cls) if f.name not in _SECTIONS}
-        for name, cls in _SECTIONS.items()
-    }
-
 
 # keys whose default is None, and the type they take when set
 _NULLABLE = {"extraction.num_octaves": int}
@@ -49,11 +42,8 @@ def _check_type(path, name: str, value, default) -> None:
         raise RejectedInputError(f"{path}: {name} must be of type {want.__name__}, got {value!r}")
 
 
-def load_config(path: str | Path | None) -> dict:
-    """Defaults overlaid with a JSON config file (section -> key -> value)."""
-    cfg = default_config()
-    if path is None:
-        return cfg
+def _read(path: str | Path) -> dict:
+    """The file's section -> key -> value object, after the section checks."""
     try:
         with open(path) as fh:
             user = json.load(fh)
@@ -62,33 +52,30 @@ def load_config(path: str | Path | None) -> dict:
     if not isinstance(user, dict):
         raise RejectedInputError(f"{path}: config root must be an object")
     for section, entries in user.items():
-        if section not in cfg:
+        if section not in _SECTIONS:
             raise RejectedInputError(f"{path}: unknown config section {section!r}")
         if not isinstance(entries, dict):
             raise RejectedInputError(f"{path}: section {section!r} must be an object")
+    return user
+
+
+def load_config(path: str | Path | None) -> dict:
+    """Section name -> its dataclass, built from the defaults and the JSON file.
+
+    The registration section holds the kernel and hough instances themselves.
+    """
+    user = {} if path is None else _read(path)
+    built: dict = {}
+    for section, cls in _SECTIONS.items():
+        defaults = {f.name: f.default for f in fields(cls) if f.name not in _SECTIONS}
+        entries = user.get(section, {})
         for key, value in entries.items():
-            if key not in cfg[section]:
+            if key not in defaults:
                 raise RejectedInputError(f"{path}: unknown key {section}.{key}")
-            _check_type(path, f"{section}.{key}", value, cfg[section][key])
-            cfg[section][key] = value
-    return cfg
-
-
-def extraction_config(cfg: dict) -> ExtractionConfig:
-    return ExtractionConfig(**cfg["extraction"])
-
-
-def kernel_params(cfg: dict) -> KernelParams:
-    return KernelParams(**cfg["kernel"])
-
-
-def hough_params(cfg: dict) -> HoughParams:
-    return HoughParams(**cfg["hough"])
-
-
-def registration_config(cfg: dict) -> RegistrationConfig:
-    return RegistrationConfig(
-        kernel=kernel_params(cfg),
-        hough=hough_params(cfg),
-        **cfg["registration"],
-    )
+            _check_type(path, f"{section}.{key}", value, defaults[key])
+        nested = {f.name: built[f.name] for f in fields(cls) if f.name in _SECTIONS}
+        try:
+            built[section] = cls(**entries, **nested)
+        except RejectedInputError as exc:
+            raise RejectedInputError(f"{path}: section {section!r}: {exc}") from exc
+    return built

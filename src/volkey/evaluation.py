@@ -7,7 +7,7 @@ reported per axis from the rotation vector of R_est R_gt^T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,18 +52,11 @@ def overlap_ssd(
     """
     if fixed.dims != moving.dims or fixed.spacing != moving.spacing or fixed.origin != moving.origin:
         raise RejectedInputError("SSD needs both volumes on the same grid")
+    # resampling ones fills 0 exactly outside the field and a positive
+    # blend of unit weights inside it; the broadcast ones take no memory
+    ones = np.broadcast_to(1.0, moving.dims)
+    inside = resample(replace(moving, data=ones), t_est).data > 0.0
     warped = resample(moving, t_est)
-    inv = t_est.inverse()
-    pts = np.stack(
-        np.meshgrid(
-            *[np.arange(d) * s + o for d, s, o in zip(fixed.dims, fixed.spacing, fixed.origin)],
-            indexing="ij",
-        ),
-        axis=-1,
-    )
-    src = inv.apply(pts.reshape(-1, 3)).reshape(pts.shape)
-    vox = (src - np.asarray(moving.origin)) / np.asarray(moving.spacing)
-    inside = np.all((vox >= 0.0) & (vox <= np.asarray(moving.dims) - 1), axis=-1)
     diff = (fixed.data - warped.data) ** 2
     return float(diff[inside].sum())
 

@@ -260,7 +260,8 @@ def read_features(path: str | Path) -> tuple[list[Feature], dict]:
     end = raw.find(b"END\n")
     if end < 0:
         raise ParseError(f"{path}: missing END marker in header (byte offset 0)")
-    header_lines = raw[:end].decode("ascii", errors="replace").splitlines()
+    # ascii decoding keeps one character per byte, so line lengths are byte counts
+    header_lines = raw[:end].decode("ascii", errors="replace").splitlines(keepends=True)
     if not header_lines or not header_lines[0].startswith(FEATURE_MAGIC):
         raise ParseError(f"{path}: bad magic at byte offset 0")
     try:
@@ -270,12 +271,16 @@ def read_features(path: str | Path) -> tuple[list[Feature], dict]:
     if not 1 <= version <= FEATURE_VERSION:
         raise ParseError(f"{path}: unsupported file version {version} (byte offset 0)")
     meta: dict[str, str] = {}
+    count_at, offset = end, len(header_lines[0])
     for line in header_lines[1:]:
         if "=" in line:
             k, _, v = line.partition("=")
             meta[k.strip()] = v.strip()
+            if k.strip() == "count":
+                count_at = offset
+        offset += len(line)
     if not meta.get("count", "").isdecimal():
-        raise ParseError(f"{path}: header count missing or not a count (byte offset 0)")
+        raise ParseError(f"{path}: header count missing or not a count (byte offset {count_at})")
     count = int(meta["count"])
     body = raw[end + 4 :]
     expected = count * _RECORD.itemsize

@@ -26,7 +26,7 @@ from conftest import (
     pair_table,
     volume_center,
 )
-from volkey.config import default_config, kernel_params
+from volkey.config import load_config
 from volkey.descriptors import compute_descriptor, extract_features
 from volkey.evaluation import point_registration_error, probe_grid, state_histogram
 from volkey.frames import enumerate_states
@@ -328,7 +328,7 @@ def test_criterion_6_correspondence_oracle():
 
 
 def test_criterion_7_kernel_unit_values():
-    params = kernel_params(default_config())
+    params = load_config(None)["kernel"]
     plain = replace(params, use_orientation_states=False)
 
     def pair(x_m=(0.0, 0.0, 0.0), s_f=1.0, s_m=1.0, t_m=np.eye(3), kernel=params):

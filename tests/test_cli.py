@@ -229,6 +229,18 @@ def test_all_registration_variants_run(workspace, capsys):
             assert int(values["iterations"]) <= 20
 
 
+def test_max_iterations_caps_the_em_variants(workspace, capsys):
+    feats = ("--fixed", workspace / "fixed.vkf", "--moving", workspace / "moving.vkf")
+    for variant in ("cpd", "sift-cpd", "sift-cpd-star"):
+        code, values = _run(
+            capsys, "register", *feats, "--variant", variant, "--max-iterations", 2,
+            "--out", workspace / f"capped_{variant}.json",
+        )
+        assert code == 0, variant
+        assert values["variant"] == variant
+        assert int(values["iterations"]) <= 2, variant
+
+
 def test_register_is_reproducible(workspace, capsys):
     outs = []
     for name in ("r1.json", "r2.json"):
@@ -314,14 +326,41 @@ def test_probe_file_evaluation(workspace, tmp_path, capsys):
 def test_cli_error_exits(workspace, tmp_path, capsys):
     # usage errors are found before any output: nothing on stdout, no file
     gt = workspace / "t_inv.json"
+    fixed = workspace / "fixed.txt"
+    feats = ("--fixed", workspace / "fixed.vkf", "--moving", workspace / "moving.vkf")
     out = tmp_path / "out"
     out.mkdir()
+    # an invalid file value fails at load, even where a flag would override it
+    bad_w = tmp_path / "bad_w.json"
+    bad_w.write_text(json.dumps({"registration": {"w": 1.5}}))
     cases = [
         ("need --probes or --volume", "evaluate", "--est", gt, "--gt", gt),
         (
             "--apply-to needs --out-volume",
             "synth-transform", "--seed", 1, "--out", out / "t.json",
-            "--out-inverse", out / "t_inv.json", "--apply-to", workspace / "fixed.txt",
+            "--out-inverse", out / "t_inv.json", "--apply-to", fixed,
+        ),
+        (
+            "--max-iterations conflicts with --variant icp20",
+            "register", *feats, "--variant", "icp20", "--max-iterations", 5,
+            "--out", out / "e.json", "--dump-lambda", out / "lambda.txt",
+        ),
+        (
+            "--max-iterations conflicts with --variant icp100",
+            "register", *feats, "--variant", "icp100", "--max-iterations", 100,
+            "--out", out / "e.json",
+        ),
+        (
+            "SSD needs both --fixed-volume and --moving-volume",
+            "evaluate", "--est", gt, "--gt", gt, "--volume", fixed, "--fixed-volume", fixed,
+        ),
+        (
+            "SSD needs both --fixed-volume and --moving-volume",
+            "evaluate", "--est", gt, "--gt", gt, "--volume", fixed, "--moving-volume", fixed,
+        ),
+        (
+            f"{bad_w}: section 'registration': outlier fraction w",
+            "register", "--config", bad_w, *feats, "--w", 0.2, "--out", out / "e.json",
         ),
     ]
     for message, *args in cases:

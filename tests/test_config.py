@@ -1,51 +1,72 @@
-"""JSON configuration loading and typed constructor plumbing."""
+"""JSON configuration loading onto the parameter dataclasses."""
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from volkey.config import (
-    default_config,
-    extraction_config,
-    hough_params,
-    kernel_params,
-    load_config,
-    registration_config,
-)
+from volkey.config import load_config
 from volkey.descriptors import ExtractionConfig
 from volkey.errors import RejectedInputError
 from volkey.kernels import KernelParams
 from volkey.matching import HoughParams
 from volkey.registration import RegistrationConfig
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def test_defaults_cover_all_sections():
-    cfg = default_config()
+    cfg = load_config(None)
     assert set(cfg) == {"extraction", "kernel", "hough", "registration"}
-    assert extraction_config(cfg).base_sigma == 1.6
-    assert kernel_params(cfg).k == 12.0
-    assert kernel_params(cfg).sigma_t_sq == 200.0
-    assert hough_params(cfg).eps_cos == 0.7
-    reg = registration_config(cfg)
+    assert cfg["extraction"].base_sigma == 1.6
+    assert cfg["kernel"].k == 12.0
+    assert cfg["kernel"].sigma_t_sq == 200.0
+    assert cfg["hough"].eps_cos == 0.7
+    reg = cfg["registration"]
     assert reg.variant == "sift_cpd"
     assert reg.w == 0.1
     assert reg.max_iterations == 100
+    # registration holds the kernel and hough sections themselves
+    assert reg.kernel is cfg["kernel"] and reg.hough is cfg["hough"]
 
 
 def test_missing_path_yields_defaults():
-    assert load_config(None) == default_config()
+    cfg = load_config(None)
+    assert cfg["extraction"] == ExtractionConfig()
+    assert cfg["kernel"] == KernelParams()
+    assert cfg["hough"] == HoughParams()
+    assert cfg["registration"] == RegistrationConfig()
+
+
+def test_readme_config_block_matches_the_defaults():
+    text = README.read_text()
+    section = text[text.index("## Configuration") :]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    documented = json.loads(block)
+    cfg = load_config(None)
+    defaults = {
+        name: {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in cfg}
+        for name, obj in cfg.items()
+    }
+    assert documented == defaults
 
 
 def test_overlay_merges_partial_sections(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"registration": {"w": 0.25}, "kernel": {"k": 6.0}}))
     cfg = load_config(path)
-    assert registration_config(cfg).w == 0.25
-    assert kernel_params(cfg).k == 6.0
+    assert cfg["registration"].w == 0.25
+    assert cfg["kernel"].k == 6.0
+    assert cfg["registration"].kernel.k == 6.0
     # untouched values keep their defaults
-    assert registration_config(cfg).variant == "sift_cpd"
-    assert kernel_params(cfg).sigma_t_sq == 200.0
+    assert cfg["registration"].variant == "sift_cpd"
+    assert cfg["kernel"].sigma_t_sq == 200.0
+    assert cfg["extraction"] == ExtractionConfig()
+    assert cfg["hough"] == HoughParams()
+    assert cfg["registration"] == RegistrationConfig(w=0.25, kernel=KernelParams(k=6.0))
 
 
 def test_unknown_sections_and_keys_are_rejected(tmp_path):
@@ -57,18 +78,35 @@ def test_unknown_sections_and_keys_are_rejected(tmp_path):
     bad_key.write_text(json.dumps({"registration": {"outlier_w": 0.25}}))
     with pytest.raises(RejectedInputError, match="unknown key"):
         load_config(bad_key)
+    # the nested sections are sections of their own, not registration keys
+    nested = tmp_path / "n.json"
+    nested.write_text(json.dumps({"registration": {"kernel": {"k": 6.0}}}))
+    with pytest.raises(RejectedInputError, match="unknown key registration.kernel"):
+        load_config(nested)
     not_object = tmp_path / "c.json"
     not_object.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(RejectedInputError, match="must be an object"):
         load_config(not_object)
+    section_not_object = tmp_path / "d.json"
+    section_not_object.write_text(json.dumps({"kernel": 6.0}))
+    with pytest.raises(RejectedInputError, match="section 'kernel' must be an object"):
+        load_config(section_not_object)
 
 
 def test_invalid_values_fail_at_construction(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"registration": {"w": 1.5}}))
-    cfg = load_config(path)
-    with pytest.raises(RejectedInputError):
-        registration_config(cfg)
+    for overlay in (
+        {"registration": {"w": 1.5}},
+        {"registration": {"variant": "sift-cpd"}},
+        {"extraction": {"max_count": 0}},
+        {"kernel": {"k": 0.0}},
+        {"hough": {"eps_cos": 1.0}},
+    ):
+        path.write_text(json.dumps(overlay))
+        (section,) = overlay
+        prefix = f"^{re.escape(str(path))}: section '{section}'"
+        with pytest.raises(RejectedInputError, match=prefix):
+            load_config(path)
 
 
 @pytest.mark.parametrize(
@@ -97,8 +135,10 @@ def test_load_config_accepts_ints_for_floats_and_null_octaves(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"kernel": {"k": 6}, "extraction": {"num_octaves": None}}))
     cfg = load_config(path)
-    assert kernel_params(cfg).k == 6.0
-    assert extraction_config(cfg).num_octaves is None
+    assert cfg["kernel"].k == 6.0
+    assert cfg["extraction"].num_octaves is None
+    path.write_text(json.dumps({"extraction": {"num_octaves": 2}}))
+    assert load_config(path)["extraction"].num_octaves == 2
     path.write_text(json.dumps({"kernel": {"use_orientation_states": 1}}))
     with pytest.raises(RejectedInputError, match="kernel.use_orientation_states"):
         load_config(path)

@@ -1,6 +1,8 @@
 """Registration quality metrics against known ground truth."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from volkey.evaluation import (
 from volkey.matching import MATCH_DTYPE
 from volkey.synth import random_similarity
 from volkey.transforms import SimilarityTransform, rotation_z
-from volkey.volume import ScalarVolume
+from volkey.volume import ScalarVolume, resample
 
 
 def _probes(rng, count=20):
@@ -84,6 +86,49 @@ def test_overlap_ssd_identity_and_mismatch():
     other_grid = ScalarVolume((16, 16, 16), (1, 1, 1), (0, 0, 0), np.zeros((16, 16, 16)))
     with pytest.raises(RejectedInputError):
         overlap_ssd(blob, other_grid, SimilarityTransform())
+
+
+def _ssd_oracle(fixed, moving, t):
+    """One-shot SSD: the in-field test on one full-grid coordinate array."""
+    sp, org = np.asarray(moving.spacing), np.asarray(moving.origin)
+    ax = [np.arange(n) * s + o for n, s, o in zip(fixed.dims, sp, org)]
+    pts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
+    vox = (t.inverse().apply(pts.reshape(-1, 3)).reshape(pts.shape) - org) / sp
+    inside = np.all((vox >= 0.0) & (vox <= np.asarray(moving.dims) - 1), axis=-1)
+    return float(((fixed.data - resample(moving, t).data) ** 2)[inside].sum())
+
+
+def _volume_pair(dims):
+    rng = np.random.default_rng(41)
+    return [ScalarVolume(dims, (1.0, 1.0, 1.5), (-3.0, 2.0, 1.0), rng.random(dims)) for _ in "ab"]
+
+
+def test_overlap_ssd_equals_one_shot_oracle(monkeypatch):
+    monkeypatch.setattr("volkey.volume._SLAB_VOXELS", 300)
+    fixed, moving = _volume_pair((12, 10, 9))
+    center = (fixed.world_min + fixed.world_max) / 2.0
+    for t in (
+        SimilarityTransform(),
+        SimilarityTransform(translation=np.array([2.0, -1.0, 1.5])),
+        random_similarity(5, center=center),
+        random_similarity(6, center=center),
+    ):
+        assert overlap_ssd(fixed, moving, t) == _ssd_oracle(fixed, moving, t)
+
+
+def test_overlap_ssd_memory_stays_slab_bounded(monkeypatch):
+    # with small slabs only grid-sized outputs remain; a full-grid coordinate
+    # mask takes about 104 B per voxel
+    monkeypatch.setattr("volkey.volume._SLAB_VOXELS", 4096)
+    fixed, moving = _volume_pair((64, 48, 40))
+    t = random_similarity(5, center=(fixed.world_min + fixed.world_max) / 2.0)
+    tracemalloc.start()
+    try:
+        overlap_ssd(fixed, moving, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * fixed.data.size
 
 
 def test_evaluate_reports_componentwise_errors():

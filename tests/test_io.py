@@ -463,6 +463,27 @@ def test_feature_file_boundary_rejects(tmp_path, corrupt):
         read_features(bad)
 
 
+@pytest.mark.parametrize(
+    "new",
+    [
+        pytest.param(b"count = abc\n", id="count-word"),
+        pytest.param(b"count = 1\nnote = x\ncount =\n", id="last-count-empty"),
+        pytest.param(b"", id="count-missing"),
+    ],
+)
+def test_feature_file_count_errors_name_their_line(tmp_path, new):
+    path = tmp_path / "good.vkf"
+    write_features(path, [_random_feature(np.random.default_rng(54))], volume_id="v")
+    raw = _header(b"count = 1\n", new)(path.read_bytes())
+    bad = tmp_path / "bad.vkf"
+    bad.write_bytes(raw)
+    # the last count line read, or the END line when there is none
+    offset = raw.rfind(b"\ncount =") + 1 if new else raw.find(b"END\n")
+    assert offset > 0
+    with pytest.raises(ParseError, match=f"not a count .byte offset {offset}.$"):
+        read_features(bad)
+
+
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     edits=st.lists(

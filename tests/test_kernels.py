@@ -16,7 +16,7 @@ from conftest import (
     kernel_orientation,
     kernel_scale,
 )
-from volkey.config import default_config, kernel_params
+from volkey.config import load_config
 from volkey.errors import RejectedInputError
 from volkey.frames import STATE_SIGNS
 from volkey.kernels import KernelParams, kernel_matrix, log_kernel_matrix
@@ -67,7 +67,7 @@ def test_unit_values():
 
 
 def test_default_parameters_come_from_config():
-    params = kernel_params(default_config())
+    params = load_config(None)["kernel"]
     assert params.k == 12.0
     assert params.sigma_t_sq == 200.0
     assert params.use_orientation_states is True
