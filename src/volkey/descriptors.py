@@ -126,6 +126,9 @@ class ExtractionConfig:
             raise RejectedInputError("max_count and num_octaves must be positive")
         if self.estimator not in _ESTIMATORS:
             raise RejectedInputError(f"unknown estimator {self.estimator!r}")
+        # an int standing for a float must not change config_digest
+        for name in ("base_sigma", "min_abs_response", "window_factor"):
+            setattr(self, name, float(getattr(self, name)))
 
 
 @dataclass

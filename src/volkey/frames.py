@@ -1,10 +1,12 @@
 """Orientation frames for keypoints and their four reflection states.
 
 Two estimators are provided.  The max-gradient estimator picks axes that
-maximize the window-weighted mean |gradient projection|, searched over the
-320 face directions of a twice-subdivided icosahedron and refined; axis signs
-come from the windowed mean gradient, so negating the image flips both
-primary axes for asymmetric structures.  The structure-tensor estimator uses
+maximize the window-weighted mean |gradient projection|: theta1 over the
+320 face directions of a twice-subdivided icosahedron, refined, and theta2
+over a 0.25 degree grid on the circle normal to theta1, scored in one
+O(K + 720) sweep over the K window samples; axis signs come from the
+windowed mean gradient, so negating the image flips both primary axes for
+asymmetric structures.  The structure-tensor estimator uses
 the eigenvectors of the windowed second-moment matrix with a deterministic
 sign convention; it is exactly invariant to intensity negation.
 
@@ -128,6 +130,31 @@ def _projection_score(grads, weights, dirs) -> np.ndarray:
     return weights @ np.abs(grads @ np.asarray(dirs).T)
 
 
+def _circle_scores(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Window-weighted sum of |a cos t + b sin t| at the grid angles
+    t = i pi / _CIRCLE_STEPS, by one sweep in O(K + _CIRCLE_STEPS).
+
+    The sum is A(t) cos t + B(t) sin t, where A and B sum w a and w b with
+    each sample's sign at t.  With a made nonnegative (negating a sample
+    leaves its term's magnitude alone) a sample's sign is + from t = 0 up to
+    its one zero crossing in [0, pi], arctan2(b, a) + pi/2, and - after it;
+    so A and B are their totals minus twice the cumulative sums of the
+    samples that have flipped, bucketed by the first grid step past the
+    crossing.
+    """
+    b = np.where(a < 0.0, -b, b)
+    a = np.abs(a)
+    crossing = np.arctan2(b, a) + math.pi / 2.0
+    step = np.ceil(crossing * (_CIRCLE_STEPS / math.pi)).astype(np.intp)
+    step = np.minimum(step, _CIRCLE_STEPS)
+    sums = []
+    for wc in (weights * a, weights * b):
+        flipped = np.cumsum(np.bincount(step, wc, _CIRCLE_STEPS + 1))[:_CIRCLE_STEPS]
+        sums.append(wc.sum() - 2.0 * flipped)
+    alphas = np.arange(_CIRCLE_STEPS) * (math.pi / _CIRCLE_STEPS)
+    return sums[0] * np.cos(alphas) + sums[1] * np.sin(alphas)
+
+
 def _orthonormal_partner(v: np.ndarray) -> np.ndarray:
     """A deterministic unit vector orthogonal to v."""
     k = int(np.argmin(np.abs(v)))
@@ -169,9 +196,7 @@ def estimate_frame_max_gradient(
 
     e1 = _orthonormal_partner(theta1)
     e2 = np.cross(theta1, e1)
-    alphas = np.arange(_CIRCLE_STEPS) * (math.pi / _CIRCLE_STEPS)
-    circle = np.cos(alphas)[:, None] * e1 + np.sin(alphas)[:, None] * e2
-    ring = _projection_score(grads, weights, circle)
+    ring = _circle_scores(grads @ e1, grads @ e2, weights)
     i = int(np.argmax(ring))
     prev, here, nxt = ring[(i - 1) % _CIRCLE_STEPS], ring[i], ring[(i + 1) % _CIRCLE_STEPS]
     denom = prev - 2.0 * here + nxt

@@ -6,9 +6,11 @@ quadratic fit (Brown & Lowe 2002).  The sign of the Laplacian at the extremum
 is kept as a binary feature attribute: it flips under intensity negation while
 the locations, scales and responses stay fixed.
 
-Refinement is array code over all of an octave's candidates at once: finite
-differences from one table of 4D unit steps, one stacked solve, and the
-offset, response and border tests as masks.
+Detection keeps the entries that no neighbour exceeds, by the separable
+size-3 maximum filter, and confirms strictness by gathering the 80 neighbours
+of those candidates only.  Refinement is array code over all of an octave's
+candidates at once: finite differences from one table of 4D unit steps, one
+stacked solve, and the offset, response and border tests as masks.
 """
 from __future__ import annotations
 
@@ -45,6 +47,8 @@ class Keypoint:
 _STEPS = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
 # mixed second differences (p, q), summed as (+p+q) - (+p-q) - (-p+q) + (-p-q)
 _PAIRS = ((0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (3, 2))
+# the 80 offsets of a (scale, x, y, z) index's 3x3x3x3 neighbourhood
+_NEIGHBORS = np.array([o for o in np.ndindex(3, 3, 3, 3) if o != (1, 1, 1, 1)]) - 1
 
 
 def _newton_steps(stack: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,6 +78,18 @@ def _newton_steps(stack: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.nda
     return g, offset
 
 
+def _strict_maxima(mag: np.ndarray) -> np.ndarray:
+    """argwhere of the interior entries strictly above all 80 neighbours.
+
+    The separable size-3 maximum (infinite outside, so faces never qualify)
+    keeps the entries no neighbour exceeds; of those, ties with a neighbour
+    are dropped by gathering the 80 neighbours of each survivor only.
+    """
+    at = np.argwhere(mag >= ndimage.maximum_filter(mag, size=3, mode="constant", cval=np.inf))
+    around = mag[tuple((at[:, None, :] + _NEIGHBORS).T)]
+    return at[(around < mag[tuple(at.T)]).all(axis=0)]
+
+
 def detect_keypoints(
     ss: ScaleSpace,
     min_abs_response: float = 0.0,
@@ -86,16 +102,11 @@ def detect_keypoints(
     """
     if min_abs_response < 0.0:
         raise RejectedInputError("min_abs_response must be nonnegative")
-    footprint = np.ones((3, 3, 3, 3), dtype=bool)
-    footprint[1, 1, 1, 1] = False
     world, sigma, response = [], [], []
     for octave in ss.octaves:
         dog = octave.dog
         mag = np.abs(dog)
-        neighbor_max = ndimage.maximum_filter(
-            mag, footprint=footprint, mode="constant", cval=np.inf
-        )
-        at = np.argwhere(mag > neighbor_max)
+        at = _strict_maxima(mag)
         g, offset = _newton_steps(dog, at)
         # (1, 4) @ (4, 1) products round like the dot product of two vectors
         value = dog[tuple(at.T)] + 0.5 * (g[:, None, :] @ offset[:, :, None])[:, 0, 0]

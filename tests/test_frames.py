@@ -1,8 +1,12 @@
 """Local orientation frames: estimators, sign states and invariances."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXTRACTION, gaussian_blob, negated
 from volkey.descriptors import extract_features
@@ -10,6 +14,8 @@ from volkey.errors import AmbiguousFrameError, NoOrientationError
 from volkey.frames import (
     STATE_SIGNS,
     Frame,
+    _circle_scores,
+    _window,
     enumerate_states,
     estimate_frame_max_gradient,
     estimate_frame_structure_tensor,
@@ -212,3 +218,64 @@ def test_max_gradient_negation_lands_on_parity_state(phantom, phantom_scale_spac
     for feat in phantom_features:
         neg = estimate_frame_max_gradient(ss_neg, feat.keypoint)
         np.testing.assert_allclose(neg.matrix, feat.frame.matrix @ s3, atol=1e-9)
+
+
+def _dense_ring(grads, weights, e1, e2):
+    """Oracle: the windowed |projection| score at every 0.25 degree step of
+    the half circle spanned by e1, e2, from one (K, 720) product."""
+    alphas = np.arange(720) * (np.pi / 720)
+    circle = np.cos(alphas)[:, None] * e1 + np.sin(alphas)[:, None] * e2
+    return weights @ np.abs(grads @ circle.T)
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 200),
+    zero=st.integers(0, 3),
+    normal=st.integers(0, 3),
+    a_zero=st.integers(0, 3),
+    on_grid=st.lists(st.integers(0, 719), max_size=6),
+)
+def test_circle_sweep_equals_dense_ring(seed, count, zero, normal, a_zero, on_grid):
+    rng = np.random.default_rng(seed)
+    e1, e2, n = np.eye(3)
+    # a random cloud plus zero rows, rows along the circle's normal (a = b = 0),
+    # rows with a = 0, and rows whose sign flips on a grid angle
+    t = np.array(on_grid) * (np.pi / 720)
+    r = rng.normal(size=len(t))
+    grads = np.concatenate(
+        [
+            rng.normal(size=(count, 3)) * rng.exponential(size=(count, 1)),
+            np.zeros((zero, 3)),
+            rng.normal(size=(normal, 1)) * n,
+            rng.normal(size=(a_zero, 1)) * e2 + rng.normal(size=(a_zero, 1)) * n,
+            np.stack([r * np.sin(t), -r * np.cos(t), rng.normal(size=len(t))], axis=1),
+        ]
+    )
+    grads = rng.permutation(grads)
+    weights = rng.random(len(grads))
+    ring = _dense_ring(grads, weights, e1, e2)
+    got = _circle_scores(grads @ e1, grads @ e2, weights)
+    assert got.shape == (720,)
+    np.testing.assert_allclose(got, ring, rtol=0, atol=1e-12 * ring.max(initial=0.0))
+    second, top = np.sort(ring)[-2:]
+    if top - second > 1e-9 * top:
+        assert np.argmax(got) == np.argmax(ring)
+
+
+def test_circle_search_memory_is_linear_in_the_window():
+    # sigma 5 on 1 mm voxels: a support ball of radius 15 voxels, K > 10^4
+    blob = gaussian_blob(dims=(40, 40, 40), widths=(3.0, 5.0, 7.0), center=(20.0, 20.0, 20.0))
+    ss = build_scale_space(blob, num_octaves=1)
+    kp = Keypoint(x=np.array([20.0, 20.0, 20.0]), sigma=5.0, sign=-1, response=-1.0)
+    count = len(_window(ss, kp, 1.5)[1])
+    assert count > 10_000
+    tracemalloc.start()
+    try:
+        estimate_frame_max_gradient(ss, kp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense (K, 720) float ring alone, with its absolute value, holds this much
+    assert peak < 2 * 720 * 8 * count

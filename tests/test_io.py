@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from volkey.config import load_config
 from volkey.descriptors import Descriptor, ExtractionConfig, Feature
 from volkey.errors import ParseError, RejectedInputError
 from volkey.frames import Frame
@@ -507,12 +508,24 @@ def test_feature_file_byte_corruption_raises_only_parse_error(tmp_path, edits, c
         pass
 
 
-def test_config_digest_is_stable_and_sensitive():
+def test_config_digest_is_stable_and_sensitive(tmp_path):
     a = ExtractionConfig()
     b = ExtractionConfig()
     c = ExtractionConfig(max_count=99)
     assert config_digest(a) == config_digest(b)
     assert config_digest(a) != config_digest(c)
+    # integers standing for floats (as a config file may write them) are the
+    # same configuration
+    ints = ExtractionConfig(base_sigma=2, min_abs_response=0, window_factor=3)
+    floats = ExtractionConfig(base_sigma=2.0, min_abs_response=0.0, window_factor=3.0)
+    assert config_digest(ints) == config_digest(floats)
+    config_file = tmp_path / "config.json"
+    config_file.write_text('{"extraction": {"base_sigma": 2, "window_factor": 3}}')
+    loaded = load_config(config_file)["extraction"]
+    assert config_digest(loaded) == config_digest(floats)
+    # and the float forms, the defaults among them, keep their digests
+    assert config_digest(ExtractionConfig(base_sigma=2)) == "7b73663c603a5b4e"
+    assert config_digest(a) == "824b6aa8a4a9ddc4"
     digest = config_digest(a)
     assert len(digest) == 16
     assert all(ch in "0123456789abcdef" for ch in digest)

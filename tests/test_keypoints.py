@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import gaussian_blob, negated
 from volkey.errors import RejectedInputError
-from volkey.keypoints import _newton_steps, detect_keypoints
+from volkey.keypoints import _newton_steps, _strict_maxima, detect_keypoints
 from volkey.synth import make_phantom
 from volkey.volume import ScalarVolume, build_scale_space
 
@@ -192,3 +193,22 @@ def test_negation_flips_only_signs_and_responses(seed, num_blobs):
         assert (a.sigma, a.border) == (b.sigma, b.border)
         assert a.response == -b.response
         assert a.sign == -b.sign
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(*[st.integers(3, 7)] * 4),
+    levels=st.sampled_from((1, 4, 30, 100, 300)),
+)
+def test_prefiltered_maxima_equal_the_footprint_filter(seed, shape, levels):
+    # quantized values: plateaus and ties with a neighbour are common at few
+    # levels, strict maxima at many
+    mag = np.random.default_rng(seed).integers(0, levels, shape) * 0.25
+    footprint = np.ones((3, 3, 3, 3), dtype=bool)
+    footprint[1, 1, 1, 1] = False
+    neighbor_max = ndimage.maximum_filter(mag, footprint=footprint, mode="constant", cval=np.inf)
+    want = np.argwhere(mag > neighbor_max)
+    got = _strict_maxima(mag)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
