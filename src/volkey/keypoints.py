@@ -6,11 +6,12 @@ quadratic fit (Brown & Lowe 2002).  The sign of the Laplacian at the extremum
 is kept as a binary feature attribute: it flips under intensity negation while
 the locations, scales and responses stay fixed.
 
-Detection keeps the entries that no neighbour exceeds, by the separable
-size-3 maximum filter, and confirms strictness by gathering the 80 neighbours
-of those candidates only.  Refinement is array code over all of an octave's
-candidates at once: finite differences from one table of 4D unit steps, one
-stacked solve, and the offset, response and border tests as masks.
+Detection keeps the nonzero entries that no neighbour exceeds, by the
+separable size-3 maximum filter, and confirms strictness by gathering the 80
+neighbours of those candidates only, in fixed-size blocks.  Refinement is
+array code over all of an octave's candidates at once: finite differences
+from one table of 4D unit steps, one stacked solve, and the offset, response
+and border tests as masks.
 """
 from __future__ import annotations
 
@@ -49,6 +50,8 @@ _STEPS = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
 _PAIRS = ((0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (3, 2))
 # the 80 offsets of a (scale, x, y, z) index's 3x3x3x3 neighbourhood
 _NEIGHBORS = np.array([o for o in np.ndindex(3, 3, 3, 3) if o != (1, 1, 1, 1)]) - 1
+# candidates whose neighbours one gather holds: (4096, 80, 4) indices, 10 MB
+_GATHER_BLOCK = 4096
 
 
 def _newton_steps(stack: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,15 +82,24 @@ def _newton_steps(stack: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _strict_maxima(mag: np.ndarray) -> np.ndarray:
-    """argwhere of the interior entries strictly above all 80 neighbours.
+    """argwhere of the interior entries of mag >= 0 strictly above all 80
+    neighbours.
 
     The separable size-3 maximum (infinite outside, so faces never qualify)
-    keeps the entries no neighbour exceeds; of those, ties with a neighbour
-    are dropped by gathering the 80 neighbours of each survivor only.
+    keeps the positive entries no neighbour exceeds; a strict maximum is
+    above neighbours >= 0, so zero plateaus, such as a zero background, hold
+    none.  Ties with a neighbour are then dropped by gathering the 80
+    neighbours of the candidates only, a fixed-size block at a time.
     """
-    at = np.argwhere(mag >= ndimage.maximum_filter(mag, size=3, mode="constant", cval=np.inf))
-    around = mag[tuple((at[:, None, :] + _NEIGHBORS).T)]
-    return at[(around < mag[tuple(at.T)]).all(axis=0)]
+    candidate = mag >= ndimage.maximum_filter(mag, size=3, mode="constant", cval=np.inf)
+    candidate &= mag > 0.0
+    at = np.argwhere(candidate)
+    strict = np.empty(len(at), dtype=bool)
+    for lo in range(0, len(at), _GATHER_BLOCK):
+        block = at[lo : lo + _GATHER_BLOCK]
+        around = mag[tuple((block[:, None, :] + _NEIGHBORS).T)]
+        strict[lo : lo + _GATHER_BLOCK] = (around < mag[tuple(block.T)]).all(axis=0)
+    return at[strict]
 
 
 def detect_keypoints(

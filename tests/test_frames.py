@@ -269,13 +269,16 @@ def test_circle_search_memory_is_linear_in_the_window():
     blob = gaussian_blob(dims=(40, 40, 40), widths=(3.0, 5.0, 7.0), center=(20.0, 20.0, 20.0))
     ss = build_scale_space(blob, num_octaves=1)
     kp = Keypoint(x=np.array([20.0, 20.0, 20.0]), sigma=5.0, sign=-1, response=-1.0)
-    count = len(_window(ss, kp, 1.5)[1])
+    grads, weights = _window(ss, kp, 1.5)
+    count = len(weights)
     assert count > 10_000
+    a, b = grads[:, 0].copy(), grads[:, 1].copy()
     tracemalloc.start()
     try:
-        estimate_frame_max_gradient(ss, kp)
+        _circle_scores(a, b, weights)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a dense (K, 720) float ring alone, with its absolute value, holds this much
-    assert peak < 2 * 720 * 8 * count
+    # a handful of length-K temporaries; a dense (K, 720) ring takes 720 x 8 B
+    # a sample for one array alone
+    assert peak < 16 * 8 * count

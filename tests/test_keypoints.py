@@ -1,6 +1,8 @@
 """Scale-space extremum detection on analytic blobs and phantoms."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from scipy import ndimage
 
 from conftest import gaussian_blob, negated
 from volkey.errors import RejectedInputError
-from volkey.keypoints import _newton_steps, _strict_maxima, detect_keypoints
+from volkey.keypoints import _GATHER_BLOCK, _newton_steps, _strict_maxima, detect_keypoints
 from volkey.synth import make_phantom
 from volkey.volume import ScalarVolume, build_scale_space
 
@@ -195,6 +197,14 @@ def test_negation_flips_only_signs_and_responses(seed, num_blobs):
         assert a.sign == -b.sign
 
 
+def _footprint_maxima(mag):
+    """Oracle: argwhere of the entries above the 80-neighbour footprint maximum."""
+    footprint = np.ones((3, 3, 3, 3), dtype=bool)
+    footprint[1, 1, 1, 1] = False
+    neighbor_max = ndimage.maximum_filter(mag, footprint=footprint, mode="constant", cval=np.inf)
+    return np.argwhere(mag > neighbor_max)
+
+
 @settings(max_examples=200)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -205,10 +215,41 @@ def test_prefiltered_maxima_equal_the_footprint_filter(seed, shape, levels):
     # quantized values: plateaus and ties with a neighbour are common at few
     # levels, strict maxima at many
     mag = np.random.default_rng(seed).integers(0, levels, shape) * 0.25
-    footprint = np.ones((3, 3, 3, 3), dtype=bool)
-    footprint[1, 1, 1, 1] = False
-    neighbor_max = ndimage.maximum_filter(mag, footprint=footprint, mode="constant", cval=np.inf)
-    want = np.argwhere(mag > neighbor_max)
+    want = _footprint_maxima(mag)
     got = _strict_maxima(mag)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_prefilter_confirms_many_candidates_in_blocks(levels):
+    # nonzero plateaus hold more candidates than one gather block; spikes,
+    # some of them tied with a neighbour, are the strict maxima among them
+    rng = np.random.default_rng(levels)
+    mag = (rng.integers(0, levels, (5, 24, 24, 24)) + 1) * 0.25
+    mag.flat[rng.choice(mag.size, 400, replace=False)] = rng.integers(8, 12, 400)
+    assert np.sum(mag >= ndimage.maximum_filter(mag, size=3)) > _GATHER_BLOCK
+    want = _footprint_maxima(mag)
+    assert len(want) > 0
+    np.testing.assert_array_equal(_strict_maxima(mag), want)
+
+
+def test_detection_memory_on_a_zero_background():
+    # a truncated blob in the corner of a zero volume: |DoG| stays exactly 0
+    # wherever the blur's taps reach no data, a plateau of non-candidates
+    data = np.zeros((64, 64, 64))
+    g = np.arange(24) - 11.5
+    data[2:26, 2:26, 2:26] = np.exp(-(g[:, None, None] ** 2 + g[:, None] ** 2 + g**2) / 32.0)
+    ss = build_scale_space(ScalarVolume((64, 64, 64), (1, 1, 1), (0, 0, 0), data), num_octaves=1)
+    entries = ss.octaves[0].dog.size
+    assert np.mean(ss.octaves[0].dog == 0.0) > 0.5
+    tracemalloc.start()
+    try:
+        kps = detect_keypoints(ss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kps
+    # the DoG stack, its magnitude, their size-3 maximum and one mask take
+    # 25 B an entry; gathering neighbours at every zero would take ~500
+    assert peak < 40 * entries
