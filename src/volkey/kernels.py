@@ -15,6 +15,12 @@ of stacked geometries, which the E-step adds to its log location term;
 `kernel_matrix` is its exp.  These are the only implementations: a pair's
 kernel is the 1x1 case, and the scalar factor formulas live in the tests as
 oracles.
+
+The axis cosines d_i = theta_i_m . theta_i_n of all pairs are three
+(M, 3) @ (3, N) products.  The four states are the diagonal sign patterns of
+even parity, so their best score is closed-form: sum_i |d_i|, less
+2 min_i |d_i| when an odd number of the d_i is negative.  Memory is a few
+(M, N) arrays, nothing per state or per axis pair.
 """
 from __future__ import annotations
 
@@ -23,10 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInputError
-from .frames import STATE_SIGNS
-
-# diagonal sign patterns of the four states, for vectorized trace scoring
-_STATE_DIAGS = np.stack([np.diag(m) for m in STATE_SIGNS])  # (4, 3)
 
 
 @dataclass
@@ -51,14 +53,21 @@ def log_kernel_matrix(
     params: KernelParams,
 ) -> np.ndarray:
     """Log of kernel_matrix, given the (moving, fixed) squared distances dist_sq."""
-    if np.any(s_f <= 0.0) or np.any(s_m <= 0.0):
-        raise RejectedInputError("scales must be positive")
+    for s in (s_f, s_m):
+        if not np.all((s > 0.0) & (s < np.inf)):
+            raise RejectedInputError("scales must be positive and finite")
     log_d = np.log(s_m)[:, None] - np.log(s_f)[None, :]
-    diag = np.einsum("mai,nai->mni", t_m, t_f)
+    d1, d2, d3 = (t_m[:, :, i] @ t_f[:, :, i].T for i in range(3))
     if params.use_orientation_states:
-        score = np.max(np.einsum("ki,mni->mnk", _STATE_DIAGS, diag), axis=-1)
+        # a state flips an even number of signs: all |d_i| count, unless an
+        # odd number of d_i is negative and the smallest must count against
+        # (a signed zero is then the smallest and costs nothing)
+        odd = np.signbit(d1) ^ np.signbit(d2) ^ np.signbit(d3)
+        d1, d2, d3 = np.abs(d1), np.abs(d2), np.abs(d3)
+        score = d1 + d2 + d3
+        score -= 2.0 * np.where(odd, np.minimum(np.minimum(d1, d2), d3), 0.0)
     else:
-        score = diag.sum(axis=-1)
+        score = d1 + d2 + d3
     bandwidth = params.k * s_m[:, None] * s_f[None, :] + params.sigma_t_sq
     return score - 3.0 - log_d * log_d - dist_sq / bandwidth
 

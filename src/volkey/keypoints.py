@@ -6,12 +6,12 @@ quadratic fit (Brown & Lowe 2002).  The sign of the Laplacian at the extremum
 is kept as a binary feature attribute: it flips under intensity negation while
 the locations, scales and responses stay fixed.
 
-Detection keeps the nonzero entries that no neighbour exceeds, by the
-separable size-3 maximum filter, and confirms strictness by gathering the 80
-neighbours of those candidates only, in fixed-size blocks.  Refinement is
-array code over all of an octave's candidates at once: finite differences
-from one table of 4D unit steps, one stacked solve, and the offset, response
-and border tests as masks.
+Detection keeps the nonzero interior entries that neither neighbour along
+any of the four axes exceeds, by eight slice comparisons, and confirms
+strictness by gathering the 80 neighbours of those candidates only, in
+fixed-size blocks.  Refinement is array code over all of an octave's
+candidates at once: finite differences from one table of 4D unit steps, one
+stacked solve, and the offset, response and border tests as masks.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import RejectedInputError
 from .volume import DOG_TO_LOG, INTERVALS, ScaleSpace
@@ -85,15 +84,21 @@ def _strict_maxima(mag: np.ndarray) -> np.ndarray:
     """argwhere of the interior entries of mag >= 0 strictly above all 80
     neighbours.
 
-    The separable size-3 maximum (infinite outside, so faces never qualify)
-    keeps the positive entries no neighbour exceeds; a strict maximum is
-    above neighbours >= 0, so zero plateaus, such as a zero background, hold
-    none.  Ties with a neighbour are then dropped by gathering the 80
-    neighbours of the candidates only, a fixed-size block at a time.
+    Candidates are the positive interior entries at least as large as their
+    two neighbours along each axis, a superset of the strict maxima; a strict
+    maximum is above neighbours >= 0, so zero plateaus, such as a zero
+    background, hold none.  Candidates below a diagonal neighbour and ties
+    are then dropped by gathering the 80 neighbours of the candidates only,
+    a fixed-size block at a time.
     """
-    candidate = mag >= ndimage.maximum_filter(mag, size=3, mode="constant", cval=np.inf)
-    candidate &= mag > 0.0
-    at = np.argwhere(candidate)
+    core = (slice(1, -1),) * mag.ndim
+    inner = mag[core]
+    candidate = inner > 0.0
+    for axis, size in enumerate(mag.shape):
+        for lo in (0, 2):
+            beside = core[:axis] + (slice(lo, lo + size - 2),) + core[axis + 1 :]
+            candidate &= inner >= mag[beside]
+    at = np.argwhere(candidate) + 1
     strict = np.empty(len(at), dtype=bool)
     for lo in range(0, len(at), _GATHER_BLOCK):
         block = at[lo : lo + _GATHER_BLOCK]

@@ -10,6 +10,11 @@ weighted Procrustes/Umeyama solve `transforms.fit_similarity`, which reads P
 only through its sums P1, P^T 1 and P^T m and also re-estimates lambda^2, so
 the temperature anneals as correspondences sharpen.
 
+Since each column is normalized on its own, the loop never holds the whole
+P: it runs the E-step over blocks of fixed columns, about
+`_ESTEP_BLOCK_PAIRS` pairs each, and adds each block into the three sums.
+EM memory is therefore one block's temporaries plus O(M + N).
+
 Variants: "cpd" drops the kernel (constant 1); "sift_cpd" keeps it;
 "sift_cpd_star" runs on the voting inliers only; "icp" replaces the E-step
 with hard nearest-neighbor assignments for a fixed iteration count, each fitted
@@ -38,6 +43,8 @@ log = logging.getLogger(__name__)
 
 VARIANTS = ("cpd", "sift_cpd", "sift_cpd_star", "icp")
 REL_TOL = 1e-6
+# (moving, fixed) pairs in one E-step block: about 14 MiB of temporaries
+_ESTEP_BLOCK_PAIRS = 1 << 17
 
 
 @dataclass
@@ -90,16 +97,26 @@ def e_step(
     t_m: np.ndarray,
     lambda_sq: float,
     config: RegistrationConfig,
+    total_fixed: int | None = None,
 ) -> np.ndarray:
     """Correspondence probabilities, shape (moving, fixed), columns sum <= 1.
 
     Inputs are stacked locations (n, 3), scales (n,) and frames (n, 3, 3);
     the moving geometry must already be mapped through the current transform.
     Each column is normalized in log space against the background log eta.
+    The fixed inputs may be a block of columns of a larger fixed set; its
+    size total_fixed (default: this block's) sets log eta, so the block's
+    columns equal those of the whole P.
     """
     if not lambda_sq > 0.0:
         raise RejectedInputError(f"lambda_sq must be positive, got {lambda_sq}")
-    m, n = x_m.shape[0], x_f.shape[0]
+    if not all(np.isfinite(a).all() for a in (x_f, s_f, t_f, x_m, s_m, t_m)):
+        raise RejectedInputError("feature locations, scales and frames must be finite")
+    with np.errstate(over="ignore"):
+        log_volume = 1.5 * np.log(2.0 * np.pi * lambda_sq)
+    if not np.isfinite(log_volume):
+        raise RejectedInputError(f"lambda_sq {lambda_sq} is too large: 2 pi lambda_sq overflows")
+    m, n = x_m.shape[0], total_fixed or x_f.shape[0]
     diff = x_m[:, None, :] - x_f[None, :, :]
     dist_sq = np.einsum("mnd,mnd->mn", diff, diff)
     log_num = -dist_sq / (2.0 * lambda_sq)
@@ -107,12 +124,33 @@ def e_step(
         log_num += log_kernel_matrix(dist_sq, s_f, t_f, s_m, t_m, config.kernel)
     with np.errstate(divide="ignore"):  # log 0 = -inf: no background for w = 0
         log_w = np.log(config.w / (1.0 - config.w))
-    log_eta = 1.5 * np.log(2.0 * np.pi * lambda_sq) + log_w + np.log(m / n)
+    log_eta = log_volume + log_w + np.log(m / n)
     # column log-sum-exp shifted by its largest term, background included
     shift = np.maximum(log_num.max(axis=0), log_eta)
     p = np.exp(log_num - shift)
     p /= p.sum(axis=0) + np.exp(log_eta - shift)
     return p
+
+
+def _posterior_sums(fixed, moved, x_m, lambda_sq, config):
+    """P^T 1, P 1 and P^T x_m of the E-step's P, one block of fixed columns
+    at a time.
+
+    fixed and moved are the (locations, scales, frames) of the fixed set and
+    of the moving set under the current transform; x_m are the moving
+    locations the M-step fits.
+    """
+    x_f, s_f, t_f = fixed
+    n, m = x_f.shape[0], x_m.shape[0]
+    col, row, pm = np.empty(n), np.zeros(m), np.empty((n, 3))
+    step = max(1, _ESTEP_BLOCK_PAIRS // m)
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        p = e_step(x_f[block], s_f[block], t_f[block], *moved, lambda_sq, config, total_fixed=n)
+        col[block] = p.sum(axis=0)
+        row += p.sum(axis=1)
+        pm[block] = p.T @ x_m
+    return col, row, pm
 
 
 def register(
@@ -154,9 +192,10 @@ def register(
                 converged = True
                 break
             theta = np.einsum("ij,njk->nik", t.rotation, t_m)
-            p = e_step(x_f, s_f, t_f, t.apply(x_m), t.scale * s_m, theta, lam, cfg)
+            moved = (t.apply(x_m), t.scale * s_m, theta)
+            sums = _posterior_sums((x_f, s_f, t_f), moved, x_m, lam, cfg)
             try:
-                t, lam_new = fit_similarity(x_f, x_m, p.sum(axis=0), p.sum(axis=1), p.T @ x_m)
+                t, lam_new = fit_similarity(x_f, x_m, *sums)
             except (DegenerateCorrespondenceError, DegenerateGeometryError) as exc:
                 # also when the background has absorbed all mass: the
                 # posterior then carries no geometry, so keep the last transform

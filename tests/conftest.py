@@ -8,7 +8,8 @@ Geometry records into the stacked arrays and match tables the library takes.
 
 The scalar oracles live here too: one feature's `Geometry` and its image
 under a similarity, the per-pair kernel factors that `kernels.kernel_matrix`
-vectorizes, and `solve_rigid`, the dense-weight-matrix form of
+vectorizes, `orientation_scores`, the per-state form of its closed-form state
+score, and `solve_rigid`, the dense-weight-matrix form of
 `transforms.fit_similarity`.
 """
 from __future__ import annotations
@@ -111,6 +112,19 @@ def kernel_orientation(theta_n, theta_m, use_states: bool = False) -> float:
     if use_states:
         return max(kernel_orientation(tn, tm @ s) for s in STATE_SIGNS)
     return float(np.exp(-3.0 + np.trace(tn.T @ tm)))
+
+
+# diagonal sign patterns of the four states, one row per state
+_STATE_DIAGS = np.stack([np.diag(m) for m in STATE_SIGNS])  # (4, 3)
+
+
+def orientation_scores(t_f, t_m, use_states: bool = True) -> np.ndarray:
+    """(moving, fixed) trace scores sum_i theta_i_m . theta_i_n of stacked
+    frames (n, 3, 3); with states, the max of the four states' signed sums."""
+    diag = np.einsum("mai,nai->mni", t_m, t_f)
+    if use_states:
+        return np.max(np.einsum("ki,mni->mnk", _STATE_DIAGS, diag), axis=-1)
+    return diag.sum(axis=-1)
 
 
 def kernel_location(x_n, x_m, sigma_n: float, sigma_m: float, params: KernelParams) -> float:

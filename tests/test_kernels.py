@@ -5,8 +5,12 @@ The library computes kernels only for all pairs at once; a single pair is the
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     Geometry,
@@ -15,12 +19,21 @@ from conftest import (
     kernel_location,
     kernel_orientation,
     kernel_scale,
+    orientation_scores,
 )
 from volkey.config import load_config
 from volkey.errors import RejectedInputError
 from volkey.frames import STATE_SIGNS
 from volkey.kernels import KernelParams, kernel_matrix, log_kernel_matrix
 from volkey.transforms import matrix_from_rotvec, rotation_z
+
+
+# the 48 signed permutation matrices: axis cosines of 1, -1 and exactly 0
+_SIGNED_PERMUTATIONS = [
+    np.eye(3)[:, list(order)] * signs
+    for order in itertools.permutations(range(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+]
 
 
 def _random_geometry(rng):
@@ -153,7 +166,7 @@ def test_kernel_matrix_matches_scalar_loop():
 
 def test_parameter_validation():
     frame, ok = np.eye(3)[None], np.ones(1)
-    for bad in (np.zeros(1), np.full(1, -2.0)):
+    for bad in (np.zeros(1), np.full(1, -2.0), np.full(1, np.nan), np.full(1, np.inf)):
         for s_f, s_m in ((bad, ok), (ok, bad)):
             with pytest.raises(RejectedInputError):
                 log_kernel_matrix(np.zeros((1, 1)), s_f, frame, s_m, frame, KernelParams())
@@ -164,3 +177,34 @@ def test_parameter_validation():
     # a vanishing positional floor is allowed; the scale product then rules
     params = KernelParams(sigma_t_sq=0.0)
     assert _pair(params=params) == 1.0
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_fixed=st.integers(1, 6),
+    n_moving=st.integers(1, 6),
+    states=st.booleans(),
+)
+def test_closed_form_state_score_equals_the_state_max(seed, n_fixed, n_moving, states):
+    # moving frames are random rotations, signed permutations (cosines of
+    # exactly 0 and +-1), copies of a fixed frame and its state relabelings:
+    # exact ties between states and exactly zero cosines are common
+    rng = np.random.default_rng(seed)
+
+    def frame(kind):
+        if kind == 0:
+            return matrix_from_rotvec(rng.normal(size=3))
+        if kind == 1:
+            return _SIGNED_PERMUTATIONS[rng.integers(48)]
+        return t_f[rng.integers(n_fixed)] @ STATE_SIGNS[rng.integers(4) if kind == 3 else 0]
+
+    t_f = np.stack([frame(rng.integers(2)) for _ in range(n_fixed)])
+    t_m = np.stack([frame(rng.integers(4)) for _ in range(n_moving)])
+    params = KernelParams(use_orientation_states=states)
+    log_k = log_kernel_matrix(
+        np.zeros((n_moving, n_fixed)), np.ones(n_fixed), t_f, np.ones(n_moving), t_m, params
+    )
+    np.testing.assert_allclose(
+        log_k + 3.0, orientation_scores(t_f, t_m, states), rtol=0.0, atol=1e-12
+    )

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from volkey.kernels import kernel_matrix
 from volkey.keypoints import Keypoint
 from volkey.registration import (
     RegistrationConfig,
+    _posterior_sums,
     e_step,
     init_lambda_sq,
     register,
@@ -185,6 +187,66 @@ def test_e_step_rejects_bad_variance(phantom_features):
         e_step(*geometry, *geometry, 0.0, cfg)
     with pytest.raises(RejectedInputError):
         e_step(*geometry, *geometry, -1.0, cfg)
+    # NaN, inf and 1e308, where 2 pi lambda^2 overflows, would give NaN columns
+    for lambda_sq in (np.nan, np.inf, 1e308):
+        with pytest.raises(RejectedInputError):
+            e_step(*geometry, *geometry, lambda_sq, cfg)
+
+
+@pytest.mark.parametrize("variant", ["cpd", "sift_cpd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", range(6))
+def test_e_step_rejects_non_finite_geometry(phantom_features, variant, bad, which):
+    # one non-finite location, scale or frame entry, fixed or moving, would
+    # otherwise make its whole column NaN
+    args = [a.copy() for a in feature_geometry(phantom_features[:3]) * 2]
+    args[which].flat[1] = bad
+    with pytest.raises(RejectedInputError):
+        e_step(*args, 5.0, RegistrationConfig(variant=variant))
+
+
+def _random_geometry_arrays(rng, count, span=50.0):
+    frames = np.linalg.qr(rng.normal(size=(count, 3, 3)))[0]
+    return rng.uniform(0.0, span, (count, 3)), rng.uniform(1.5, 6.0, count), frames
+
+
+@pytest.mark.parametrize("variant", ["cpd", "sift_cpd"])
+@pytest.mark.parametrize("w", [0.0, 0.3])
+def test_blocked_sums_equal_the_dense_sums(monkeypatch, variant, w):
+    # 9 moving features and 63 pairs a block: 7 fixed columns a block, so 50
+    # fixed features make 7 whole blocks and a ragged one of 1 column
+    monkeypatch.setattr("volkey.registration._ESTEP_BLOCK_PAIRS", 63)
+    rng = np.random.default_rng(38)
+    fixed = _random_geometry_arrays(rng, 50)
+    moving = _random_geometry_arrays(rng, 9)
+    cfg = RegistrationConfig(variant=variant, w=w)
+    p = e_step(*fixed, *moving, 40.0, cfg)
+    np.testing.assert_allclose(
+        e_step(*(a[14:21] for a in fixed), *moving, 40.0, cfg, total_fixed=50),
+        p[:, 14:21],
+        rtol=0.0,
+        atol=1e-15,
+    )
+    x_m = moving[0] + 3.0  # the fitted locations need not be the moved ones
+    col, row, pm = _posterior_sums(fixed, moving, x_m, 40.0, cfg)
+    for got, want in ((col, p.sum(axis=0)), (row, p.sum(axis=1)), (pm, p.T @ x_m)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_em_sums_memory_is_bounded_per_block():
+    # the whole 2000 x 2000 P and its kernel temporaries take over 400 MiB;
+    # one 65-column block of them takes about 14 MiB
+    rng = np.random.default_rng(39)
+    fixed = _random_geometry_arrays(rng, 2000, span=128.0)
+    moving = _random_geometry_arrays(rng, 2000, span=128.0)
+    tracemalloc.start()
+    try:
+        col, row, pm = _posterior_sums(fixed, moving, moving[0], 100.0, RegistrationConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(col > 0.0) and np.all(row > 0.0)
+    assert peak < 64 * 2**20
 
 
 def test_solve_rigid_identity_and_known_transform():
