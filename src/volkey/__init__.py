@@ -53,7 +53,6 @@ from .volume import (
     gaussian_blur,
     resample,
     to_isotropic,
-    trilinear_sample,
 )
 
 __version__ = "0.1.0"

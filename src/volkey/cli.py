@@ -3,9 +3,10 @@
 Commands: extract, match, register, evaluate, phantom, synth-transform,
 states.  Every command prints deterministic ``key=value`` lines on stdout
 (seeded runs are byte-identical across invocations); timings and progress go
-to stderr as log records.  ``--config`` points at a JSON file overriding the
-built-in defaults, and explicit flags override both: a flag's dest is the
-name of the dataclass field it sets.
+to stderr as log records.  ``--config`` (extract, register, states) points at
+a JSON file overriding the built-in defaults, and explicit flags override
+both: a flag's dest is the name of the dataclass field it sets.  ``--format``
+(synth-transform, extract, evaluate) names the format of volume inputs.
 """
 from __future__ import annotations
 
@@ -264,8 +265,7 @@ def cmd_states(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="JSON config file")
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
         default="auto",
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="generate a random blob phantom volume")
-    _add_common(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--num-blobs", type=int, default=40)
     p.add_argument("--dims", type=int, nargs=3, default=[64, 64, 64])
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("synth-transform", help="sample a random similarity transform")
-    _add_common(p)
+    _add_format(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rot-min", type=float, default=10.0)
     p.add_argument("--rot-max", type=float, default=30.0)
@@ -308,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth_transform)
 
     p = sub.add_parser("extract", help="extract features from a volume")
-    _add_common(p)
+    p.add_argument("--config", default=None, help="JSON config file")
+    _add_format(p)
     p.add_argument("--volume", required=True)
     p.add_argument("--out", required=True, help="output feature file")
     p.add_argument("--estimator", choices=["max_gradient", "structure_tensor"], default=None)
@@ -320,14 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("match", help="match two feature files")
-    _add_common(p)
     p.add_argument("--fixed", required=True)
     p.add_argument("--moving", required=True)
     p.add_argument("--out", default=None, help="optional TSV of matches")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("register", help="register moving features onto fixed")
-    _add_common(p)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--fixed", required=True)
     p.add_argument("--moving", required=True)
     p.add_argument("--variant", dest="cli_variant", choices=sorted(CLI_VARIANTS), default=None)
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("evaluate", help="compare an estimated transform to ground truth")
-    _add_common(p)
+    _add_format(p)
     p.add_argument("--est", required=True, help="estimated transform JSON")
     p.add_argument("--gt", required=True, help="ground-truth transform JSON (moving onto fixed)")
     p.add_argument("--probes", default=None, help="text file of probe points (x y z per line)")
@@ -351,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("states", help="sign-state transition histogram of voting inliers")
-    _add_common(p)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--fixed", required=True)
     p.add_argument("--moving", required=True)
     p.add_argument("--symmetric", action="store_true", help="also run the swapped direction")

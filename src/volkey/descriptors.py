@@ -78,8 +78,7 @@ def compute_descriptor(ss: ScaleSpace, kp: Keypoint, frame: Frame) -> Descriptor
     proj = (local @ DIRECTIONS.T) * kp.sign
     winner = np.argmax(proj, axis=1)
     value = np.abs(proj[np.arange(proj.shape[0]), winner])
-    bins = np.zeros(NUM_BINS)
-    np.add.at(bins, _OCTANT * 8 + winner, _WEIGHT * value)
+    bins = np.bincount(_OCTANT * 8 + winner, _WEIGHT * value, NUM_BINS)
     return Descriptor(bins=bins, ranked=rank_normalize_bins(bins))
 
 

@@ -175,19 +175,18 @@ def estimate_frame_max_gradient(
     frame.  Axes are swapped if the second objective value beats the first.
     """
     grads, weights = _window(ss, kp, window_factor)
-    norms = np.linalg.norm(grads, axis=1)
-    if norms.max(initial=0.0) <= GRADIENT_FLOOR:
+    if np.linalg.norm(grads, axis=1).max(initial=0.0) <= GRADIENT_FLOOR:
         raise NoOrientationError("gradient field vanishes over the support window")
     mean_grad = (weights[:, None] * grads).sum(axis=0)
 
     faces = icosphere_faces()
-    scores = _projection_score(grads, weights, faces)
-    d0 = faces[int(np.argmax(scores))]
+    proj = grads @ faces.T
+    # the face each sample's gradient points into, taken before proj becomes |proj|
+    face_of = proj.argmax(axis=1)
+    d0 = faces[int(np.argmax(weights @ np.abs(proj, out=proj)))]
     if mean_grad @ d0 < 0.0:
         d0 = -d0
     # samples whose gradient points into the face nearest d0
-    unit = grads / np.maximum(norms, GRADIENT_FLOOR)[:, None]
-    face_of = np.argmax(unit @ faces.T, axis=1)
     f_star = int(np.argmax(faces @ d0))
     members = face_of == f_star
     theta1 = (weights[members, None] * grads[members]).sum(axis=0)

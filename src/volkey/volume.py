@@ -18,6 +18,9 @@ Conventions used throughout:
   to the geometric mean of the two level sigmas
 - the scale space stores only its levels: the DoG is computed when it is
   read, and gradients are differenced at the trilinear sample corners
+- grids are resampled by scipy's order-1 `ndimage.affine_transform`, which
+  computes each output voxel's source coordinate on the fly: `to_isotropic`
+  clamps to the edge values, `resample` writes 0 outside [0, n-1] on any axis
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ from .transforms import SimilarityTransform
 INTERVALS = 3
 LEVELS_PER_OCTAVE = 6
 MIN_DIM = 8
-_SLAB_VOXELS = 4_000_000
 # sqrt(k)/(k-1) for k = 2**(1/3): converts a DoG sample into the
 # scale-normalized Laplacian at the geometric-mean sigma
 DOG_TO_LOG = 2.0 ** (1.0 / 6.0) / (2.0 ** (1.0 / 3.0) - 1.0)
@@ -100,19 +102,6 @@ def _trilinear(value, shape: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
     )
 
 
-def trilinear_sample(data: np.ndarray, coords: np.ndarray, mode: str = "clamp") -> np.ndarray:
-    """Trilinear interpolation of `data` at voxel coordinates `coords` (..., 3).
-
-    mode "clamp" extends edge values outward; mode "fill" writes 0 for
-    coordinates outside [0, dim-1] on any axis.
-    """
-    out = _trilinear(lambda x, y, z: data[x, y, z], data.shape, coords)
-    if mode == "fill":
-        c = np.asarray(coords, dtype=float)
-        out = np.where(np.all((c >= 0.0) & (c <= np.asarray(data.shape) - 1), axis=-1), out, 0.0)
-    return out
-
-
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
     """Normalized 1D Gaussian taps truncated at radius ceil(3 sigma)."""
     radius = int(math.ceil(3.0 * sigma))
@@ -175,7 +164,8 @@ def to_isotropic(volume: ScalarVolume) -> ScalarVolume:
         return volume
     s = float(sp.min())
     new_dims = tuple(int(math.floor((d - 1) * spc / s)) + 1 for d, spc in zip(volume.dims, sp))
-    data = _sample_grid(volume.data, new_dims, lambda index: index * s / sp, mode="clamp")
+    # a 1-D matrix is the diagonal; "nearest" clamps to the edge values
+    data = ndimage.affine_transform(volume.data, s / sp, output_shape=new_dims, order=1, mode="nearest")
     return ScalarVolume(dims=new_dims, spacing=(s, s, s), origin=volume.origin, data=data)
 
 
@@ -280,20 +270,6 @@ def _sample_gradients(ss: ScaleSpace, points: np.ndarray, sigma: float) -> np.nd
     return np.stack([_trilinear(partial(difference, a), level.shape, v) for a in range(3)], axis=-1)
 
 
-def _sample_grid(data: np.ndarray, dims: tuple[int, int, int], voxels, mode: str) -> np.ndarray:
-    """Trilinear samples of `data` on a `dims` grid in x slabs of about _SLAB_VOXELS
-    samples; voxels maps a slab's grid indices (..., 3) to voxel coordinates."""
-    nx, ny, nz = dims
-    out = np.empty(dims)
-    step = max(1, _SLAB_VOXELS // (ny * nz))
-    for x0 in range(0, nx, step):
-        axes = (np.arange(x0, min(nx, x0 + step)), np.arange(ny), np.arange(nz))
-        # the index grid is a temporary, freed before the sampling
-        coords = voxels(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
-        out[x0 : x0 + step] = trilinear_sample(data, coords, mode=mode)
-    return out
-
-
 def resample(volume: ScalarVolume, t: SimilarityTransform) -> ScalarVolume:
     """Map a volume through a similarity transform onto its own grid.
 
@@ -303,10 +279,9 @@ def resample(volume: ScalarVolume, t: SimilarityTransform) -> ScalarVolume:
     inv = t.inverse()
     sp = np.asarray(volume.spacing)
     org = np.asarray(volume.origin)
-
-    def voxels(index):
-        pts = index * sp + org
-        return (inv.apply(pts.reshape(-1, 3)).reshape(pts.shape) - org) / sp
-
-    data = _sample_grid(volume.data, volume.dims, voxels, mode="fill")
+    # output voxel j sits at org + j sp and samples voxel (inv(org + j sp) - org) / sp;
+    # "constant" writes 0 outside [0, n-1] on any axis and interpolates nothing past it
+    matrix = inv.scale * inv.rotation * sp[None, :] / sp[:, None]
+    offset = (inv.apply(org) - org) / sp
+    data = ndimage.affine_transform(volume.data, matrix, offset, order=1, mode="constant", cval=0.0)
     return ScalarVolume(dims=volume.dims, spacing=volume.spacing, origin=volume.origin, data=data)

@@ -414,3 +414,30 @@ def test_other_exceptions_still_propagate(monkeypatch, workspace, tmp_path):
     feats = ["--fixed", str(workspace / "fixed.vkf"), "--moving", str(workspace / "moving.vkf")]
     with pytest.raises(ZeroDivisionError):
         main(["register", *feats, "--out", str(tmp_path / "e.json")])
+
+
+def test_commands_reject_flags_they_do_not_read(workspace, tmp_path, capsys):
+    fixed = workspace / "fixed.txt"
+    feats = ("--fixed", workspace / "fixed.vkf", "--moving", workspace / "moving.vkf")
+    gt = workspace / "t_inv.json"
+    commands = {
+        "phantom": ("phantom", "--seed", 1, "--out", tmp_path / "p.txt"),
+        "synth-transform": ("synth-transform", "--seed", 1, "--out", tmp_path / "t.json"),
+        "extract": ("extract", "--volume", fixed, "--out", tmp_path / "f.vkf"),
+        "match": ("match", *feats),
+        "register": ("register", *feats, "--out", tmp_path / "e.json"),
+        "evaluate": ("evaluate", "--est", gt, "--gt", gt, "--volume", fixed),
+        "states": ("states", *feats),
+    }
+    dropped = [
+        ("--config", workspace / "t.json", ("phantom", "synth-transform", "match", "evaluate")),
+        ("--format", "auto", ("phantom", "match", "register", "states")),
+    ]
+    for flag, value, names in dropped:
+        for name in names:
+            with pytest.raises(SystemExit) as exit_info:
+                main([str(a) for a in (*commands[name], flag, value)])
+            assert exit_info.value.code == 2, (name, flag)
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
+    assert list(tmp_path.iterdir()) == []

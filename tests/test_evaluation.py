@@ -103,8 +103,7 @@ def _volume_pair(dims):
     return [ScalarVolume(dims, (1.0, 1.0, 1.5), (-3.0, 2.0, 1.0), rng.random(dims)) for _ in "ab"]
 
 
-def test_overlap_ssd_equals_one_shot_oracle(monkeypatch):
-    monkeypatch.setattr("volkey.volume._SLAB_VOXELS", 300)
+def test_overlap_ssd_equals_one_shot_oracle():
     fixed, moving = _volume_pair((12, 10, 9))
     center = (fixed.world_min + fixed.world_max) / 2.0
     for t in (
@@ -116,10 +115,9 @@ def test_overlap_ssd_equals_one_shot_oracle(monkeypatch):
         assert overlap_ssd(fixed, moving, t) == _ssd_oracle(fixed, moving, t)
 
 
-def test_overlap_ssd_memory_stays_slab_bounded(monkeypatch):
-    # with small slabs only grid-sized outputs remain; a full-grid coordinate
-    # mask takes about 104 B per voxel
-    monkeypatch.setattr("volkey.volume._SLAB_VOXELS", 4096)
+def test_overlap_ssd_memory_stays_bounded():
+    # only grid-sized outputs remain; a full-grid coordinate mask takes about
+    # 104 B per voxel
     fixed, moving = _volume_pair((64, 48, 40))
     t = random_similarity(5, center=(fixed.world_min + fixed.world_max) / 2.0)
     tracemalloc.start()

@@ -264,12 +264,16 @@ def test_circle_sweep_equals_dense_ring(seed, count, zero, normal, a_zero, on_gr
         assert np.argmax(got) == np.argmax(ring)
 
 
-def test_circle_search_memory_is_linear_in_the_window():
+@pytest.fixture(scope="module")
+def wide_window():
     # sigma 5 on 1 mm voxels: a support ball of radius 15 voxels, K > 10^4
     blob = gaussian_blob(dims=(40, 40, 40), widths=(3.0, 5.0, 7.0), center=(20.0, 20.0, 20.0))
     ss = build_scale_space(blob, num_octaves=1)
-    kp = Keypoint(x=np.array([20.0, 20.0, 20.0]), sigma=5.0, sign=-1, response=-1.0)
-    grads, weights = _window(ss, kp, 1.5)
+    return ss, Keypoint(x=np.array([20.0, 20.0, 20.0]), sigma=5.0, sign=-1, response=-1.0)
+
+
+def test_circle_search_memory_is_linear_in_the_window(wide_window):
+    grads, weights = _window(*wide_window, 1.5)
     count = len(weights)
     assert count > 10_000
     a, b = grads[:, 0].copy(), grads[:, 1].copy()
@@ -282,3 +286,16 @@ def test_circle_search_memory_is_linear_in_the_window():
     # a handful of length-K temporaries; a dense (K, 720) ring takes 720 x 8 B
     # a sample for one array alone
     assert peak < 16 * 8 * count
+
+
+def test_frame_holds_one_icosphere_array(wide_window):
+    # the (K, 320) face projections take 2560 B a sample; the window itself
+    # is a few hundred
+    count = len(_window(*wide_window, 1.5)[1])
+    tracemalloc.start()
+    try:
+        estimate_frame_max_gradient(*wide_window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 320 * 8 * count

@@ -20,18 +20,29 @@ from volkey.transforms import SimilarityTransform
 from volkey.volume import (
     ScalarVolume,
     _sample_gradients,
+    _trilinear,
     build_scale_space,
     gaussian_blur,
     gaussian_kernel1d,
     resample,
     to_isotropic,
-    trilinear_sample,
 )
 
 
 def _random_volume(seed, dims=(16, 16, 16)):
     rng = np.random.default_rng(seed)
     return ScalarVolume(dims=dims, spacing=(1, 1, 1), origin=(0, 0, 0), data=rng.random(dims))
+
+
+def _sample(data, coords, fill=False):
+    """Trilinear samples of data at voxel coordinates (..., 3), clamped to the
+    grid, or 0 outside [0, n-1] on any axis with fill: the grid sampler that
+    resampling used before scipy's affine_transform, kept as an oracle."""
+    out = _trilinear(lambda x, y, z: data[x, y, z], data.shape, coords)
+    if fill:
+        c = np.asarray(coords, dtype=float)
+        out = np.where(np.all((c >= 0.0) & (c <= np.asarray(data.shape) - 1), axis=-1), out, 0.0)
+    return out
 
 
 def test_scalar_volume_validation():
@@ -186,7 +197,7 @@ def test_sampled_gradients_equal_np_gradient_oracle(coarse_scale_space, data, i)
     points = octave.origin + v * octave.spacing
     got = _sample_gradients(coarse_scale_space, points, octave.sigmas[i])
     vox = (points - octave.origin) / octave.spacing
-    want = np.stack([trilinear_sample(g, vox) for g in np.gradient(level, octave.spacing)], axis=-1)
+    want = np.stack([_sample(g, vox) for g in np.gradient(level, octave.spacing)], axis=-1)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -240,16 +251,6 @@ def test_operators_invariant_to_constant_offset():
     np.testing.assert_allclose(ss0.octaves[0].dog, ss1.octaves[0].dog, atol=1e-9)
 
 
-def test_trilinear_sample_modes():
-    data = np.arange(8.0).reshape(2, 2, 2)
-    # exact at corners, linear midway
-    assert trilinear_sample(data, np.array([1.0, 0.0, 1.0])) == pytest.approx(data[1, 0, 1])
-    assert trilinear_sample(data, np.array([0.5, 0.5, 0.5])) == pytest.approx(data.mean())
-    # clamp extends edges, fill writes 0
-    assert trilinear_sample(data, np.array([-1.0, 0.0, 0.0]), mode="clamp") == pytest.approx(data[0, 0, 0])
-    assert trilinear_sample(data, np.array([-1.0, 0.0, 0.0]), mode="fill") == 0.0
-
-
 def test_resample_identity_and_integer_shift():
     vol = _random_volume(16)
     same = resample(vol, SimilarityTransform())
@@ -259,23 +260,80 @@ def test_resample_identity_and_integer_shift():
     np.testing.assert_allclose(shift.data[0], 0.0, atol=1e-12)
 
 
-def test_slabbed_grids_equal_one_shot_oracles(monkeypatch):
-    monkeypatch.setattr("volkey.volume._SLAB_VOXELS", 300)
-    data = np.random.default_rng(22).random((12, 10, 9))
-    vol = ScalarVolume(data.shape, (1.0, 2.5, 1.5), (-4.0, 7.0, 2.5), data)
+def _isotropic_oracle(vol):
+    sp = np.asarray(vol.spacing)
+    s = sp.min()
+    dims = [int(np.floor((n - 1) * spc / s)) + 1 for n, spc in zip(vol.dims, sp)]
+    ax = [np.arange(n) * s / spc for n, spc in zip(dims, sp)]
+    return _sample(vol.data, np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1))
+
+
+def _resample_oracle(vol, t):
     sp, org = np.asarray(vol.spacing), np.asarray(vol.origin)
-
-    iso = to_isotropic(vol)
-    ax = [np.arange(n) * iso.spacing[0] / s for n, s in zip(iso.dims, sp)]
-    grid = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
-    assert iso.data.tobytes() == trilinear_sample(data, grid, mode="clamp").tobytes()
-
-    t = random_similarity(5, center=(vol.world_min + vol.world_max) / 2.0)
     ax = [np.arange(n) * s + o for n, s, o in zip(vol.dims, sp, org)]
     pts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1)
     src = t.inverse().apply(pts.reshape(-1, 3)).reshape(pts.shape)
-    want = trilinear_sample(data, (src - org) / sp, mode="fill")
-    assert resample(vol, t).data.tobytes() == want.tobytes()
+    return _sample(vol.data, (src - org) / sp, fill=True)
+
+
+def test_resampling_equals_trilinear_oracle():
+    data = np.random.default_rng(22).random((12, 10, 9)) - 0.3
+    bound = 1e-14 * np.abs(data).max()
+    # on a 1x1x2 grid only z interpolates, in the oracle's own expression
+    vol = ScalarVolume(data.shape, (1.0, 1.0, 2.0), (-4.0, 7.0, 2.5), data)
+    assert to_isotropic(vol).data.tobytes() == _isotropic_oracle(vol).tobytes()
+
+    vol = ScalarVolume(data.shape, (1.0, 2.5, 1.5), (-4.0, 7.0, 2.5), data)
+    iso = to_isotropic(vol)
+    want = _isotropic_oracle(vol)
+    assert iso.data.shape == want.shape == (12, 23, 13)
+    assert np.abs(iso.data - want).max() <= bound
+    center = (vol.world_min + vol.world_max) / 2.0
+    for seed in range(5, 10):
+        t = random_similarity(seed, center=center)
+        got, want = resample(vol, t).data, _resample_oracle(vol, t)
+        # both fill the same voxels; the 8-corner sum may associate differently
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        assert np.abs(got - want).max() <= bound
+
+
+def test_resampling_edges_exactly():
+    data = np.random.default_rng(23).random((6, 5, 4))
+    vol = ScalarVolume(data.shape, (1.0, 1.0, 1.0), (2.0, -1.0, 0.5), data)
+    assert resample(vol, SimilarityTransform()).data.tobytes() == data.tobytes()
+    # output voxel j samples j + 1 along x: the edge value at n - 1, 0 past it
+    shift = resample(vol, SimilarityTransform(translation=[-1.0, 0.0, 0.0])).data
+    assert shift[:-1].tobytes() == data[1:].tobytes()
+    assert np.all(shift[-1] == 0.0)
+    past = resample(vol, SimilarityTransform(translation=[-1.0 - 1e-9, 0.0, 0.0])).data
+    assert np.all(past[-2:] == 0.0) and np.all(past[:-2] != 0.0)
+    # to_isotropic's last z sample sits on the last input plane; x and y stay on the lattice
+    iso = to_isotropic(ScalarVolume(data.shape, (1.0, 1.0, 2.0), (0, 0, 0), data))
+    assert iso.dims == (6, 5, 7)
+    assert iso.data[..., ::2].tobytes() == data.tobytes()
+    # a single-voxel axis: samples on it, 0 off it, and to_isotropic keeps it
+    flat = ScalarVolume((6, 1, 4), (1.0, 1.0, 1.0), (0, 0, 0), data[:, :1])
+    assert resample(flat, SimilarityTransform()).data.tobytes() == flat.data.tobytes()
+    off = resample(flat, SimilarityTransform(translation=[0.0, 0.25, 0.0]))
+    assert np.all(off.data == 0.0)
+    thin = to_isotropic(ScalarVolume((6, 1, 4), (1.0, 1.0, 2.0), (0, 0, 0), data[:, :1]))
+    assert thin.dims == (6, 1, 7)
+    assert thin.data[..., ::2].tobytes() == flat.data.tobytes()
+
+
+def test_resampling_allocates_under_16_bytes_per_sample():
+    # beyond the 8 B output, no coordinate grid or corner array per sample
+    data = np.random.default_rng(24).random((64, 48, 40))
+    vol = ScalarVolume(data.shape, (1.0, 1.0, 1.5), (-3.0, 2.0, 1.0), data)
+    t = random_similarity(5, center=(vol.world_min + vol.world_max) / 2.0)
+    for run in (lambda: resample(vol, t), lambda: to_isotropic(vol)):
+        tracemalloc.start()
+        try:
+            samples = run().data.size
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / samples < 16.0
 
 
 def test_resample_round_trip_on_smooth_blob():
