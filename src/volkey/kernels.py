@@ -14,13 +14,20 @@ constant floor sigma_t^2, so distant coarse features still see each other.
 of stacked geometries, which the E-step adds to its log location term;
 `kernel_matrix` is its exp.  These are the only implementations: a pair's
 kernel is the 1x1 case, and the scalar factor formulas live in the tests as
-oracles.
+oracles.  `squared_distances` is the one pairwise distance routine, shared
+with the E-step.
 
-The axis cosines d_i = theta_i_m . theta_i_n of all pairs are three
-(M, 3) @ (3, N) products.  The four states are the diagonal sign patterns of
-even parity, so their best score is closed-form: sum_i |d_i|, less
-2 min_i |d_i| when an odd number of the d_i is negative.  Memory is a few
-(M, N) arrays, nothing per state or per axis pair.
+The scale and orientation terms are BLAS products of per-feature rows.  With
+lm = log sm and lf = log sn, the log scale factor plus the orientation's -3,
+c = -3 - (lm - lf)^2, has rank 3: [-3 - lm^2, 2 lm, -1] . [1, lf, lf^2].
+The axis cosines are d_i = theta_i_m . theta_i_n.  The four states are the
+diagonal sign patterns of even parity, and they pair up: the better of
+(+++) and (+--) scores d1 + |d2 + d3|, the better of (-+-) and (--+)
+scores -d1 + |d2 - d3|.  So the state max plus c is max(A + |U|, B + |V|)
+with A, B = c +- d1 and U, V = d2 +- d3, four (., 6) @ (6, N) products;
+without states, c + d1 + d2 + d3 is one product over the scale rows and all
+nine frame entries.  Memory is three (M, N) arrays, nothing per state or
+per axis.
 """
 from __future__ import annotations
 
@@ -44,6 +51,36 @@ class KernelParams:
             raise RejectedInputError("kernel sigma_t_sq must be nonnegative")
 
 
+def squared_distances(x_m: np.ndarray, x_f: np.ndarray) -> np.ndarray:
+    """(moving, fixed) squared distances of stacked locations (n, 3), summed
+    one axis at a time as exact differences, with no (M, N, 3) temporary."""
+    dist_sq = np.subtract.outer(x_m[:, 0], x_f[:, 0])
+    dist_sq *= dist_sq
+    axis = np.empty_like(dist_sq)
+    for i in (1, 2):
+        np.subtract.outer(x_m[:, i], x_f[:, i], out=axis)
+        axis *= axis
+        dist_sq += axis
+    return dist_sq
+
+
+def check_finite(*arrays: np.ndarray) -> None:
+    """Reject geometry with a NaN or infinite entry."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise RejectedInputError("feature locations, scales and frames must be finite")
+
+
+def _rows(s: np.ndarray, t: np.ndarray, moving: bool) -> np.ndarray:
+    """Per-feature rows whose products give the scale term and the axis
+    cosines: [scale (3), theta_1 (3), theta_2 (3), theta_3 (3)]."""
+    log_s = np.log(s)
+    if moving:
+        scale = (-3.0 - log_s * log_s, 2.0 * log_s, -np.ones_like(log_s))
+    else:
+        scale = (np.ones_like(log_s), log_s, log_s * log_s)
+    return np.concatenate([np.stack(scale, axis=1), t.transpose(0, 2, 1).reshape(-1, 9)], axis=1)
+
+
 def log_kernel_matrix(
     dist_sq: np.ndarray,
     s_f: np.ndarray,
@@ -56,20 +93,24 @@ def log_kernel_matrix(
     for s in (s_f, s_m):
         if not np.all((s > 0.0) & (s < np.inf)):
             raise RejectedInputError("scales must be positive and finite")
-    log_d = np.log(s_m)[:, None] - np.log(s_f)[None, :]
-    d1, d2, d3 = (t_m[:, :, i] @ t_f[:, :, i].T for i in range(3))
+    rows_m, rows_f = _rows(s_m, t_m, moving=True), _rows(s_f, t_f, moving=False)
+    scratch = None
     if params.use_orientation_states:
-        # a state flips an even number of signs: all |d_i| count, unless an
-        # odd number of d_i is negative and the smallest must count against
-        # (a signed zero is then the smallest and costs nothing)
-        odd = np.signbit(d1) ^ np.signbit(d2) ^ np.signbit(d3)
-        d1, d2, d3 = np.abs(d1), np.abs(d2), np.abs(d3)
-        score = d1 + d2 + d3
-        score -= 2.0 * np.where(odd, np.minimum(np.minimum(d1, d2), d3), 0.0)
+        # the same rows with theta_1 and theta_3 negated give B and V
+        flipped = rows_m * np.repeat([1.0, -1.0, 1.0, -1.0], 3)
+        score = rows_m[:, :6] @ rows_f[:, :6].T
+        scratch = rows_m[:, 6:] @ rows_f[:, 6:].T
+        score += np.abs(scratch, out=scratch)
+        other = flipped[:, :6] @ rows_f[:, :6].T
+        np.matmul(flipped[:, 6:], rows_f[:, 6:].T, out=scratch)
+        other += np.abs(scratch, out=scratch)
+        np.maximum(score, other, out=score)
     else:
-        score = d1 + d2 + d3
-    bandwidth = params.k * s_m[:, None] * s_f[None, :] + params.sigma_t_sq
-    return score - 3.0 - log_d * log_d - dist_sq / bandwidth
+        score = rows_m @ rows_f.T
+    bandwidth = np.multiply.outer(params.k * s_m, s_f, out=scratch)
+    bandwidth += params.sigma_t_sq
+    score -= np.divide(dist_sq, bandwidth, out=bandwidth)
+    return score
 
 
 def kernel_matrix(
@@ -83,6 +124,6 @@ def kernel_matrix(
 ) -> np.ndarray:
     """All-pairs geometry kernel, shaped (moving, fixed), of stacked locations
     (n, 3), scales (n,) and frames (n, 3, 3)."""
-    diff = x_m[:, None, :] - x_f[None, :, :]
-    dist_sq = np.einsum("mnd,mnd->mn", diff, diff)
-    return np.exp(log_kernel_matrix(dist_sq, s_f, t_f, s_m, t_m, params))
+    check_finite(x_f, s_f, t_f, x_m, s_m, t_m)
+    log_k = log_kernel_matrix(squared_distances(x_m, x_f), s_f, t_f, s_m, t_m, params)
+    return np.exp(log_k, out=log_k)

@@ -5,14 +5,17 @@ closed-form similarity solve.  Column n of the probability map P holds
 p(moving m | fixed n): a Gaussian location term at temperature lambda^2,
 multiplied by the geometry kernel, normalized against a uniform background
 whose strength is set by the outlier fraction w.  The E-step adds the two in
-log space and normalizes each column with one log-sum-exp.  The M-step is the
+log space and normalizes each column with one log-sum-exp, taking the
+location term relative to the column's nearest moving feature so that its
+scale 1 / (2 lambda^2) cannot swamp the kernel.  The M-step is the
 weighted Procrustes/Umeyama solve `transforms.fit_similarity`, which reads P
 only through its sums P1, P^T 1 and P^T m and also re-estimates lambda^2, so
 the temperature anneals as correspondences sharpen.
 
 Since each column is normalized on its own, the loop never holds the whole
 P: it runs the E-step over blocks of fixed columns, about
-`_ESTEP_BLOCK_PAIRS` pairs each, and adds each block into the three sums.
+`_ESTEP_BLOCK_PAIRS` pairs each, and adds each block into the three sums,
+scaling by the block's column normalizers instead of normalizing the block.
 EM memory is therefore one block's temporaries plus O(M + N).
 
 Variants: "cpd" drops the kernel (constant 1); "sift_cpd" keeps it;
@@ -35,7 +38,7 @@ from .errors import (
     DegenerateGeometryError,
     RejectedInputError,
 )
-from .kernels import KernelParams, log_kernel_matrix
+from .kernels import KernelParams, check_finite, log_kernel_matrix, squared_distances
 from .matching import HoughParams, HoughResult, hough_init, match_features
 from .transforms import SimilarityTransform, fit_similarity
 
@@ -43,7 +46,7 @@ log = logging.getLogger(__name__)
 
 VARIANTS = ("cpd", "sift_cpd", "sift_cpd_star", "icp")
 REL_TOL = 1e-6
-# (moving, fixed) pairs in one E-step block: about 14 MiB of temporaries
+# (moving, fixed) pairs in one E-step block: about 5.5 MiB of temporaries
 _ESTEP_BLOCK_PAIRS = 1 << 17
 
 
@@ -63,8 +66,8 @@ class RegistrationConfig:
             raise RejectedInputError(f"outlier fraction w must be in [0, 1), got {self.w}")
         if self.max_iterations < 1:
             raise RejectedInputError("max_iterations must be positive")
-        if not self.lambda_sq_floor > 0.0:
-            raise RejectedInputError("lambda_sq_floor must be positive")
+        if not self.lambda_sq_floor >= np.finfo(float).tiny:
+            raise RejectedInputError("lambda_sq_floor must be a positive normal float")
 
 
 @dataclass(eq=False)
@@ -88,6 +91,54 @@ def init_lambda_sq(fixed_points: np.ndarray, moving_points: np.ndarray) -> float
     return float(f.var(axis=0).sum() + m.var(axis=0).sum() + gap @ gap) / 3.0
 
 
+def _check_estep(fixed, moved, lambda_sq: float) -> float:
+    """Validate an E-step's inputs; return the log volume 1.5 log(2 pi lambda^2)."""
+    # from the smallest normal float up, 1 / (2 lambda^2) is finite
+    if not lambda_sq >= np.finfo(float).tiny:
+        raise RejectedInputError(f"lambda_sq must be a positive normal float, got {lambda_sq}")
+    check_finite(*fixed, *moved)
+    with np.errstate(over="ignore"):
+        log_volume = 1.5 * np.log(2.0 * np.pi * lambda_sq)
+    if not np.isfinite(log_volume):
+        raise RejectedInputError(f"lambda_sq {lambda_sq} is too large: 2 pi lambda_sq overflows")
+    return log_volume
+
+
+def _unnormalized(fixed, moved, lambda_sq, log_volume, config, total_fixed):
+    """A block's E-step before normalization: p = exp(log_num - shift) per
+    column, inv = 1 / (column sum of p + background), and the column sums of
+    the normalized block p * inv.
+
+    Each column's location term is taken relative to its nearest moving
+    feature, and that offset moves into the column's background log eta, so
+    at vanishing lambda^2 the nearest features keep their kernel ratios.
+    """
+    (x_f, s_f, t_f), (x_m, s_m, t_m) = fixed, moved
+    dist_sq = squared_distances(x_m, x_f)
+    log_k = None
+    if config.variant != "cpd":
+        log_k = log_kernel_matrix(dist_sq, s_f, t_f, s_m, t_m, config.kernel)
+    d_min = dist_sq.min(axis=0)
+    dist_sq -= d_min
+    with np.errstate(over="ignore", divide="ignore"):
+        # far pairs may reach -inf, and a w > 0 background +inf
+        dist_sq /= -2.0 * lambda_sq
+        log_w = np.log(config.w / (1.0 - config.w))  # -inf: no background for w = 0
+        log_eta = log_volume + log_w + np.log(x_m.shape[0] / total_fixed)
+        if config.w > 0.0:  # w = 0 keeps -inf, which must not meet +inf
+            log_eta = log_eta + d_min / (2.0 * lambda_sq)
+    log_num = dist_sq if log_k is None else np.add(log_k, dist_sq, out=log_k)
+    # column log-sum-exp shifted by its largest term, background included;
+    # a +inf background takes the whole column
+    top = log_num.max(axis=0)
+    log_num -= np.maximum(top, log_eta)
+    p = np.exp(log_num, out=log_num)
+    col = p.sum(axis=0)
+    inv = 1.0 / (col + np.exp(np.minimum(log_eta - top, 0.0)))
+    col *= inv
+    return p, inv, col
+
+
 def e_step(
     x_f: np.ndarray,
     s_f: np.ndarray,
@@ -108,27 +159,16 @@ def e_step(
     size total_fixed (default: this block's) sets log eta, so the block's
     columns equal those of the whole P.
     """
-    if not lambda_sq > 0.0:
-        raise RejectedInputError(f"lambda_sq must be positive, got {lambda_sq}")
-    if not all(np.isfinite(a).all() for a in (x_f, s_f, t_f, x_m, s_m, t_m)):
-        raise RejectedInputError("feature locations, scales and frames must be finite")
-    with np.errstate(over="ignore"):
-        log_volume = 1.5 * np.log(2.0 * np.pi * lambda_sq)
-    if not np.isfinite(log_volume):
-        raise RejectedInputError(f"lambda_sq {lambda_sq} is too large: 2 pi lambda_sq overflows")
-    m, n = x_m.shape[0], total_fixed or x_f.shape[0]
-    diff = x_m[:, None, :] - x_f[None, :, :]
-    dist_sq = np.einsum("mnd,mnd->mn", diff, diff)
-    log_num = -dist_sq / (2.0 * lambda_sq)
-    if config.variant != "cpd":
-        log_num += log_kernel_matrix(dist_sq, s_f, t_f, s_m, t_m, config.kernel)
-    with np.errstate(divide="ignore"):  # log 0 = -inf: no background for w = 0
-        log_w = np.log(config.w / (1.0 - config.w))
-    log_eta = log_volume + log_w + np.log(m / n)
-    # column log-sum-exp shifted by its largest term, background included
-    shift = np.maximum(log_num.max(axis=0), log_eta)
-    p = np.exp(log_num - shift)
-    p /= p.sum(axis=0) + np.exp(log_eta - shift)
+    fixed, moved = (x_f, s_f, t_f), (x_m, s_m, t_m)
+    log_volume = _check_estep(fixed, moved, lambda_sq)
+    if total_fixed is None:
+        total_fixed = x_f.shape[0]
+    elif not total_fixed >= x_f.shape[0]:
+        raise RejectedInputError(
+            f"total_fixed {total_fixed} is smaller than the block's {x_f.shape[0]} columns"
+        )
+    p, inv, _ = _unnormalized(fixed, moved, lambda_sq, log_volume, config, total_fixed)
+    p *= inv
     return p
 
 
@@ -138,18 +178,20 @@ def _posterior_sums(fixed, moved, x_m, lambda_sq, config):
 
     fixed and moved are the (locations, scales, frames) of the fixed set and
     of the moving set under the current transform; x_m are the moving
-    locations the M-step fits.
+    locations the M-step fits.  Each block's column normalizers scale its
+    sums, so no block is normalized itself.
     """
-    x_f, s_f, t_f = fixed
-    n, m = x_f.shape[0], x_m.shape[0]
+    log_volume = _check_estep(fixed, moved, lambda_sq)
+    n, m = fixed[0].shape[0], x_m.shape[0]
     col, row, pm = np.empty(n), np.zeros(m), np.empty((n, 3))
     step = max(1, _ESTEP_BLOCK_PAIRS // m)
     for lo in range(0, n, step):
         block = slice(lo, lo + step)
-        p = e_step(x_f[block], s_f[block], t_f[block], *moved, lambda_sq, config, total_fixed=n)
-        col[block] = p.sum(axis=0)
-        row += p.sum(axis=1)
-        pm[block] = p.T @ x_m
+        p, inv, col[block] = _unnormalized(
+            tuple(a[block] for a in fixed), moved, lambda_sq, log_volume, config, n
+        )
+        row += p @ inv
+        pm[block] = (p.T @ x_m) * inv[:, None]
     return col, row, pm
 
 

@@ -179,6 +179,18 @@ def test_parameter_validation():
     assert _pair(params=params) == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", range(6))
+def test_kernel_matrix_rejects_non_finite_geometry(bad, which):
+    # a NaN location gave a NaN kernel, an inf frame entry a kernel above 1
+    rng = np.random.default_rng(13)
+    geoms = geometry_arrays([_random_geometry(rng) for _ in range(3)])
+    args = [a.copy() for a in geoms * 2]
+    args[which].flat[1] = bad
+    with pytest.raises(RejectedInputError):
+        kernel_matrix(*args, KernelParams())
+
+
 @settings(max_examples=200)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -27,6 +27,7 @@ from volkey.frames import Frame
 from volkey.kernels import kernel_matrix
 from volkey.keypoints import Keypoint
 from volkey.registration import (
+    _ESTEP_BLOCK_PAIRS,
     RegistrationConfig,
     _posterior_sums,
     e_step,
@@ -159,6 +160,9 @@ def _e_step_linear(x_f, s_f, t_f, x_m, s_m, t_m, lambda_sq, config):
     w=st.sampled_from([0.0, 1e-4, 0.3, 0.9]),
     variant=st.sampled_from(["cpd", "sift_cpd"]),
 )
+# equidistant nearest moving features, which must split by their kernels
+@example(seed=18, n_fixed=2, n_moving=2, w=0.0, variant="sift_cpd")
+@example(seed=14, n_fixed=8, n_moving=8, w=0.0, variant="sift_cpd")
 def test_e_step_at_vanishing_variance_matches_linear_oracle(seed, n_fixed, n_moving, w, variant):
     # distinct points on a 1 mm grid: every distance is at least 1 mm, so at
     # lambda^2 = 1e-300 the linear-space eta underflows while log eta does not
@@ -187,10 +191,36 @@ def test_e_step_rejects_bad_variance(phantom_features):
         e_step(*geometry, *geometry, 0.0, cfg)
     with pytest.raises(RejectedInputError):
         e_step(*geometry, *geometry, -1.0, cfg)
-    # NaN, inf and 1e308, where 2 pi lambda^2 overflows, would give NaN columns
-    for lambda_sq in (np.nan, np.inf, 1e308):
+    # NaN, inf, 1e308, where 2 pi lambda^2 overflows, and the subnormal
+    # 5e-324, where 1 / (2 lambda^2) does, would give NaN columns
+    for lambda_sq in (np.nan, np.inf, 1e308, 5e-324):
         with pytest.raises(RejectedInputError):
             e_step(*geometry, *geometry, lambda_sq, cfg)
+
+
+@pytest.mark.parametrize("variant", ["cpd", "sift_cpd"])
+@pytest.mark.parametrize("w, expected", [(0.0, [[1.0], [0.0]]), (0.3, [[0.0], [0.0]])])
+def test_e_step_at_the_smallest_normal_variance(variant, w, expected):
+    # 100 and 120 mm away at lambda^2 = tiny: every location term overflows,
+    # so the nearest feature takes a w = 0 column and the background a w > 0 one
+    fixed = Geometry(x=np.zeros(3), sigma=2.0, theta=np.eye(3))
+    near, far = (
+        Geometry(x=np.array([d, 0.0, 0.0]), sigma=2.0, theta=np.eye(3)) for d in (100.0, 120.0)
+    )
+    cfg = RegistrationConfig(variant=variant, w=w)
+    lambda_sq = np.finfo(float).tiny
+    p = e_step(*geometry_arrays([fixed]), *geometry_arrays([near, far]), lambda_sq, cfg)
+    np.testing.assert_array_equal(p, expected)
+
+
+@pytest.mark.parametrize("total_fixed", [-5, 0, 2])
+def test_e_step_rejects_a_total_below_the_block(total_fixed):
+    rng = np.random.default_rng(40)
+    fixed = _random_geometry_arrays(rng, 4)
+    moving = _random_geometry_arrays(rng, 3)
+    with pytest.raises(RejectedInputError):
+        e_step(*fixed, *moving, 5.0, RegistrationConfig(), total_fixed=total_fixed)
+    assert e_step(*fixed, *moving, 5.0, RegistrationConfig(), total_fixed=4).shape == (3, 4)
 
 
 @pytest.mark.parametrize("variant", ["cpd", "sift_cpd"])
@@ -247,6 +277,22 @@ def test_em_sums_memory_is_bounded_per_block():
         tracemalloc.stop()
     assert np.all(col > 0.0) and np.all(row > 0.0)
     assert peak < 64 * 2**20
+
+
+def test_em_sums_allocate_under_64_bytes_per_block_pair():
+    # 1000 moving features: blocks of 131 fixed columns, 131,000 pairs each
+    rng = np.random.default_rng(41)
+    fixed = _random_geometry_arrays(rng, 1000, span=128.0)
+    moving = _random_geometry_arrays(rng, 1000, span=128.0)
+    block_pairs = (_ESTEP_BLOCK_PAIRS // 1000) * 1000
+    tracemalloc.start()
+    try:
+        col, row, pm = _posterior_sums(fixed, moving, moving[0], 100.0, RegistrationConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(col > 0.0) and np.all(row > 0.0)
+    assert peak <= 64 * block_pairs
 
 
 def test_solve_rigid_identity_and_known_transform():
@@ -472,5 +518,8 @@ def test_registration_config_validation():
         RegistrationConfig(w=1.0)
     with pytest.raises(RejectedInputError):
         RegistrationConfig(max_iterations=0)
-    with pytest.raises(RejectedInputError):
-        RegistrationConfig(lambda_sq_floor=0.0)
+    # below the smallest normal float, 1 / (2 lambda^2) overflows
+    for floor in (0.0, 5e-324, np.finfo(float).tiny / 2.0):
+        with pytest.raises(RejectedInputError):
+            RegistrationConfig(lambda_sq_floor=floor)
+    RegistrationConfig(lambda_sq_floor=np.finfo(float).tiny)
