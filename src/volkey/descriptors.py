@@ -8,6 +8,10 @@ direction bins.  The winning direction maximizes the projection of the local
 gradient onto s * phi over the eight diagonals phi, where s is the keypoint's
 contrast sign, so negating the image and flipping s leaves every bin
 unchanged.  Bin magnitudes are rank-order normalized before matching.
+
+The four states' lattices are one point set: a state flips frame axes, which
+mirrors the symmetric lattice along them.  Extraction samples it once per
+keypoint and bins each state's rows in that state's own order.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ import numpy as np
 
 from .errors import AmbiguousFrameError, NoOrientationError, RejectedInputError
 from .frames import (
+    STATE_SIGNS,
     Frame,
     enumerate_states,
     estimate_frame_max_gradient,
@@ -46,6 +51,11 @@ _WEIGHT = np.exp(-0.5 * (_LATTICE**2).sum(axis=1))
 
 # state k relabels octant and direction indices by XOR with these masks
 STATE_BIN_MASKS = (0, 6, 5, 3)
+# state k's lattice rows among the base frame's: its flipped axes run backwards
+_STATE_ROWS = [
+    np.arange(512).reshape(8, 8, 8)[::sx, ::sy, ::sz].reshape(-1)
+    for sx, sy, sz in np.diagonal(STATE_SIGNS, axis1=1, axis2=2).astype(int)
+]
 
 
 @dataclass(eq=False)
@@ -70,16 +80,37 @@ def rank_normalize_bins(bins: np.ndarray) -> np.ndarray:
     return ranked
 
 
-def compute_descriptor(ss: ScaleSpace, kp: Keypoint, frame: Frame) -> Descriptor:
-    """Descriptor of one keypoint under one orientation frame."""
-    points = kp.x + kp.sigma * (_LATTICE @ frame.matrix.T)
-    grads = _sample_gradients(ss, points, kp.sigma)
+def _lattice_points(kp: Keypoint, frame: Frame) -> np.ndarray:
+    return kp.x + kp.sigma * (_LATTICE @ frame.matrix.T)
+
+
+def _binned(kp: Keypoint, frame: Frame, grads: np.ndarray) -> Descriptor:
+    """Descriptor from the gradients (512, 3) at the frame's lattice points."""
     local = kp.sigma * (grads @ frame.matrix)
     proj = (local @ DIRECTIONS.T) * kp.sign
     winner = np.argmax(proj, axis=1)
     value = np.abs(proj[np.arange(proj.shape[0]), winner])
     bins = np.bincount(_OCTANT * 8 + winner, _WEIGHT * value, NUM_BINS)
     return Descriptor(bins=bins, ranked=rank_normalize_bins(bins))
+
+
+def compute_descriptor(ss: ScaleSpace, kp: Keypoint, frame: Frame) -> Descriptor:
+    """Descriptor of one keypoint under one orientation frame."""
+    return _binned(kp, frame, _sample_gradients(ss, _lattice_points(kp, frame), kp.sigma))
+
+
+def compute_state_descriptors(ss: ScaleSpace, kp: Keypoint, base: Frame) -> list[Descriptor]:
+    """The descriptors of the four states of base, state 0 first, from one
+    sample of base's lattice.
+
+    State k flips some frame axes, which mirrors the lattice along them: its
+    points are base's, exactly, in the order of the index grid (8, 8, 8)
+    read backwards along each flipped axis.  Each state bins its own gradient
+    rows in its own order, so the result equals compute_descriptor's for
+    every state, bit for bit.
+    """
+    grads = _sample_gradients(ss, _lattice_points(kp, base), kp.sigma)
+    return [_binned(kp, s.frame, grads[_STATE_ROWS[s.index]]) for s in enumerate_states(base)]
 
 
 @dataclass(eq=False)
@@ -162,9 +193,7 @@ def extract_features_with_stats(
         except AmbiguousFrameError:
             stats.dropped_ambiguous += 1
             continue
-        descriptors = [
-            compute_descriptor(ss, kp, state.frame) for state in enumerate_states(base)
-        ]
+        descriptors = compute_state_descriptors(ss, kp, base)
         features.append(
             Feature(keypoint=kp, frame=base, descriptors=descriptors, border=kp.border)
         )

@@ -53,12 +53,19 @@ class KernelParams:
 
 def squared_distances(x_m: np.ndarray, x_f: np.ndarray) -> np.ndarray:
     """(moving, fixed) squared distances of stacked locations (n, 3), summed
-    one axis at a time as exact differences, with no (M, N, 3) temporary."""
-    dist_sq = np.subtract.outer(x_m[:, 0], x_f[:, 0])
+    one axis at a time, with no (M, N, 3) temporary.
+
+    Each axis's differences are the product [x_m, -1] @ [1, x_f]: its two
+    terms are exact, so the one rounding of their sum gives x_m - x_f exactly,
+    at BLAS speed.
+    """
+    rows = np.stack([x_m.T, np.full(x_m.T.shape, -1.0)], axis=-1)  # (3, M, 2)
+    cols = np.stack([np.ones(x_f.T.shape), x_f.T], axis=1)  # (3, 2, N)
+    dist_sq = rows[0] @ cols[0]
     dist_sq *= dist_sq
     axis = np.empty_like(dist_sq)
     for i in (1, 2):
-        np.subtract.outer(x_m[:, i], x_f[:, i], out=axis)
+        np.matmul(rows[i], cols[i], out=axis)
         axis *= axis
         dist_sq += axis
     return dist_sq

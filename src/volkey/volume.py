@@ -17,7 +17,8 @@ Conventions used throughout:
   differences scaled by ``sqrt(k)/(k - 1)`` with ``k = 2**(1/3)``, attributed
   to the geometric mean of the two level sigmas
 - the scale space stores only its levels: the DoG is computed when it is
-  read, and gradients are differenced at the trilinear sample corners
+  read, and gradients are differenced at the trilinear sample corners,
+  from one flat gather of level values per axis
 - grids are resampled by scipy's order-1 `ndimage.affine_transform`, which
   computes each output voxel's source coordinate on the fly: `to_isotropic`
   clamps to the edge values, `resample` writes 0 outside [0, n-1] on any axis
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -76,30 +76,6 @@ class ScalarVolume:
     @property
     def world_max(self) -> np.ndarray:
         return self.world_min + (np.asarray(self.dims) - 1) * np.asarray(self.spacing)
-
-
-def _trilinear(value, shape: tuple[int, ...], coords: np.ndarray) -> np.ndarray:
-    """Trilinear blend of value(ix, iy, iz) at the 8 grid corners around the
-    voxel coordinates `coords` (..., 3), clamped to the grid."""
-    c = np.asarray(coords, dtype=float)
-    n = np.asarray(shape)
-    cc = np.clip(c, 0.0, n - 1)
-    i0 = np.maximum(np.minimum(np.floor(cc).astype(np.intp), n - 2), 0)
-    f = cc - i0
-    x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
-    x1, y1, z1 = np.minimum(x0 + 1, n[0] - 1), np.minimum(y0 + 1, n[1] - 1), np.minimum(z0 + 1, n[2] - 1)
-    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
-    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
-    return (
-        value(x0, y0, z0) * gx * gy * gz
-        + value(x1, y0, z0) * fx * gy * gz
-        + value(x0, y1, z0) * gx * fy * gz
-        + value(x0, y0, z1) * gx * gy * fz
-        + value(x1, y1, z0) * fx * fy * gz
-        + value(x1, y0, z1) * fx * gy * fz
-        + value(x0, y1, z1) * gx * fy * fz
-        + value(x1, y1, z1) * fx * fy * fz
-    )
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
@@ -254,20 +230,56 @@ def _sample_gradients(ss: ScaleSpace, points: np.ndarray, sigma: float) -> np.nd
     """Gradients (per mm) at world points (..., 3) in mm, on the level nearest
     sigma; points outside the level take the clamped edge values.  The one
     scale-space sampler: frames and descriptors both read through it.
+
+    Each component is np.gradient's difference (central inside, one-sided on
+    the faces) blended trilinearly over the 8 voxel corners around a point.
+    Along axis a the two corners' differences need the indices i0 - 1 .. i0 + 2
+    (clamped), so one flat gather of (4, 2, 2, K) values per axis serves all
+    8 corners: 4 along a times the 2 corners of each other axis.  Corners are
+    weighted as ((d wx) wy) wz and summed in a fixed order; the result is
+    C-contiguous, as the callers' reductions over points expect.
     """
+    pts = np.asarray(points, dtype=float)
+    if not np.isfinite(pts).all():
+        raise RejectedInputError("sample points must be finite")
     o, i = _nearest_level(ss, sigma)
     octave = ss.octaves[o]
     level, h = octave.data[i], octave.spacing
-
-    def difference(axis, *index):
-        # np.gradient's difference at a corner: central inside, one-sided on the faces
-        lo, hi = list(index), list(index)
-        lo[axis] = np.maximum(index[axis] - 1, 0)
-        hi[axis] = np.minimum(index[axis] + 1, level.shape[axis] - 1)
-        return (level[tuple(hi)] - level[tuple(lo)]) / ((hi[axis] - lo[axis]) * h)
-
-    v = (np.asarray(points, dtype=float) - octave.origin) / h
-    return np.stack([_trilinear(partial(difference, a), level.shape, v) for a in range(3)], axis=-1)
+    flat = level.reshape(-1)
+    n = np.asarray(level.shape)[:, None]
+    strides = (level.shape[1] * level.shape[2], level.shape[2], 1)
+    # voxel coordinates (3, K); i0 stays in [0, n - 2], so the upper corner is i0 + 1
+    v = np.subtract(pts.reshape(-1, 3).T, octave.origin[:, None], order="C")
+    v /= h
+    np.clip(v, 0.0, n - 1, out=v)
+    i0 = np.maximum(np.minimum(np.floor(v).astype(np.intp), n - 2), 0)
+    # per axis (2, K): the lower and the upper corner's weight
+    weights = np.empty((3, 2, v.shape[1]))
+    np.subtract(v, i0, out=weights[:, 1])
+    np.subtract(1.0, weights[:, 1], out=weights[:, 0])
+    base = i0[0] * strides[0] + i0[1] * strides[1] + i0[2] * strides[2]
+    out = np.empty((v.shape[1], 3))
+    for a in range(3):
+        b, c = (x for x in range(3) if x != a)
+        idx = np.add.outer(np.arange(-1, 3), i0[a])  # (4, K)
+        np.maximum(idx[0], 0, out=idx[0])
+        np.minimum(idx[3], level.shape[a] - 1, out=idx[3])
+        start = base + (idx - i0[a]) * strides[a]
+        across = np.add.outer(np.arange(2) * strides[b], np.arange(2) * strides[c])[:, :, None]
+        # corners (a, b, c) of the differences (hi - lo) / ((hi - lo index) h)
+        d = np.take(flat, start[2:, None, None] + across)
+        d -= np.take(flat, start[:2, None, None] + across)
+        d /= ((idx[2:] - idx[:2]) * h)[:, None, None]
+        # the blend's factors are applied in x, y, z order whatever the axis
+        d = np.moveaxis(d, (0, 1, 2), (a, b, c))
+        d *= weights[0][:, None, None]
+        d *= weights[1][None, :, None]
+        d *= weights[2][None, None, :]
+        out[:, a] = (
+            d[0, 0, 0] + d[1, 0, 0] + d[0, 1, 0] + d[0, 0, 1]
+            + d[1, 1, 0] + d[1, 0, 1] + d[0, 1, 1] + d[1, 1, 1]
+        )
+    return out.reshape(pts.shape)
 
 
 def resample(volume: ScalarVolume, t: SimilarityTransform) -> ScalarVolume:

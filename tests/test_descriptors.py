@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import EXTRACTION, negated, volume_center
 from volkey.descriptors import (
@@ -10,12 +12,13 @@ from volkey.descriptors import (
     STATE_BIN_MASKS,
     ExtractionConfig,
     compute_descriptor,
+    compute_state_descriptors,
     extract_features,
     extract_features_with_stats,
     rank_normalize_bins,
 )
 from volkey.errors import RejectedInputError
-from volkey.frames import Frame
+from volkey.frames import Frame, enumerate_states
 from volkey.keypoints import Keypoint
 from volkey.matching import match_features
 from volkey.synth import random_similarity
@@ -108,6 +111,58 @@ def test_state_descriptors_permute_state_zero_bins(phantom_features):
             octants, dirs = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
             relabeled = b0[octants ^ mask, dirs ^ mask]
             assert np.linalg.norm(bk - relabeled) <= 1e-12 * np.linalg.norm(b0)
+
+
+@pytest.fixture(scope="module")
+def small_scale_space():
+    # 20 x 18 x 22 voxels at 1.5 mm, two octaves: sigma 1.6 .. 10.2
+    data = np.random.default_rng(23).random((20, 18, 22))
+    volume = ScalarVolume(data.shape, (1.5, 1.5, 1.5), (-6.0, 3.0, 10.5), data)
+    return build_scale_space(volume, num_octaves=2)
+
+
+@settings(max_examples=80)
+@given(
+    corner=st.tuples(*(st.floats(-1.0, 1.0) for _ in range(3))),
+    log_sigma=st.floats(np.log(1.6), np.log(6.4)),
+    sign=st.sampled_from([-1, 1]),
+    seed=st.integers(0, 2**16),
+    axis_aligned=st.booleans(),
+)
+# lattice points past two faces at once, and an axis-aligned frame with exact zeros
+@example(corner=(-1.0, 1.0, 0.0), log_sigma=np.log(6.4), sign=1, seed=0, axis_aligned=True)
+def test_state_descriptors_equal_per_state_descriptors(
+    small_scale_space, corner, log_sigma, sign, seed, axis_aligned
+):
+    # keypoints anywhere from 12 mm beyond one face of the volume to 12 mm beyond
+    # the other, so that part or all of the lattice clamps to the level faces
+    octave = small_scale_space.octaves[0]
+    half = octave.spacing * (np.array(octave.data.shape[1:]) - 1) / 2.0
+    x = octave.origin + half + np.asarray(corner) * (half + 12.0)
+    rng = np.random.default_rng(seed)
+    if axis_aligned:
+        q = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], 3)
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q[:, 2] *= np.linalg.det(q)
+    kp = Keypoint(x=x, sigma=float(np.exp(log_sigma)), sign=sign, response=1.0)
+    got = compute_state_descriptors(small_scale_space, kp, Frame(q))
+    want = [compute_descriptor(small_scale_space, kp, s.frame) for s in enumerate_states(Frame(q))]
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert g.bins.tobytes() == w.bins.tobytes()
+        assert g.ranked.tobytes() == w.ranked.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_descriptors_reject_non_finite_frames(small_scale_space, bad):
+    kp = Keypoint(x=np.array([8.0, 16.0, 26.0]), sigma=2.0, sign=1, response=1.0)
+    matrix = np.eye(3)
+    matrix[1, 2] = bad
+    with pytest.raises(RejectedInputError):
+        compute_descriptor(small_scale_space, kp, Frame(matrix))
+    with pytest.raises(RejectedInputError):
+        compute_state_descriptors(small_scale_space, kp, Frame(matrix))
 
 
 def test_ranks_stable_under_similarity_transform(phantom, phantom_features):

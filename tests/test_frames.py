@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import EXTRACTION, gaussian_blob, negated
 from volkey.descriptors import extract_features
-from volkey.errors import AmbiguousFrameError, NoOrientationError
+from volkey.errors import AmbiguousFrameError, NoOrientationError, RejectedInputError
 from volkey.frames import (
     STATE_SIGNS,
     Frame,
@@ -167,6 +167,16 @@ def test_constant_volume_has_no_orientation():
         estimate_frame_max_gradient(ss, kp)
     with pytest.raises(NoOrientationError):
         estimate_frame_structure_tensor(ss, kp)
+
+
+@pytest.mark.parametrize("estimate", [estimate_frame_max_gradient, estimate_frame_structure_tensor])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimators_reject_non_finite_keypoints(estimate, bad):
+    _, ss, kp = _aniso_setup()
+    x = kp.x.copy()
+    x[1] = bad
+    with pytest.raises(RejectedInputError):
+        estimate(ss, Keypoint(x=x, sigma=kp.sigma, sign=kp.sign, response=kp.response))
 
 
 def test_enumerate_states_signs_and_handedness():

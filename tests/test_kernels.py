@@ -24,7 +24,7 @@ from conftest import (
 from volkey.config import load_config
 from volkey.errors import RejectedInputError
 from volkey.frames import STATE_SIGNS
-from volkey.kernels import KernelParams, kernel_matrix, log_kernel_matrix
+from volkey.kernels import KernelParams, kernel_matrix, log_kernel_matrix, squared_distances
 from volkey.transforms import matrix_from_rotvec, rotation_z
 
 
@@ -220,3 +220,25 @@ def test_closed_form_state_score_equals_the_state_max(seed, n_fixed, n_moving, s
     np.testing.assert_allclose(
         log_k + 3.0, orientation_scores(t_f, t_m, states), rtol=0.0, atol=1e-12
     )
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_moving=st.integers(0, 40),
+    n_fixed=st.integers(0, 40),
+    scale=st.sampled_from([1e-3, 1.0, 128.0, 1e6]),
+)
+def test_squared_distances_equal_exact_differences(seed, n_moving, n_fixed, scale):
+    # locations of mixed sign and magnitude, some shared between the sets
+    # (exactly zero differences) and some one ulp apart
+    rng = np.random.default_rng(seed)
+    x_m = rng.uniform(-scale, scale, (n_moving, 3))
+    x_f = rng.uniform(-scale, scale, (n_fixed, 3))
+    shared = min(n_moving, n_fixed) // 2
+    x_f[:shared] = x_m[:shared]
+    x_f[shared : 2 * shared] = np.nextafter(x_m[:shared], np.inf)
+    want = sum(np.subtract.outer(x_m[:, i], x_f[:, i]) ** 2 for i in range(3))
+    got = squared_distances(x_m, x_f)
+    assert got.shape == (n_moving, n_fixed)
+    assert got.tobytes() == np.asarray(want, dtype=float).reshape(n_moving, n_fixed).tobytes()

@@ -13,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_blob, volume_center
+from conftest import EXTRACTION, gaussian_blob, volume_center
+from volkey import descriptors, frames
 from volkey.errors import RejectedInputError
+from volkey.io import write_features
 from volkey.synth import random_similarity
 from volkey.transforms import SimilarityTransform
 from volkey.volume import (
     ScalarVolume,
+    _nearest_level,
     _sample_gradients,
-    _trilinear,
     build_scale_space,
     gaussian_blur,
     gaussian_kernel1d,
@@ -32,6 +34,31 @@ from volkey.volume import (
 def _random_volume(seed, dims=(16, 16, 16)):
     rng = np.random.default_rng(seed)
     return ScalarVolume(dims=dims, spacing=(1, 1, 1), origin=(0, 0, 0), data=rng.random(dims))
+
+
+def _trilinear(value, shape, coords):
+    """Trilinear blend of value(ix, iy, iz) at the 8 grid corners around the
+    voxel coordinates `coords` (..., 3), clamped to the grid, as one sum over
+    the corners in a fixed order: the scalar-corner form of the sampler."""
+    c = np.asarray(coords, dtype=float)
+    n = np.asarray(shape)
+    cc = np.clip(c, 0.0, n - 1)
+    i0 = np.maximum(np.minimum(np.floor(cc).astype(np.intp), n - 2), 0)
+    f = cc - i0
+    x0, y0, z0 = i0[..., 0], i0[..., 1], i0[..., 2]
+    x1, y1, z1 = np.minimum(x0 + 1, n[0] - 1), np.minimum(y0 + 1, n[1] - 1), np.minimum(z0 + 1, n[2] - 1)
+    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+    return (
+        value(x0, y0, z0) * gx * gy * gz
+        + value(x1, y0, z0) * fx * gy * gz
+        + value(x0, y1, z0) * gx * fy * gz
+        + value(x0, y0, z1) * gx * gy * fz
+        + value(x1, y1, z0) * fx * fy * gz
+        + value(x1, y0, z1) * fx * gy * fz
+        + value(x0, y1, z1) * gx * fy * fz
+        + value(x1, y1, z1) * fx * fy * fz
+    )
 
 
 def _sample(data, coords, fill=False):
@@ -199,7 +226,55 @@ def test_sampled_gradients_equal_np_gradient_oracle(coarse_scale_space, data, i)
     vox = (points - octave.origin) / octave.spacing
     want = np.stack([_sample(g, vox) for g in np.gradient(level, octave.spacing)], axis=-1)
     assert got.shape == want.shape
+    # callers sum over points along axis 0; another layout would sum in another order
+    assert got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
+
+
+def _oracle_sampler():
+    """_sample_gradients as np.gradient of the whole level, sampled by the
+    scalar-corner blend; each level's gradient is taken once per sampler."""
+    gradients = {}
+
+    def sample(ss, points, sigma):
+        o, i = _nearest_level(ss, sigma)
+        octave = ss.octaves[o]
+        if (o, i) not in gradients:
+            gradients[o, i] = np.gradient(octave.data[i], octave.spacing)
+        vox = (np.asarray(points, dtype=float) - octave.origin) / octave.spacing
+        return np.stack([_sample(g, vox) for g in gradients[o, i]], axis=-1)
+
+    return sample
+
+
+def test_extracted_feature_bytes_equal_the_oracle_pipeline(
+    phantom, phantom_features, monkeypatch, tmp_path
+):
+    assert len(phantom_features) > 20
+    real = tmp_path / "real.feat"
+    write_features(real, phantom_features, config=EXTRACTION)
+    # frames and descriptors through the oracle sampler, each state sampled on its own
+    sample = _oracle_sampler()
+    monkeypatch.setattr(frames, "_sample_gradients", sample)
+    monkeypatch.setattr(descriptors, "_sample_gradients", sample)
+    monkeypatch.setattr(
+        descriptors,
+        "compute_state_descriptors",
+        lambda ss, kp, base: [
+            descriptors.compute_descriptor(ss, kp, s.frame) for s in frames.enumerate_states(base)
+        ],
+    )
+    oracle = tmp_path / "oracle.feat"
+    write_features(oracle, descriptors.extract_features(phantom, EXTRACTION), config=EXTRACTION)
+    assert real.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gradient_sampling_rejects_non_finite_points(coarse_scale_space, bad):
+    points = np.full((2, 5, 3), 12.0)
+    points[1, 3, 2] = bad
+    with pytest.raises(RejectedInputError):
+        _sample_gradients(coarse_scale_space, points, 2.0)
 
 
 def test_gradient_sampling_allocates_less_than_a_level():
