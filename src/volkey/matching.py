@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import Feature, feature_geometry
+from .descriptors import NUM_BINS, Feature, feature_geometry
 from .errors import DegenerateGeometryError, InitializationFailureError, RejectedInputError
 from .frames import STATE_SIGNS
 from .transforms import (
@@ -39,7 +39,7 @@ MATCH_DTYPE = np.dtype(
     ]
 )
 
-# bytes of float64 distances per block of fixed rows: matching never holds
+# bytes of float32 distances per block of fixed rows: matching never holds
 # the whole (N, 4M) table
 _BLOCK_BYTES = 8 << 20
 
@@ -73,20 +73,25 @@ def match_features(fixed: list[Feature], moving: list[Feature]) -> np.recarray:
     """Nearest ranked descriptor over all moving features and states."""
     if not fixed or not moving:
         raise RejectedInputError("both feature lists must be nonempty")
-    ranks_f = np.array([f.descriptors[0].ranked for f in fixed], dtype=np.float64)
+    ranks_f = np.array([f.descriptors[0].ranked for f in fixed])
     # row m * nstates + state
-    flat = np.array([d.ranked for f in moving for d in f.descriptors], dtype=np.float64)
+    flat = np.array([d.ranked for f in moving for d in f.descriptors])
+    if min(ranks_f.min(), flat.min()) < 0 or max(ranks_f.max(), flat.max()) >= NUM_BINS:
+        raise RejectedInputError(f"descriptor ranks must lie in 0..{NUM_BINS - 1}")
+    ranks_f, flat = ranks_f.astype(np.float32), flat.astype(np.float32)
     nstates = len(flat) // len(moving)
-    # over integer ranks |b|^2 - 2 a.b is exact in float64 and orders the rows
-    # of b as |a - b|^2 does, so the first minimum is the lowest (moving, state)
+    # over ranks in 0..63, a.b and |b|^2 are at most 64 * 63^2 < 2^24, so every
+    # product, partial sum and |b|^2 - 2 a.b is an integer float32 holds
+    # exactly; that difference orders the rows of b as |a - b|^2 does, so the
+    # first minimum is the lowest (moving, state), as over exact integers
     sq_m = (flat * flat).sum(axis=1)
-    step = max(1, _BLOCK_BYTES // (8 * len(flat)))
+    step = max(1, _BLOCK_BYTES // (flat.itemsize * len(flat)))
     blocks = np.split(ranks_f, np.arange(step, len(fixed), step))
     best = np.concatenate([(sq_m - 2.0 * (a @ flat.T)).argmin(axis=1) for a in blocks])
     mi, state = np.divmod(best, nstates)
     x_m, s_m, theta_m = feature_geometry(moving)
     moving_geometry = (x_m[mi], s_m[mi], theta_m[mi] @ np.stack(STATE_SIGNS)[state])
-    distance = np.sqrt(((ranks_f - flat[best]) ** 2).sum(axis=1))
+    distance = np.sqrt(((ranks_f - flat[best]) ** 2).sum(axis=1, dtype=float))
     return match_table(
         feature_geometry(fixed), moving_geometry, np.arange(len(fixed)), mi, state, distance
     )

@@ -13,10 +13,24 @@ only through its sums P1, P^T 1 and P^T m and also re-estimates lambda^2, so
 the temperature anneals as correspondences sharpen.
 
 Since each column is normalized on its own, the loop never holds the whole
-P: it runs the E-step over blocks of fixed columns, about
-`_ESTEP_BLOCK_PAIRS` pairs each, and adds each block into the three sums,
-scaling by the block's column normalizers instead of normalizing the block.
-EM memory is therefore one block's temporaries plus O(M + N).
+P: it adds blocks of fixed columns into the three sums, scaling by each
+block's column normalizers instead of normalizing the block.  When all M x N
+pairs fit in one block of `_ESTEP_BLOCK_PAIRS`, that block is the whole E-step.
+Otherwise the blocks are runs of at most `_CULLED_BLOCK_COLUMNS` columns under
+the nodes of a cKDTree over the fixed locations, and each block gets only the
+moving rows nearer than r to its bounding box, where
+
+    r^2 = 2 lambda^2 (kappa + log M - log eta - log u),   u = 2^-53,
+
+log eta = 1.5 log(2 pi lambda^2) + log(w / (1 - w)) + log(M / N) is the
+background, and kappa = -3 + sum_i max_m |theta_m,i| max_n |theta_n,i| bounds
+every log kernel entry (0 for rotations and for "cpd").  A pair at least r
+apart adds at most exp(kappa - r^2 / 2 lambda^2) = u eta / M to its column, so
+the dropped terms of a column sum to at most u eta: each column normalizer
+moves by at most u relative, and each dropped entry of P is at most u / M.
+w = 0 has no background, so r is infinite and nothing is culled; r^2 <= 0
+culls every pair, and the sums are exact zeros.  EM memory is one block's
+temporaries plus its gathered moving rows, plus O(M + N).
 
 Variants: "cpd" drops the kernel (constant 1); "sift_cpd" keeps it;
 "sift_cpd_star" runs on the voting inliers only; "icp" replaces the E-step
@@ -28,6 +42,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -48,6 +63,16 @@ VARIANTS = ("cpd", "sift_cpd", "sift_cpd_star", "icp")
 REL_TOL = 1e-6
 # (moving, fixed) pairs in one E-step block: about 5.5 MiB of temporaries
 _ESTEP_BLOCK_PAIRS = 1 << 17
+# fixed columns in one culled block: smaller blocks have tighter bounding
+# boxes, larger ones fewer calls
+_CULLED_BLOCK_COLUMNS = 64
+# log u, u = 2^-53 the float64 unit roundoff
+_LOG_ROUNDOFF = -53.0 * np.log(2.0)
+
+
+def _is_number(value, kind=Real) -> bool:
+    """A number of the kind, not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -60,14 +85,20 @@ class RegistrationConfig:
     hough: HoughParams = field(default_factory=HoughParams)
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise RejectedInputError(f"unknown variant {self.variant!r}")
-        if not 0.0 <= self.w < 1.0:
-            raise RejectedInputError(f"outlier fraction w must be in [0, 1), got {self.w}")
-        if self.max_iterations < 1:
-            raise RejectedInputError("max_iterations must be positive")
-        if not self.lambda_sq_floor >= np.finfo(float).tiny:
+        if not _is_number(self.w) or not 0.0 <= self.w < 1.0:
+            raise RejectedInputError(f"outlier fraction w must be in [0, 1), got {self.w!r}")
+        if not _is_number(self.max_iterations, Integral) or self.max_iterations < 1:
+            raise RejectedInputError(
+                f"max_iterations must be a positive integer, got {self.max_iterations!r}"
+            )
+        if not _is_number(self.lambda_sq_floor) or not self.lambda_sq_floor >= np.finfo(float).tiny:
             raise RejectedInputError("lambda_sq_floor must be a positive normal float")
+        if not isinstance(self.kernel, KernelParams):
+            raise RejectedInputError(f"kernel must be KernelParams, got {self.kernel!r}")
+        if not isinstance(self.hough, HoughParams):
+            raise RejectedInputError(f"hough must be HoughParams, got {self.hough!r}")
 
 
 @dataclass(eq=False)
@@ -91,8 +122,10 @@ def init_lambda_sq(fixed_points: np.ndarray, moving_points: np.ndarray) -> float
     return float(f.var(axis=0).sum() + m.var(axis=0).sum() + gap @ gap) / 3.0
 
 
-def _check_estep(fixed, moved, lambda_sq: float) -> float:
-    """Validate an E-step's inputs; return the log volume 1.5 log(2 pi lambda^2)."""
+def _check_estep(fixed, moved, lambda_sq: float, w: float, total_fixed: int) -> float:
+    """Validate an E-step's inputs; return the log background
+    log eta = 1.5 log(2 pi lambda^2) + log(w / (1 - w)) + log(M / N) of the
+    whole sets, with M the moving features and N = total_fixed."""
     # from the smallest normal float up, 1 / (2 lambda^2) is finite
     if not lambda_sq >= np.finfo(float).tiny:
         raise RejectedInputError(f"lambda_sq must be a positive normal float, got {lambda_sq}")
@@ -101,17 +134,20 @@ def _check_estep(fixed, moved, lambda_sq: float) -> float:
         log_volume = 1.5 * np.log(2.0 * np.pi * lambda_sq)
     if not np.isfinite(log_volume):
         raise RejectedInputError(f"lambda_sq {lambda_sq} is too large: 2 pi lambda_sq overflows")
-    return log_volume
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w / (1.0 - w))  # -inf: no background for w = 0
+        return log_volume + log_w + np.log(moved[0].shape[0] / total_fixed)
 
 
-def _unnormalized(fixed, moved, lambda_sq, log_volume, config, total_fixed):
+def _unnormalized(fixed, moved, lambda_sq, log_eta, config):
     """A block's E-step before normalization: p = exp(log_num - shift) per
     column, inv = 1 / (column sum of p + background), and the column sums of
     the normalized block p * inv.
 
-    Each column's location term is taken relative to its nearest moving
-    feature, and that offset moves into the column's background log eta, so
-    at vanishing lambda^2 the nearest features keep their kernel ratios.
+    log_eta is the whole sets' background.  Each column's location term is
+    taken relative to its nearest moving feature, and that offset moves into
+    the column's background, so at vanishing lambda^2 the nearest features
+    keep their kernel ratios.
     """
     (x_f, s_f, t_f), (x_m, s_m, t_m) = fixed, moved
     dist_sq = squared_distances(x_m, x_f)
@@ -123,8 +159,6 @@ def _unnormalized(fixed, moved, lambda_sq, log_volume, config, total_fixed):
     with np.errstate(over="ignore", divide="ignore"):
         # far pairs may reach -inf, and a w > 0 background +inf
         dist_sq /= -2.0 * lambda_sq
-        log_w = np.log(config.w / (1.0 - config.w))  # -inf: no background for w = 0
-        log_eta = log_volume + log_w + np.log(x_m.shape[0] / total_fixed)
         if config.w > 0.0:  # w = 0 keeps -inf, which must not meet +inf
             log_eta = log_eta + d_min / (2.0 * lambda_sq)
     log_num = dist_sq if log_k is None else np.add(log_k, dist_sq, out=log_k)
@@ -160,38 +194,78 @@ def e_step(
     columns equal those of the whole P.
     """
     fixed, moved = (x_f, s_f, t_f), (x_m, s_m, t_m)
-    log_volume = _check_estep(fixed, moved, lambda_sq)
     if total_fixed is None:
         total_fixed = x_f.shape[0]
     elif not total_fixed >= x_f.shape[0]:
         raise RejectedInputError(
             f"total_fixed {total_fixed} is smaller than the block's {x_f.shape[0]} columns"
         )
-    p, inv, _ = _unnormalized(fixed, moved, lambda_sq, log_volume, config, total_fixed)
+    log_eta = _check_estep(fixed, moved, lambda_sq, config.w, total_fixed)
+    p, inv, _ = _unnormalized(fixed, moved, lambda_sq, log_eta, config)
     p *= inv
     return p
 
 
-def _posterior_sums(fixed, moved, x_m, lambda_sq, config):
+def _kernel_ceiling(fixed, moved, config) -> float:
+    """kappa, a ceiling on every log kernel entry: the log scale and location
+    factors are at most 0, and each axis cosine is at most the product of the
+    two axes' norms."""
+    if config.variant == "cpd":
+        return 0.0
+    norm_f, norm_m = (np.linalg.norm(t, axis=1).max(axis=0) for t in (fixed[2], moved[2]))
+    return -3.0 + float(norm_m @ norm_f)
+
+
+def _tree_blocks(tree, size):
+    """The fixed columns under each largest node of tree with at most size
+    points, in tree order; a larger leaf is cut into runs of size."""
+    nodes, blocks = [tree.tree], []
+    while nodes:
+        node = nodes.pop()
+        if node.children <= size or node.lesser is None:
+            idx = tree.indices[node.start_idx : node.end_idx]
+            blocks += [idx[lo : lo + size] for lo in range(0, len(idx), size)]
+        else:
+            nodes += [node.greater, node.lesser]
+    return blocks
+
+
+def _posterior_sums(fixed, moved, x_m, lambda_sq, config, tree=None):
     """P^T 1, P 1 and P^T x_m of the E-step's P, one block of fixed columns
     at a time.
 
     fixed and moved are the (locations, scales, frames) of the fixed set and
     of the moving set under the current transform; x_m are the moving
     locations the M-step fits.  Each block's column normalizers scale its
-    sums, so no block is normalized itself.
+    sums, so no block is normalized itself.  Past one block, tree is the
+    cKDTree over the fixed locations whose nodes make the culled blocks
+    (built here when not given); see the module docstring for r.
     """
-    log_volume = _check_estep(fixed, moved, lambda_sq)
     n, m = fixed[0].shape[0], x_m.shape[0]
-    col, row, pm = np.empty(n), np.zeros(m), np.empty((n, 3))
-    step = max(1, _ESTEP_BLOCK_PAIRS // m)
-    for lo in range(0, n, step):
-        block = slice(lo, lo + step)
-        p, inv, col[block] = _unnormalized(
-            tuple(a[block] for a in fixed), moved, lambda_sq, log_volume, config, n
+    log_eta = _check_estep(fixed, moved, lambda_sq, config.w, n)
+    if m * n <= _ESTEP_BLOCK_PAIRS:
+        p, inv, col = _unnormalized(fixed, moved, lambda_sq, log_eta, config)
+        return col, p @ inv, (p.T @ x_m) * inv[:, None]
+    # a pair at least r apart adds at most exp(kappa - r^2 / 2 lambda^2)
+    # = u eta / M to its column; r = inf when w = 0, and r^2 <= 0 culls all
+    with np.errstate(over="ignore"):
+        r_sq = 2.0 * lambda_sq * (
+            _kernel_ceiling(fixed, moved, config) + np.log(m) - log_eta - _LOG_ROUNDOFF
         )
-        row += p @ inv
-        pm[block] = (p.T @ x_m) * inv[:, None]
+    if tree is None:
+        tree = cKDTree(fixed[0])
+    col, row, pm = np.zeros(n), np.zeros(m), np.zeros((n, 3))
+    for cols in _tree_blocks(tree, min(_CULLED_BLOCK_COLUMNS, max(1, _ESTEP_BLOCK_PAIRS // m))):
+        x_b = fixed[0][cols]
+        gap = moved[0] - np.clip(moved[0], x_b.min(axis=0), x_b.max(axis=0))
+        rows = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) < r_sq)
+        if rows.size == 0:
+            continue
+        p, inv, col[cols] = _unnormalized(
+            tuple(a[cols] for a in fixed), tuple(a[rows] for a in moved), lambda_sq, log_eta, config
+        )
+        row[rows] += p @ inv
+        pm[cols] = (p.T @ x_m[rows]) * inv[:, None]
     return col, row, pm
 
 
@@ -213,10 +287,11 @@ def register(
         keep = np.unique(init.inliers.moving_index)
         x_m, s_m, t_m = x_m[keep], s_m[keep], t_m[keep]
 
+    # the fixed set never moves: one tree for ICP's queries or EM's blocks
+    tree = cKDTree(x_f)
     history: list[float] = []
     converged = False
     if cfg.variant == "icp":
-        tree = cKDTree(x_f)
         ones = np.ones(x_m.shape[0])
         previous = None
         for _ in range(cfg.max_iterations):
@@ -235,7 +310,7 @@ def register(
                 break
             theta = np.einsum("ij,njk->nik", t.rotation, t_m)
             moved = (t.apply(x_m), t.scale * s_m, theta)
-            sums = _posterior_sums((x_f, s_f, t_f), moved, x_m, lam, cfg)
+            sums = _posterior_sums((x_f, s_f, t_f), moved, x_m, lam, cfg, tree)
             try:
                 t, lam_new = fit_similarity(x_f, x_m, *sums)
             except (DegenerateCorrespondenceError, DegenerateGeometryError) as exc:

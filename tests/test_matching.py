@@ -282,6 +282,45 @@ def test_match_table_equals_brute_force(
         np.testing.assert_allclose(mapped.theta, f.frame.matrix, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_fixed=st.integers(1, 40),
+    n_moving=st.integers(1, 40),
+    pool_size=st.integers(1, 8),
+    block_bytes=st.sampled_from([1, 4 * 4 * 5, 1 << 24]),
+)
+def test_float32_match_equals_a_float64_argmin(seed, n_fixed, n_moving, pool_size, block_bytes):
+    # permutations drawn from a small pool tie rows across moving features
+    # and states; the constant rows reach the largest a.b and |b|^2, 64 * 63^2
+    rng = np.random.default_rng(seed)
+    pool = [rng.permutation(NUM_BINS) for _ in range(pool_size)]
+    pool += [np.full(NUM_BINS, NUM_BINS - 1), np.zeros(NUM_BINS, dtype=int)]
+    fixed = _random_features(rng, n_fixed, pool)
+    moving = _random_features(rng, n_moving, pool)
+    with mock.patch.object(matching, "_BLOCK_BYTES", block_bytes):
+        table = match_features(fixed, moving)
+    a = np.array([f.descriptors[0].ranked for f in fixed], dtype=np.float64)
+    b = np.array([d.ranked for g in moving for d in g.descriptors], dtype=np.float64)
+    dist_sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    best = dist_sq.argmin(axis=1)  # the first minimum: lowest moving index, then state
+    np.testing.assert_array_equal(table.moving_index * 4 + table.moving_state, best)
+    np.testing.assert_array_equal(table.descriptor_distance, np.sqrt(dist_sq.min(axis=1)))
+    assert table.descriptor_distance.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [-1, NUM_BINS, 255])
+@pytest.mark.parametrize("side", ["fixed", "moving"])
+def test_match_rejects_ranks_outside_the_bins(bad, side):
+    # float32 is exact only over ranks 0..63; other int16 values are refused
+    rng = np.random.default_rng(46)
+    pool = [rng.permutation(NUM_BINS) for _ in range(3)]
+    features = {"fixed": _random_features(rng, 4, pool), "moving": _random_features(rng, 5, pool)}
+    features[side][-1].descriptors[0].ranked[7] = bad
+    with pytest.raises(RejectedInputError, match="ranks"):
+        match_features(features["fixed"], features["moving"])
+
+
 def _is_consistent(m, t, params):
     """Scalar oracle: the per-match predicate, on one match record."""
     cos = np.einsum("ai,ai->i", m.rotation, t.rotation)

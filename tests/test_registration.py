@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import logging
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from conftest import (
     EXTRACTION,
@@ -24,12 +26,15 @@ from volkey.errors import (
     RejectedInputError,
 )
 from volkey.frames import Frame
-from volkey.kernels import kernel_matrix
+from volkey.kernels import kernel_matrix, log_kernel_matrix, squared_distances
 from volkey.keypoints import Keypoint
 from volkey.registration import (
     _ESTEP_BLOCK_PAIRS,
     RegistrationConfig,
+    _kernel_ceiling,
     _posterior_sums,
+    _tree_blocks,
+    _unnormalized,
     e_step,
     init_lambda_sq,
     register,
@@ -261,6 +266,150 @@ def test_blocked_sums_equal_the_dense_sums(monkeypatch, variant, w):
     col, row, pm = _posterior_sums(fixed, moving, x_m, 40.0, cfg)
     for got, want in ((col, p.sum(axis=0)), (row, p.sum(axis=1)), (pm, p.T @ x_m)):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+U = 2.0**-53  # the float64 unit roundoff the culled E-step drops below
+
+
+def _frames(rng, count, orthonormal):
+    """Rotations, or rotations whose columns are scaled by 0.5 to 2, so the
+    kernel ceiling kappa = -3 + sum of the largest axis-norm products is > 0."""
+    q = np.linalg.qr(rng.normal(size=(count, 3, 3)))[0]
+    return q if orthonormal else q * rng.uniform(0.5, 2.0, (count, 1, 3))
+
+
+def _spy_unnormalized(monkeypatch):
+    """Record the (fixed, moved) geometry of every _unnormalized call."""
+    calls = []
+
+    def spy(fixed, moved, *args):
+        calls.append((fixed, moved))
+        return _unnormalized(fixed, moved, *args)
+
+    monkeypatch.setattr("volkey.registration._unnormalized", spy)
+    return calls
+
+
+def _assert_within_roundoff_bound(sums, p, x_m):
+    """Culled sums against the dense P: a kept entry of P moves by at most
+    about u relative, with its column normalizer, and a dropped one is at most
+    u / M, plus 1e-12 for the sums' own rounding."""
+    m, n = p.shape
+    col, row, pm = sums
+    bounds = (
+        (col, p.sum(axis=0), 2.0 * U * p.sum(axis=0) + U),
+        (row, p.sum(axis=1), 2.0 * U * p.sum(axis=1) + n * U / m),
+        (pm, p.T @ x_m, 2.0 * U * (p.T @ np.abs(x_m)) + U * np.abs(x_m).max(axis=0)),
+    )
+    for got, want, bound in bounds:
+        assert np.all(np.abs(got - want) <= bound + 1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_fixed=st.integers(20, 80),
+    n_moving=st.integers(1, 30),
+    moving_span=st.sampled_from([10.0, 50.0]),
+    log10_lambda_sq=st.floats(-2.0, 4.0),
+    w=st.sampled_from([0.0, 1e-4, 0.3]),
+    variant=st.sampled_from(["cpd", "sift_cpd"]),
+    orthonormal=st.booleans(),
+)
+# moving features in the lowest 10 mm corner: blocks far from it keep no row
+@example(
+    seed=3, n_fixed=80, n_moving=30, moving_span=10.0, log10_lambda_sq=-2.0, w=0.3,
+    variant="sift_cpd", orthonormal=False,
+)
+def test_culled_sums_are_within_the_roundoff_bound(
+    seed, n_fixed, n_moving, moving_span, log10_lambda_sq, w, variant, orthonormal
+):
+    rng = np.random.default_rng(seed)
+    fixed, moving = (
+        (rng.uniform(0.0, span, (count, 3)), rng.uniform(1.5, 6.0, count),
+         _frames(rng, count, orthonormal))
+        for count, span in ((n_fixed, 50.0), (n_moving, moving_span))
+    )
+    lambda_sq = 10.0**log10_lambda_sq
+    cfg = RegistrationConfig(variant=variant, w=w)
+    if variant != "cpd":
+        dist_sq = squared_distances(moving[0], fixed[0])
+        log_k = log_kernel_matrix(dist_sq, *fixed[1:], *moving[1:], cfg.kernel)
+        assert log_k.max() <= _kernel_ceiling(fixed, moving, cfg) + 1e-12
+    p = e_step(*fixed, *moving, lambda_sq, cfg)
+    x_m = moving[0] + 3.0
+    # 8 fixed columns a block, so every draw takes the culled path
+    with mock.patch("volkey.registration._ESTEP_BLOCK_PAIRS", 8 * n_moving):
+        sums = _posterior_sums(fixed, moving, x_m, lambda_sq, cfg)
+    _assert_within_roundoff_bound(sums, p, x_m)
+
+
+def test_culled_block_may_keep_no_moving_row(monkeypatch):
+    # fixed features fill a 100 mm box, moving ones its lowest 10 mm corner:
+    # at lambda^2 = 0.5 the far blocks see no moving row and are skipped
+    calls = _spy_unnormalized(monkeypatch)
+    monkeypatch.setattr("volkey.registration._ESTEP_BLOCK_PAIRS", 8 * 20)
+    rng = np.random.default_rng(42)
+    fixed = _random_geometry_arrays(rng, 200, span=100.0)
+    moving = _random_geometry_arrays(rng, 20, span=10.0)
+    cfg = RegistrationConfig(w=0.3)
+    sums = _posterior_sums(fixed, moving, moving[0], 0.5, cfg)
+    blocks = _tree_blocks(cKDTree(fixed[0]), 8)
+    assert 0 < len(calls) < len(blocks)
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(200))
+    _assert_within_roundoff_bound(sums, e_step(*fixed, *moving, 0.5, cfg), moving[0])
+
+
+def test_one_block_sums_make_one_call_on_all_pairs(monkeypatch):
+    calls = _spy_unnormalized(monkeypatch)
+    rng = np.random.default_rng(43)
+    fixed = _random_geometry_arrays(rng, 40)
+    moving = _random_geometry_arrays(rng, 30)
+    _posterior_sums(fixed, moving, moving[0], 20.0, RegistrationConfig(w=0.3))
+    assert len(calls) == 1
+    for got, want in zip(calls[0][0] + calls[0][1], fixed + moving):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("w", [0.0, 0.3])
+def test_culled_sums_skip_the_far_pairs(monkeypatch, w):
+    # 1000 x 1000 features in a 128 mm box at lambda^2 = 0.5 mm^2: r is about
+    # 6.5 mm for w = 0.3, and infinite for w = 0, which has no background
+    calls = _spy_unnormalized(monkeypatch)
+    rng = np.random.default_rng(44)
+    fixed = _random_geometry_arrays(rng, 1000, span=128.0)
+    moving = _random_geometry_arrays(rng, 1000, span=128.0)
+    _posterior_sums(fixed, moving, moving[0], 0.5, RegistrationConfig(w=w))
+    pairs = sum(f[0].shape[0] * m[0].shape[0] for f, m in calls)
+    if w == 0.0:
+        assert pairs == 1000 * 1000
+    else:
+        assert pairs < 0.25 * 1000 * 1000
+
+
+def test_background_beyond_roundoff_culls_every_pair(monkeypatch, planted_pair, caplog):
+    # at lambda^2 = 1e13 mm^2 and w = 0.5 the background outweighs any pair
+    # by more than 2^53, so r^2 <= 0 and no block keeps a moving row
+    calls = _spy_unnormalized(monkeypatch)
+    monkeypatch.setattr("volkey.registration._ESTEP_BLOCK_PAIRS", 64)
+    rng = np.random.default_rng(45)
+    fixed = _random_geometry_arrays(rng, 50)
+    moving = _random_geometry_arrays(rng, 40)
+    cfg = RegistrationConfig(w=0.5)
+    col, row, pm = _posterior_sums(fixed, moving, moving[0], 1e13, cfg)
+    assert not calls
+    assert not col.any() and not row.any() and not pm.any()
+    # register then stops on its degenerate-correspondence path at the init
+    monkeypatch.setattr("volkey.registration.init_lambda_sq", lambda f, m: 1e13)
+    fixed_features, moving_features, _ = planted_pair
+    with caplog.at_level(logging.WARNING, logger="volkey.registration"):
+        res = register(fixed_features, moving_features, cfg)
+    assert not calls
+    assert res.iterations == 0 and not res.converged
+    np.testing.assert_array_equal(res.transform.rotation, res.init.t_star.rotation)
+    np.testing.assert_array_equal(res.transform.translation, res.init.t_star.translation)
+    assert len(caplog.records) == 1
+    assert caplog.records[0].getMessage().startswith("EM stopped")
 
 
 def test_em_sums_memory_is_bounded_per_block():
@@ -518,6 +667,19 @@ def test_registration_config_validation():
         RegistrationConfig(w=1.0)
     with pytest.raises(RejectedInputError):
         RegistrationConfig(max_iterations=0)
+    # types that would fail later, in range() or on attribute access
+    for bad in (
+        {"max_iterations": 2.5},
+        {"max_iterations": True},
+        {"kernel": None},
+        {"hough": {}},
+        {"w": None},
+        {"variant": None},
+        {"lambda_sq_floor": "1e-12"},
+    ):
+        with pytest.raises(RejectedInputError):
+            RegistrationConfig(**bad)
+    assert RegistrationConfig(max_iterations=np.int64(5), w=0).max_iterations == 5
     # below the smallest normal float, 1 / (2 lambda^2) overflows
     for floor in (0.0, 5e-324, np.finfo(float).tiny / 2.0):
         with pytest.raises(RejectedInputError):
