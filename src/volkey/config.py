@@ -1,10 +1,10 @@
 """Run configuration: the parameter dataclasses, overlaid by a JSON file.
 
 `load_config` returns one instance per section, each built from its
-dataclass defaults plus the file's values, so each validates itself as it is
-built.  Unknown sections and keys, malformed JSON, values whose type differs
-from the default's and values the dataclass rejects all fail inside
-`load_config`, naming the file.  The CLI then replaces the fields whose flags
+dataclass defaults plus the file's values, so each checks its values' types
+and ranges as it is built.  Unknown sections and keys, malformed JSON and
+values the dataclass rejects all fail inside `load_config`, naming the file
+and the section.  The CLI then replaces the fields whose flags
 were given, so precedence is flag > config file > defaults.
 """
 from __future__ import annotations
@@ -27,19 +27,6 @@ _SECTIONS = {
     "hough": HoughParams,
     "registration": RegistrationConfig,
 }
-
-# keys whose default is None, and the type they take when set
-_NULLABLE = {"extraction.num_octaves": int}
-
-
-def _check_type(path, name: str, value, default) -> None:
-    """A value has its default's type; an int may stand for a float."""
-    if value is None and name in _NULLABLE:
-        return
-    want = _NULLABLE.get(name, type(default))
-    accepted = (int, float) if want is float else want
-    if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
-        raise RejectedInputError(f"{path}: {name} must be of type {want.__name__}, got {value!r}")
 
 
 def _read(path: str | Path) -> dict:
@@ -67,12 +54,11 @@ def load_config(path: str | Path | None) -> dict:
     user = {} if path is None else _read(path)
     built: dict = {}
     for section, cls in _SECTIONS.items():
-        defaults = {f.name: f.default for f in fields(cls) if f.name not in _SECTIONS}
+        keys = {f.name for f in fields(cls) if f.name not in _SECTIONS}
         entries = user.get(section, {})
-        for key, value in entries.items():
-            if key not in defaults:
+        for key in entries:
+            if key not in keys:
                 raise RejectedInputError(f"{path}: unknown key {section}.{key}")
-            _check_type(path, f"{section}.{key}", value, defaults[key])
         nested = {f.name: built[f.name] for f in fields(cls) if f.name in _SECTIONS}
         try:
             built[section] = cls(**entries, **nested)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousFrameError, NoOrientationError, RejectedInputError
+from .errors import AmbiguousFrameError, NoOrientationError, RejectedInputError, check_field_types
 from .frames import (
     STATE_SIGNS,
     Frame,
@@ -147,6 +147,8 @@ class ExtractionConfig:
     window_factor: float = 1.5
 
     def __post_init__(self) -> None:
+        # floats are stored as floats: an int standing for one must not change config_digest
+        check_field_types(self)
         for name in ("base_sigma", "window_factor"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise RejectedInputError(f"{name} must be positive and finite")
@@ -156,9 +158,6 @@ class ExtractionConfig:
             raise RejectedInputError("max_count and num_octaves must be positive")
         if self.estimator not in _ESTIMATORS:
             raise RejectedInputError(f"unknown estimator {self.estimator!r}")
-        # an int standing for a float must not change config_digest
-        for name in ("base_sigma", "min_abs_response", "window_factor"):
-            setattr(self, name, float(getattr(self, name)))
 
 
 @dataclass

@@ -31,11 +31,12 @@ per axis.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import RejectedInputError, check_field_types
 
 
 @dataclass
@@ -45,10 +46,11 @@ class KernelParams:
     use_orientation_states: bool = True
 
     def __post_init__(self) -> None:
-        if not self.k > 0.0:
-            raise RejectedInputError("kernel k must be positive")
-        if not self.sigma_t_sq >= 0.0:
-            raise RejectedInputError("kernel sigma_t_sq must be nonnegative")
+        check_field_types(self)
+        if not 0.0 < self.k < math.inf:
+            raise RejectedInputError("kernel k must be positive and finite")
+        if not 0.0 <= self.sigma_t_sq < math.inf:
+            raise RejectedInputError("kernel sigma_t_sq must be nonnegative and finite")
 
 
 def squared_distances(x_m: np.ndarray, x_f: np.ndarray) -> np.ndarray:

@@ -6,17 +6,23 @@ quadratic fit (Brown & Lowe 2002).  The sign of the Laplacian at the extremum
 is kept as a binary feature attribute: it flips under intensity negation while
 the locations, scales and responses stay fixed.
 
-Detection keeps the nonzero interior entries that neither neighbour along
-any of the four axes exceeds, by eight slice comparisons, and confirms
-strictness by gathering the 80 neighbours of those candidates only, in
-fixed-size blocks.  Refinement is array code over all of an octave's
-candidates at once: finite differences from one table of 4D unit steps, one
-stacked solve, and the offset, response and border tests as masks.
+Detection never stores an octave's DoG stack.  It scans the scales with a
+ring of three |DoG| layers, each the difference of two stored levels formed
+as the scan reaches it, so its memory is three level-sized arrays plus
+masks.  In each layer it keeps the nonzero interior entries that neither
+neighbour along any of the four axes exceeds, by eight slice comparisons,
+and confirms strictness by gathering the 80 neighbours of those candidates
+only, in fixed-size blocks.  Refinement is array code over all of an
+octave's candidates at once: the signed DoG read as the difference of two
+levels at the gathered indices, finite differences from one table of 4D
+unit steps, one stacked solve, and the offset, response and border tests as
+masks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -49,19 +55,26 @@ _STEPS = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
 _PAIRS = ((0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (3, 2))
 # the 80 offsets of a (scale, x, y, z) index's 3x3x3x3 neighbourhood
 _NEIGHBORS = np.array([o for o in np.ndindex(3, 3, 3, 3) if o != (1, 1, 1, 1)]) - 1
-# candidates whose neighbours one gather holds: (4096, 80, 4) indices, 10 MB
+# candidates whose neighbours one gather holds: (4096, 80) flat indices and values, 5 MB
 _GATHER_BLOCK = 4096
 
 
-def _newton_steps(stack: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (n, 4) and Newton offsets (n, 4) of the 4D quadratic fit at
-    the (scale, x, y, z) indices at (n, 4) of the difference stack.
+def _dog_at(levels: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """DoG levels[s + 1] - levels[s] at the (scale s, x, y, z) indices at
+    (n, 4); bitwise the entry of the stacked levels[1:] - levels[:-1]."""
+    s, x, y, z = at.T
+    return levels[s + 1, x, y, z] - levels[s, x, y, z]
+
+
+def _newton_steps(levels: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (n, 4) and Newton offsets (n, 4) of the 4D quadratic fit to
+    the DoG of levels at its (scale, x, y, z) indices at (n, 4).
 
     Offset order is (x, y, z, scale); spatial steps are one voxel, scale steps
     one pyramid interval.  A singular Hessian gives a zero offset.
     """
     def d(step=0):
-        return stack[tuple((at + step).T)]
+        return _dog_at(levels, at + step)
 
     c = d()
     g = np.empty((len(at), 4))
@@ -80,31 +93,57 @@ def _newton_steps(stack: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.nda
     return g, offset
 
 
-def _strict_maxima(mag: np.ndarray) -> np.ndarray:
-    """argwhere of the interior entries of mag >= 0 strictly above all 80
-    neighbours.
+def _ring_maxima(levels: np.ndarray) -> np.ndarray:
+    """(scale, x, y, z) indices (n, 4) of the interior entries of
+    |DoG| = |levels[1:] - levels[:-1]| strictly above all 80 neighbours, in
+    scale-major argwhere order.
 
-    Candidates are the positive interior entries at least as large as their
-    two neighbours along each axis, a superset of the strict maxima; a strict
-    maximum is above neighbours >= 0, so zero plateaus, such as a zero
-    background, hold none.  Candidates below a diagonal neighbour and ties
-    are then dropped by gathering the 80 neighbours of the candidates only,
-    a fixed-size block at a time.
+    |DoG| is held as a ring of three layers, one formed as the scan reaches
+    it.  In each layer the candidates are the positive interior entries at
+    least as large as their two neighbours along each axis, a superset of
+    the strict maxima; a strict maximum is above neighbours >= 0, so zero
+    plateaus, such as a zero background, hold none.  Candidates below a
+    diagonal neighbour and ties are then dropped by gathering the 80
+    neighbours of the candidates only, a fixed-size block at a time.
     """
-    core = (slice(1, -1),) * mag.ndim
-    inner = mag[core]
-    candidate = inner > 0.0
-    for axis, size in enumerate(mag.shape):
-        for lo in (0, 2):
-            beside = core[:axis] + (slice(lo, lo + size - 2),) + core[axis + 1 :]
-            candidate &= inner >= mag[beside]
-    at = np.argwhere(candidate) + 1
-    strict = np.empty(len(at), dtype=bool)
-    for lo in range(0, len(at), _GATHER_BLOCK):
-        block = at[lo : lo + _GATHER_BLOCK]
-        around = mag[tuple((block[:, None, :] + _NEIGHBORS).T)]
-        strict[lo : lo + _GATHER_BLOCK] = (around < mag[tuple(block.T)]).all(axis=0)
-    return at[strict]
+    layer_shape = levels.shape[1:]
+    ring = np.empty((3, *layer_shape))
+    flat = ring.reshape(-1)
+    strides = np.array([layer_shape[1] * layer_shape[2], layer_shape[2], 1])
+    core = (slice(1, -1),) * 3
+
+    def form(j):
+        np.subtract(levels[j + 1], levels[j], out=ring[j % 3])
+        np.abs(ring[j % 3], out=ring[j % 3])
+
+    form(0)
+    form(1)
+    found = []
+    for s in range(1, len(levels) - 2):
+        form(s + 1)
+        slots = np.array([s - 1, s, s + 1]) % 3
+        mag = ring[s % 3]
+        inner = mag[core]
+        candidate = inner > 0.0
+        for j in slots[[0, 2]]:
+            candidate &= inner >= ring[j][core]
+        for axis, size in enumerate(layer_shape):
+            for lo in (0, 2):
+                beside = core[:axis] + (slice(lo, lo + size - 2),) + core[axis + 1 :]
+                candidate &= inner >= mag[beside]
+        at = np.argwhere(candidate) + 1
+        del candidate  # before the next layer's masks
+        # each neighbour's flat ring index, less its candidate's within the layer
+        around = slots[_NEIGHBORS[:, 0] + 1] * mag.size + _NEIGHBORS[:, 1:] @ strides
+        within = at @ strides
+        strict = np.empty(len(at), dtype=bool)
+        for lo in range(0, len(at), _GATHER_BLOCK):
+            block = within[lo : lo + _GATHER_BLOCK]
+            values = np.take(flat, block[:, None] + around)
+            strict[lo : lo + _GATHER_BLOCK] = (values < mag.flat[block][:, None]).all(axis=1)
+        at = at[strict]
+        found.append(np.column_stack([np.full(len(at), s), at]))
+    return np.concatenate(found)
 
 
 def detect_keypoints(
@@ -119,14 +158,16 @@ def detect_keypoints(
     """
     if min_abs_response < 0.0:
         raise RejectedInputError("min_abs_response must be nonnegative")
+    if max_count is not None and (
+        isinstance(max_count, bool) or not isinstance(max_count, Integral) or max_count < 1
+    ):
+        raise RejectedInputError(f"max_count must be a positive integer, got {max_count!r}")
     world, sigma, response = [], [], []
     for octave in ss.octaves:
-        dog = octave.dog
-        mag = np.abs(dog)
-        at = _strict_maxima(mag)
-        g, offset = _newton_steps(dog, at)
+        at = _ring_maxima(octave.data)
+        g, offset = _newton_steps(octave.data, at)
         # (1, 4) @ (4, 1) products round like the dot product of two vectors
-        value = dog[tuple(at.T)] + 0.5 * (g[:, None, :] @ offset[:, :, None])[:, 0, 0]
+        value = _dog_at(octave.data, at) + 0.5 * (g[:, None, :] @ offset[:, :, None])[:, 0, 0]
         r = value * DOG_TO_LOG
         keep = ~(np.abs(offset).max(axis=1) > MAX_OFFSET) & (r != 0.0)
         keep &= ~(np.abs(r) < min_abs_response)

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import NUM_BINS, Feature, feature_geometry
-from .errors import DegenerateGeometryError, InitializationFailureError, RejectedInputError
+from .errors import (
+    DegenerateGeometryError,
+    InitializationFailureError,
+    RejectedInputError,
+    check_field_types,
+)
 from .frames import STATE_SIGNS
 from .transforms import (
     SimilarityTransform,
@@ -109,6 +114,7 @@ class HoughParams:
     trans_bin: float = 10.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not -1.0 <= self.eps_cos < 1.0:
             raise RejectedInputError(f"eps_cos must be in [-1, 1), got {self.eps_cos}")
         for name in ("eps_log_scale", "eps_disp", "rot_bin", "log_scale_bin", "trans_bin"):

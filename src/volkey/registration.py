@@ -42,7 +42,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -52,6 +51,7 @@ from .errors import (
     DegenerateCorrespondenceError,
     DegenerateGeometryError,
     RejectedInputError,
+    check_field_types,
 )
 from .kernels import KernelParams, check_finite, log_kernel_matrix, squared_distances
 from .matching import HoughParams, HoughResult, hough_init, match_features
@@ -70,11 +70,6 @@ _CULLED_BLOCK_COLUMNS = 64
 _LOG_ROUNDOFF = -53.0 * np.log(2.0)
 
 
-def _is_number(value, kind=Real) -> bool:
-    """A number of the kind, not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass
 class RegistrationConfig:
     variant: str = "sift_cpd"
@@ -85,20 +80,17 @@ class RegistrationConfig:
     hough: HoughParams = field(default_factory=HoughParams)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
+        check_field_types(self)
+        if self.variant not in VARIANTS:
             raise RejectedInputError(f"unknown variant {self.variant!r}")
-        if not _is_number(self.w) or not 0.0 <= self.w < 1.0:
+        if not 0.0 <= self.w < 1.0:
             raise RejectedInputError(f"outlier fraction w must be in [0, 1), got {self.w!r}")
-        if not _is_number(self.max_iterations, Integral) or self.max_iterations < 1:
+        if self.max_iterations < 1:
             raise RejectedInputError(
                 f"max_iterations must be a positive integer, got {self.max_iterations!r}"
             )
-        if not _is_number(self.lambda_sq_floor) or not self.lambda_sq_floor >= np.finfo(float).tiny:
+        if not self.lambda_sq_floor >= np.finfo(float).tiny:
             raise RejectedInputError("lambda_sq_floor must be a positive normal float")
-        if not isinstance(self.kernel, KernelParams):
-            raise RejectedInputError(f"kernel must be KernelParams, got {self.kernel!r}")
-        if not isinstance(self.hough, HoughParams):
-            raise RejectedInputError(f"hough must be HoughParams, got {self.hough!r}")
 
 
 @dataclass(eq=False)

@@ -16,9 +16,11 @@ Conventions used throughout:
 - the scale-normalized Laplacian is approximated by adjacent-level
   differences scaled by ``sqrt(k)/(k - 1)`` with ``k = 2**(1/3)``, attributed
   to the geometric mean of the two level sigmas
-- the scale space stores only its levels: the DoG is computed when it is
-  read, and gradients are differenced at the trilinear sample corners,
-  from one flat gather of level values per axis
+- the scale space stores only its levels, each blurred from the one before
+  by three 1D passes written into the level stack through one level-sized
+  scratch array; detection forms |DoG| one layer at a time, and gradients
+  are differenced at the trilinear sample corners, from one flat gather of
+  level values per axis
 - grids are resampled by scipy's order-1 `ndimage.affine_transform`, which
   computes each output voxel's source coordinate on the fly: `to_isotropic`
   clamps to the edge values, `resample` writes 0 outside [0, n-1] on any axis
@@ -86,17 +88,26 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _blur_into(data: np.ndarray, sigma_vox: float, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Separable clamp-to-edge Gaussian blur of data written into out, with
+    one array of out's shape as scratch: pass 0 into out, pass 1 into
+    scratch, pass 2 back into out.  data must not overlap either."""
+    k = gaussian_kernel1d(sigma_vox)
+    ndimage.correlate1d(data, k, axis=0, output=out, mode="nearest")
+    ndimage.correlate1d(out, k, axis=1, output=scratch, mode="nearest")
+    ndimage.correlate1d(scratch, k, axis=2, output=out, mode="nearest")
+
+
 def gaussian_blur(data: np.ndarray, sigma_vox: float) -> np.ndarray:
     """Separable Gaussian blur with clamp-to-edge boundaries.
 
     sigma_vox is isotropic and in voxel units; sigma_vox <= 0 returns a copy.
     """
+    data = np.asarray(data, dtype=np.float64)
     if sigma_vox <= 0.0:
-        return np.array(data, dtype=np.float64, copy=True)
-    k = gaussian_kernel1d(sigma_vox)
-    out = np.asarray(data, dtype=np.float64)
-    for axis in range(3):
-        out = ndimage.correlate1d(out, k, axis=axis, mode="nearest")
+        return data.copy()
+    out = np.empty(data.shape)
+    _blur_into(data, sigma_vox, out, np.empty(data.shape))
     return out
 
 
@@ -108,11 +119,6 @@ class Octave:
     sigmas: list[float]
     spacing: float
     origin: np.ndarray
-
-    @property
-    def dog(self) -> np.ndarray:
-        """Adjacent-level differences (5, X, Y, Z), computed on each read."""
-        return self.data[1:] - self.data[:-1]
 
 
 @dataclass(eq=False)
@@ -185,12 +191,16 @@ def build_scale_space(
         oct_base = base_sigma * (2.0**o)
         sigmas = [oct_base * 2.0 ** (i / INTERVALS) for i in range(LEVELS_PER_OCTAVE)]
         levels = np.empty((LEVELS_PER_OCTAVE, *current.shape))
+        scratch = np.empty(current.shape)
         # past octave 0, `current` was subsampled from the previous octave's
         # level 3 and already carries blur oct_base
-        levels[0] = gaussian_blur(current, sigmas[0] / spacing) if o == 0 else current
+        if o == 0:
+            _blur_into(current, sigmas[0] / spacing, levels[0], scratch)
+        else:
+            levels[0] = current
         for i in range(1, LEVELS_PER_OCTAVE):
             inc = math.sqrt(sigmas[i] ** 2 - sigmas[i - 1] ** 2) / spacing
-            levels[i] = gaussian_blur(levels[i - 1], inc)
+            _blur_into(levels[i - 1], inc, levels[i], scratch)
         octaves.append(Octave(data=levels, sigmas=sigmas, spacing=spacing, origin=origin.copy()))
         if o + 1 < num_octaves:
             half = [d // 2 for d in levels[INTERVALS].shape]

@@ -10,7 +10,7 @@ The scalar oracles live here too: one feature's `Geometry` and its image
 under a similarity, the per-pair kernel factors that `kernels.kernel_matrix`
 vectorizes, `orientation_scores`, the per-state form of its closed-form state
 score, and `solve_rigid`, the dense-weight-matrix form of
-`transforms.fit_similarity`.
+`transforms.fit_similarity`, and `dog`, an octave's whole DoG stack.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from volkey.kernels import KernelParams
 from volkey.matching import match_table
 from volkey.synth import make_phantom, random_similarity
 from volkey.transforms import SimilarityTransform, fit_similarity
-from volkey.volume import ScalarVolume, build_scale_space, resample
+from volkey.volume import Octave, ScalarVolume, build_scale_space, resample
 
 # Settings shared by the unit tests and the acceptance suite: 40 blobs on a
 # 64^3 grid at 1 mm spacing, three octaves, a small response floor to drop
@@ -176,6 +176,12 @@ def negated(volume: ScalarVolume) -> ScalarVolume:
     return ScalarVolume(
         dims=volume.dims, spacing=volume.spacing, origin=volume.origin, data=-volume.data
     )
+
+
+def dog(octave: Octave) -> np.ndarray:
+    """An octave's stacked DoG (5, X, Y, Z), the adjacent-level differences
+    that detection forms one layer at a time and never stacks."""
+    return octave.data[1:] - octave.data[:-1]
 
 
 @pytest.fixture(scope="session")

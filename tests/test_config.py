@@ -113,14 +113,20 @@ def test_invalid_values_fail_at_construction(tmp_path):
     "text, match",
     [
         pytest.param('{"registration": {"w": 0.2', "malformed JSON", id="malformed-json"),
-        pytest.param('{"registration": {"w": "abc"}}', "registration.w", id="string-for-float"),
+        pytest.param(
+            '{"registration": {"w": "abc"}}',
+            "section 'registration': w must",
+            id="string-for-float",
+        ),
         pytest.param(
             '{"registration": {"max_iterations": null}}',
-            "registration.max_iterations",
+            "section 'registration': max_iterations must",
             id="null-for-int",
         ),
         pytest.param(
-            '{"extraction": {"max_count": 2.5}}', "extraction.max_count", id="float-for-int"
+            '{"extraction": {"max_count": 2.5}}',
+            "section 'extraction': max_count must",
+            id="float-for-int",
         ),
     ],
 )
@@ -140,7 +146,7 @@ def test_load_config_accepts_ints_for_floats_and_null_octaves(tmp_path):
     path.write_text(json.dumps({"extraction": {"num_octaves": 2}}))
     assert load_config(path)["extraction"].num_octaves == 2
     path.write_text(json.dumps({"kernel": {"use_orientation_states": 1}}))
-    with pytest.raises(RejectedInputError, match="kernel.use_orientation_states"):
+    with pytest.raises(RejectedInputError, match="section 'kernel': use_orientation_states must"):
         load_config(path)
 
 
@@ -161,9 +167,45 @@ def test_load_config_accepts_ints_for_floats_and_null_octaves(tmp_path):
         lambda: HoughParams(eps_log_scale=float("nan")),
         lambda: HoughParams(eps_cos=1.0),
         lambda: KernelParams(k=float("nan")),
+        lambda: KernelParams(k=float("inf")),
+        lambda: KernelParams(sigma_t_sq=float("inf")),
         lambda: RegistrationConfig(lambda_sq_floor=float("nan")),
     ],
 )
 def test_config_dataclasses_validate_at_construction(make):
     with pytest.raises(RejectedInputError):
         make()
+
+
+# wrongly typed values for each field annotation; the nested sections take the rest
+_WRONG = {
+    "float": ["1.5", True, None],
+    "int": [2.5, True, "3", None],
+    "int | None": [2.5, True, "3"],
+    "bool": ["no", 1, None],
+    "str": [3, True, None],
+}
+
+
+def _wrongly_typed_fields():
+    for cls in (ExtractionConfig, KernelParams, HoughParams, RegistrationConfig):
+        for f in fields(cls):
+            for value in _WRONG.get(f.type, [None, 1.0]):
+                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+
+
+@pytest.mark.parametrize("cls, name, value", _wrongly_typed_fields())
+def test_config_dataclasses_reject_wrongly_typed_fields(cls, name, value):
+    with pytest.raises(RejectedInputError, match=f"^{name} must be of type"):
+        cls(**{name: value})
+
+
+def test_config_dataclasses_store_ints_for_floats_as_floats():
+    assert ExtractionConfig(num_octaves=None).num_octaves is None
+    for config, name in (
+        (ExtractionConfig(base_sigma=2), "base_sigma"),
+        (KernelParams(k=6), "k"),
+        (HoughParams(trans_bin=10), "trans_bin"),
+        (RegistrationConfig(w=0), "w"),
+    ):
+        assert type(getattr(config, name)) is float

@@ -5,15 +5,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from conftest import gaussian_blob, negated
+from conftest import dog, gaussian_blob, negated
 from volkey.errors import RejectedInputError
-from volkey.keypoints import _GATHER_BLOCK, _newton_steps, _strict_maxima, detect_keypoints
+from volkey.keypoints import (
+    _GATHER_BLOCK,
+    _NEIGHBORS,
+    _newton_steps,
+    _ring_maxima,
+    detect_keypoints,
+)
 from volkey.synth import make_phantom
-from volkey.volume import ScalarVolume, build_scale_space
+from volkey.volume import Octave, ScalarVolume, build_scale_space
 
 
 def _blob_space(widths, center=(32.0, 32.0, 32.0), amplitude=1.0):
@@ -114,6 +120,12 @@ def test_rejects_negative_threshold(phantom_scale_space):
         detect_keypoints(phantom_scale_space, min_abs_response=-1.0)
 
 
+@pytest.mark.parametrize("max_count", [-1, 0, 2.5, True])
+def test_rejects_max_count_that_is_not_a_positive_integer(phantom_scale_space, max_count):
+    with pytest.raises(RejectedInputError, match="max_count"):
+        detect_keypoints(phantom_scale_space, max_count=max_count)
+
+
 def _quadratic_step(stack: np.ndarray, j: int, x: int, y: int, z: int):
     """Scalar oracle: gradient, Hessian and Newton offset of the 4D fit at one voxel.
 
@@ -169,12 +181,13 @@ def _quadratic_step(stack: np.ndarray, j: int, x: int, y: int, z: int):
 )
 def test_batched_refinement_equals_scalar_oracle(seed, shape, count, flat_from):
     rng = np.random.default_rng(seed)
-    stack = rng.normal(size=shape)
-    # from x = flat_from on the stack does not vary along z: there every
+    levels = rng.normal(size=(shape[0] + 1, *shape[1:]))
+    # from x = flat_from on the levels do not vary along z: there every
     # Hessian has a zero row, so the oracle's solve fails and the offset is 0
-    stack[:, flat_from:] = stack[:, flat_from:, :, :1]
+    levels[:, flat_from:] = levels[:, flat_from:, :, :1]
+    stack = levels[1:] - levels[:-1]
     at = np.stack([rng.integers(1, n - 1, count) for n in shape], axis=1).reshape(-1, 4)
-    g, offset = _newton_steps(stack, at)
+    g, offset = _newton_steps(levels, at)
     for i, (j, x, y, z) in enumerate(at):
         g_oracle, offset_oracle = _quadratic_step(stack, j, x, y, z)
         np.testing.assert_array_equal(g[i], g_oracle)
@@ -205,33 +218,109 @@ def _footprint_maxima(mag):
     return np.argwhere(mag > neighbor_max)
 
 
+def _strict_maxima(mag: np.ndarray) -> np.ndarray:
+    """Stacked oracle: argwhere of the interior entries of the whole |DoG|
+    stack mag strictly above all 80 neighbours, by the same axis prefilter
+    and 80-neighbour gather as the ring, over all layers at once."""
+    core = (slice(1, -1),) * mag.ndim
+    inner = mag[core]
+    candidate = inner > 0.0
+    for axis, size in enumerate(mag.shape):
+        for lo in (0, 2):
+            beside = core[:axis] + (slice(lo, lo + size - 2),) + core[axis + 1 :]
+            candidate &= inner >= mag[beside]
+    at = np.argwhere(candidate) + 1
+    strict = np.empty(len(at), dtype=bool)
+    for lo in range(0, len(at), _GATHER_BLOCK):
+        block = at[lo : lo + _GATHER_BLOCK]
+        around = mag[tuple((block[:, None, :] + _NEIGHBORS).T)]
+        strict[lo : lo + _GATHER_BLOCK] = (around < mag[tuple(block.T)]).all(axis=0)
+    return at[strict]
+
+
+def _levels_with_dog(seed, stack):
+    """Levels (n + 1, X, Y, Z) whose DoG is exactly the stack (n, X, Y, Z)
+    of small multiples of 0.25."""
+    levels = np.empty((len(stack) + 1, *stack.shape[1:]))
+    levels[0] = np.random.default_rng(seed).integers(-8, 8, stack.shape[1:]) * 0.25
+    for k, layer in enumerate(stack):
+        levels[k + 1] = levels[k] + layer
+    np.testing.assert_array_equal(dog(Octave(levels, [], 1.0, np.zeros(3))), stack)
+    return levels
+
+
+def _assert_ring_equals_stacked(seed, mag):
+    """The ring detector's indices, gradients and offsets on levels whose
+    |DoG| is mag equal the stacked path's, bit for bit."""
+    stack = np.random.default_rng(seed).choice([-1.0, 1.0], mag.shape) * mag
+    levels = _levels_with_dog(seed, stack)
+    want = _footprint_maxima(mag)
+    np.testing.assert_array_equal(_strict_maxima(mag), want)
+    at = _ring_maxima(levels)
+    assert at.shape == (len(want), 4)
+    np.testing.assert_array_equal(at, want)
+    g, offset = _newton_steps(levels, at)
+    for i, (j, x, y, z) in enumerate(at):
+        g_oracle, offset_oracle = _quadratic_step(stack, j, x, y, z)
+        np.testing.assert_array_equal(g[i], g_oracle)
+        np.testing.assert_array_equal(offset[i], offset_oracle)
+    return at
+
+
 @settings(max_examples=200)
 @given(
     seed=st.integers(0, 2**32 - 1),
     shape=st.tuples(*[st.integers(3, 7)] * 4),
     levels=st.sampled_from((1, 4, 30, 100, 300)),
+    floor=st.sampled_from((0, 1)),
+    zero_from=st.integers(0, 8),
+    spikes=st.integers(0, 20),
 )
-def test_prefiltered_maxima_equal_the_footprint_filter(seed, shape, levels):
+# one nonzero plateau of 18^3 candidates in one layer, with 300 spikes
+@example(seed=5, shape=(3, 20, 20, 20), levels=1, floor=1, zero_from=20, spikes=300)
+def test_prefiltered_maxima_equal_the_footprint_filter(
+    seed, shape, levels, floor, zero_from, spikes
+):
     # quantized values: plateaus and ties with a neighbour are common at few
-    # levels, strict maxima at many
-    mag = np.random.default_rng(seed).integers(0, levels, shape) * 0.25
-    want = _footprint_maxima(mag)
-    got = _strict_maxima(mag)
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got, want)
+    # levels, strict maxima at many; a zero floor leaves zero backgrounds,
+    # and from x = zero_from every layer is zero
+    rng = np.random.default_rng(seed)
+    mag = (rng.integers(0, levels, shape) + floor) * 0.25
+    at = rng.choice(mag.size, min(spikes, mag.size), replace=False)
+    mag.flat[at] = rng.integers(levels + 1, levels + 4, len(at))
+    mag[:, zero_from:] = 0.0
+    _assert_ring_equals_stacked(seed, mag)
 
 
 @pytest.mark.parametrize("levels", [1, 2])
 def test_prefilter_confirms_many_candidates_in_blocks(levels):
-    # nonzero plateaus hold more candidates than one gather block; spikes,
-    # some of them tied with a neighbour, are the strict maxima among them
+    # nonzero plateaus hold more candidates in one layer than one gather
+    # block; spikes, some of them tied with a neighbour, are the strict
+    # maxima among them
     rng = np.random.default_rng(levels)
     mag = (rng.integers(0, levels, (5, 24, 24, 24)) + 1) * 0.25
     mag.flat[rng.choice(mag.size, 400, replace=False)] = rng.integers(8, 12, 400)
-    assert np.sum(mag >= ndimage.maximum_filter(mag, size=3)) > _GATHER_BLOCK
-    want = _footprint_maxima(mag)
-    assert len(want) > 0
-    np.testing.assert_array_equal(_strict_maxima(mag), want)
+    assert np.sum(mag[1] >= ndimage.maximum_filter(mag, size=3)[1]) > _GATHER_BLOCK
+    assert len(_assert_ring_equals_stacked(levels, mag)) > 0
+
+
+def _detection_peak(ss):
+    """tracemalloc peak of detect_keypoints on ss, and its keypoints."""
+    tracemalloc.start()
+    try:
+        kps = detect_keypoints(ss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, kps
+
+
+def test_detection_memory_is_three_dog_layers(phantom):
+    # three |DoG| layers of V float64 entries, plus the prefilter's masks
+    ss = build_scale_space(phantom, num_octaves=1)
+    peak, kps = _detection_peak(ss)
+    assert kps
+    assert peak < 3.5 * ss.octaves[0].data[0].size * 8
 
 
 def test_detection_memory_on_a_zero_background():
@@ -241,15 +330,8 @@ def test_detection_memory_on_a_zero_background():
     g = np.arange(24) - 11.5
     data[2:26, 2:26, 2:26] = np.exp(-(g[:, None, None] ** 2 + g[:, None] ** 2 + g**2) / 32.0)
     ss = build_scale_space(ScalarVolume((64, 64, 64), (1, 1, 1), (0, 0, 0), data), num_octaves=1)
-    entries = ss.octaves[0].dog.size
-    assert np.mean(ss.octaves[0].dog == 0.0) > 0.5
-    tracemalloc.start()
-    try:
-        kps = detect_keypoints(ss)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    assert np.mean(dog(ss.octaves[0]) == 0.0) > 0.5
+    peak, kps = _detection_peak(ss)
     assert kps
-    # the DoG stack, its magnitude, their size-3 maximum and one mask take
-    # 25 B an entry; gathering neighbours at every zero would take ~500
-    assert peak < 40 * entries
+    # gathering neighbours at every zero would take ~500 B a voxel
+    assert peak < 3.5 * ss.octaves[0].data[0].size * 8

@@ -6,6 +6,7 @@ scale-normalized Laplacian up to the factor DOG_TO_LOG (detection).
 """
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXTRACTION, gaussian_blob, volume_center
+from conftest import EXTRACTION, dog, gaussian_blob, volume_center
 from volkey import descriptors, frames
 from volkey.errors import RejectedInputError
 from volkey.io import write_features
@@ -98,6 +99,23 @@ def test_scale_space_structure():
     assert ss.octaves[1].spacing == pytest.approx(2.0 * ss.octaves[0].spacing)
 
 
+def test_levels_equal_chained_gaussian_blurs():
+    # odd dims at 1 x 1 x 2 mm: to_isotropic, then floor halving between octaves
+    rng = np.random.default_rng(3)
+    vol = ScalarVolume((19, 17, 9), (1, 1, 2), (0, 0, 0), rng.random((19, 17, 9)))
+    ss = build_scale_space(vol, num_octaves=2)
+    current = to_isotropic(vol).data
+    for o, octave in enumerate(ss.octaves):
+        s, h = octave.sigmas, octave.spacing
+        level = gaussian_blur(current, s[0] / h) if o == 0 else current
+        np.testing.assert_array_equal(octave.data[0], level)
+        for i in range(1, len(s)):
+            level = gaussian_blur(level, math.sqrt(s[i] ** 2 - s[i - 1] ** 2) / h)
+            np.testing.assert_array_equal(octave.data[i], level)
+        half = [n // 2 for n in octave.data[3].shape]
+        current = octave.data[3][: 2 * half[0] : 2, : 2 * half[1] : 2, : 2 * half[2] : 2]
+
+
 def test_build_scale_space_rejects_degenerate_inputs():
     small = ScalarVolume(dims=(8, 8, 4), spacing=(1, 1, 1), origin=(0, 0, 0), data=np.zeros((8, 8, 4)))
     with pytest.raises(RejectedInputError):
@@ -172,7 +190,7 @@ def _gradient(ss, x, sigma):
 
 def _dog(data):
     vol = ScalarVolume(data.shape, (1, 1, 1), (0, 0, 0), data)
-    return [octave.dog for octave in build_scale_space(vol, num_octaves=1).octaves]
+    return [dog(octave) for octave in build_scale_space(vol, num_octaves=1).octaves]
 
 
 def test_gradient_of_linear_ramp():
@@ -299,12 +317,12 @@ def test_gradient_rejects_sigma_outside_pyramid():
 
 
 def test_laplacian_constant_zero_and_blob_negative():
-    for dog in _dog(np.ones((16, 16, 16))):
-        np.testing.assert_allclose(dog, 0.0, atol=1e-12)
+    for layers in _dog(np.ones((16, 16, 16))):
+        np.testing.assert_allclose(layers, 0.0, atol=1e-12)
     blob = gaussian_blob(widths=6.0, center=(32, 32, 32))
     for octave in build_scale_space(blob, num_octaves=3).octaves:
         at = tuple(int(v) for v in (32.0 - octave.origin) / octave.spacing)
-        assert np.all(octave.dog[(slice(None), *at)] < 0.0)
+        assert np.all(dog(octave)[(slice(None), *at)] < 0.0)
 
 
 def test_laplacian_linearity_and_negation():
@@ -323,7 +341,7 @@ def test_operators_invariant_to_constant_offset():
     ss1 = build_scale_space(shifted, num_octaves=1)
     x = [8.0, 8.0, 8.0]
     np.testing.assert_allclose(_gradient(ss0, x, 1.6), _gradient(ss1, x, 1.6), atol=1e-9)
-    np.testing.assert_allclose(ss0.octaves[0].dog, ss1.octaves[0].dog, atol=1e-9)
+    np.testing.assert_allclose(dog(ss0.octaves[0]), dog(ss1.octaves[0]), atol=1e-9)
 
 
 def test_resample_identity_and_integer_shift():
