@@ -19,40 +19,13 @@ from .errors import (
     VolkeyError,
 )
 from .evaluation import EvaluationReport, evaluate, probe_grid, state_histogram
-from .frames import (
-    Frame,
-    OrientationState,
-    enumerate_states,
-    estimate_frame_max_gradient,
-    estimate_frame_structure_tensor,
-    frame_from_tensor,
-)
+from .frames import Frame, enumerate_states, estimate_frame_max_gradient
 from .kernels import KernelParams
 from .keypoints import Keypoint, detect_keypoints
-from .matching import (
-    MATCH_DTYPE,
-    HoughParams,
-    HoughResult,
-    hough_init,
-    match_features,
-    transform_between,
-)
-from .registration import (
-    RegistrationConfig,
-    RegistrationResult,
-    e_step,
-    init_lambda_sq,
-    register,
-)
+from .matching import MATCH_DTYPE, HoughParams, HoughResult, hough_init, match_features
+from .registration import RegistrationConfig, RegistrationResult, e_step, register
 from .synth import make_phantom, random_similarity
 from .transforms import SimilarityTransform
-from .volume import (
-    ScalarVolume,
-    ScaleSpace,
-    build_scale_space,
-    gaussian_blur,
-    resample,
-    to_isotropic,
-)
+from .volume import ScalarVolume, build_scale_space, resample, to_isotropic
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ reported per axis from the rotation vector of R_est R_gt^T.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -26,6 +27,8 @@ class EvaluationReport:
 
 def probe_grid(volume: ScalarVolume, count: int = 5) -> np.ndarray:
     """count^3 world-space probe points spread over the volume extent."""
+    if isinstance(count, bool) or not isinstance(count, Integral) or count < 1:
+        raise RejectedInputError(f"count must be a positive integer, got {count!r}")
     lo = volume.world_min
     hi = volume.world_max
     ax = [np.linspace(lo[a], hi[a], count) for a in range(3)]
@@ -39,6 +42,8 @@ def point_registration_error(
     probes = np.asarray(probes, dtype=float).reshape(-1, 3)
     if probes.size == 0:
         raise RejectedInputError("need at least one probe point")
+    if not np.isfinite(probes).all():
+        raise RejectedInputError("probe points must be finite")
     return float(np.linalg.norm(t_est.apply(probes) - t_gt.apply(probes), axis=1).mean())
 
 

@@ -50,18 +50,6 @@ class Frame:
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=float).reshape(3, 3)
 
-    @property
-    def theta1(self) -> np.ndarray:
-        return self.matrix[:, 0]
-
-    @property
-    def theta2(self) -> np.ndarray:
-        return self.matrix[:, 1]
-
-    @property
-    def theta3(self) -> np.ndarray:
-        return self.matrix[:, 2]
-
 
 @dataclass(eq=False)
 class OrientationState:
@@ -215,7 +203,7 @@ def estimate_frame_max_gradient(
     return Frame(np.stack([theta1, theta2, theta3], axis=1))
 
 
-def frame_from_tensor(tensor: np.ndarray) -> Frame:
+def _frame_from_tensor(tensor: np.ndarray) -> Frame:
     """Eigen-frame of a 3x3 second-moment matrix with canonical signs.
 
     Eigenvectors are ordered by descending eigenvalue; each of the first two
@@ -253,4 +241,4 @@ def estimate_frame_structure_tensor(
     if np.linalg.norm(grads, axis=1).max(initial=0.0) <= GRADIENT_FLOOR:
         raise NoOrientationError("gradient field vanishes over the support window")
     tensor = (weights[:, None] * grads).T @ grads
-    return frame_from_tensor(tensor)
+    return _frame_from_tensor(tensor)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -45,6 +45,10 @@ class Keypoint:
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float).reshape(3)
         self.sigma = float(self.sigma)
+        if not 0.0 < self.sigma < math.inf:
+            raise RejectedInputError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.sign != 1 and self.sign != -1:
+            raise RejectedInputError(f"sign must be 1 or -1, got {self.sign!r}")
         self.sign = int(self.sign)
         self.response = float(self.response)
 
@@ -156,8 +160,14 @@ def detect_keypoints(
     Ordering is descending |response|, ties broken by lexicographic location
     then sigma; the list is truncated to max_count when given.
     """
-    if min_abs_response < 0.0:
-        raise RejectedInputError("min_abs_response must be nonnegative")
+    if (
+        isinstance(min_abs_response, bool)
+        or not isinstance(min_abs_response, Real)
+        or not 0.0 <= min_abs_response < math.inf
+    ):
+        raise RejectedInputError(
+            f"min_abs_response must be nonnegative and finite, got {min_abs_response!r}"
+        )
     if max_count is not None and (
         isinstance(max_count, bool) or not isinstance(max_count, Integral) or max_count < 1
     ):

@@ -54,24 +54,19 @@ MAX_SHIFT_ITERS = 30
 MAX_REFIT_ITERS = 10
 
 
-def transform_between(src, dst) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Similarity transforms (rotation, scale, translation) carrying source
-    geometries onto destination ones.
-
-    src and dst are (x, sigma, theta) of shapes (..., 3), (...), (..., 3, 3):
-    b = sigma_dst / sigma_src, R = theta_dst theta_src^T, t = x_dst - b R x_src.
-    """
-    (x_src, s_src, t_src), (x_dst, s_dst, t_dst) = src, dst
-    b = np.divide(s_dst, s_src)
-    r = project_to_rotation(t_dst @ np.swapaxes(t_src, -1, -2))
-    return r, b, x_dst - b[..., None] * (r @ x_src[..., None])[..., 0]
-
-
 def match_table(fixed, moving, fixed_index, moving_index, moving_state, distance) -> np.recarray:
     """Match records with their votes; fixed and moving are (x, sigma, theta)
-    stacks, one row per match, the moving frames under the matched state."""
-    columns = [fixed_index, moving_index, moving_state, distance, *fixed[:2], *moving[:2]]
-    return np.rec.fromarrays(columns + list(transform_between(moving, fixed)), dtype=MATCH_DTYPE)
+    stacks, one row per match, the moving frames under the matched state.
+
+    Each vote carries moving onto fixed: b = sigma_f / sigma_m,
+    R = theta_f theta_m^T, t = x_f - b R x_m.
+    """
+    (x_m, s_m, t_m), (x_f, s_f, t_f) = moving, fixed
+    b = np.divide(s_f, s_m)
+    r = project_to_rotation(t_f @ np.swapaxes(t_m, -1, -2))
+    t = x_f - b[..., None] * (r @ x_m[..., None])[..., 0]
+    columns = [fixed_index, moving_index, moving_state, distance, x_f, s_f, x_m, s_m, r, b, t]
+    return np.rec.fromarrays(columns, dtype=MATCH_DTYPE)
 
 
 def match_features(fixed: list[Feature], moving: list[Feature]) -> np.recarray:
@@ -147,6 +142,14 @@ def consistency_mask(
     )
 
 
+def _endpoint_fit(matches: np.recarray, members: np.ndarray) -> SimilarityTransform:
+    """Least-squares similarity carrying the members' moving locations onto
+    their fixed ones, each pair weighted 1."""
+    f, mv = matches.fixed_x[members], matches.moving_x[members]
+    ones = np.ones(len(f))
+    return fit_similarity(f, mv, ones, ones, mv)[0]
+
+
 def hough_init(matches: np.recarray, params: HoughParams | None = None) -> HoughResult:
     """Dominant similarity transform among the match votes.
 
@@ -205,18 +208,17 @@ def hough_init(matches: np.recarray, params: HoughParams | None = None) -> Hough
         # least-squares fit of the window members' matched endpoints is much
         # sharper, so offer it as a second candidate for the same cluster.
         if window.size >= 3:
-            f, mv = matches.fixed_x[window], matches.moving_x[window]
-            ones = np.ones(window.size)
             with suppress(DegenerateGeometryError, RejectedInputError):
-                candidates.append(fit_similarity(f, mv, ones, ones, mv)[0])
+                candidates.append(_endpoint_fit(matches, window))
 
-    counts = [int(consistency_mask(matches, log_scales, c, params).sum()) for c in candidates]
+    masks = [consistency_mask(matches, log_scales, c, params) for c in candidates]
+    counts = [int(mask.sum()) for mask in masks]
     if max(counts, default=0) < 3:
         raise InitializationFailureError(
             f"no transform cluster with >= 3 consistent votes (best {max(counts, default=0)})"
         )
-    best = candidates[int(np.argmax(counts))]
-    inliers = consistency_mask(matches, log_scales, best, params)
+    winner = int(np.argmax(counts))
+    best, inliers = candidates[winner], masks[winner]
     # Re-fit to the inlier pairs and recount until membership stabilizes; the
     # mean-shift mode is a vote average while the least-squares fit of the
     # matched endpoints is sharper, which recovers inliers the residual test
@@ -224,10 +226,8 @@ def hough_init(matches: np.recarray, params: HoughParams | None = None) -> Hough
     for _ in range(MAX_REFIT_ITERS):
         if inliers.sum() < 3:
             break
-        f, mv = matches.fixed_x[inliers], matches.moving_x[inliers]
-        ones = np.ones(len(f))
         try:
-            refit = fit_similarity(f, mv, ones, ones, mv)[0]
+            refit = _endpoint_fit(matches, inliers)
         except (DegenerateGeometryError, RejectedInputError):
             break
         new_inliers = consistency_mask(matches, log_scales, refit, params)

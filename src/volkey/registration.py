@@ -103,7 +103,7 @@ class RegistrationResult:
     init: HoughResult | None = None
 
 
-def init_lambda_sq(fixed_points: np.ndarray, moving_points: np.ndarray) -> float:
+def _init_lambda_sq(fixed_points: np.ndarray, moving_points: np.ndarray) -> float:
     """Mean squared distance over all cross pairs, per dimension, in O(M + N)."""
     f = np.asarray(fixed_points, dtype=float).reshape(-1, 3)
     m = np.asarray(moving_points, dtype=float).reshape(-1, 3)
@@ -114,10 +114,10 @@ def init_lambda_sq(fixed_points: np.ndarray, moving_points: np.ndarray) -> float
     return float(f.var(axis=0).sum() + m.var(axis=0).sum() + gap @ gap) / 3.0
 
 
-def _check_estep(fixed, moved, lambda_sq: float, w: float, total_fixed: int) -> float:
+def _check_estep(fixed, moved, lambda_sq: float, w: float) -> float:
     """Validate an E-step's inputs; return the log background
-    log eta = 1.5 log(2 pi lambda^2) + log(w / (1 - w)) + log(M / N) of the
-    whole sets, with M the moving features and N = total_fixed."""
+    log eta = 1.5 log(2 pi lambda^2) + log(w / (1 - w)) + log(M / N), with M
+    the moving and N the fixed features."""
     # from the smallest normal float up, 1 / (2 lambda^2) is finite
     if not lambda_sq >= np.finfo(float).tiny:
         raise RejectedInputError(f"lambda_sq must be a positive normal float, got {lambda_sq}")
@@ -128,7 +128,7 @@ def _check_estep(fixed, moved, lambda_sq: float, w: float, total_fixed: int) -> 
         raise RejectedInputError(f"lambda_sq {lambda_sq} is too large: 2 pi lambda_sq overflows")
     with np.errstate(divide="ignore"):
         log_w = np.log(w / (1.0 - w))  # -inf: no background for w = 0
-        return log_volume + log_w + np.log(moved[0].shape[0] / total_fixed)
+        return log_volume + log_w + np.log(moved[0].shape[0] / fixed[0].shape[0])
 
 
 def _unnormalized(fixed, moved, lambda_sq, log_eta, config):
@@ -174,25 +174,15 @@ def e_step(
     t_m: np.ndarray,
     lambda_sq: float,
     config: RegistrationConfig,
-    total_fixed: int | None = None,
 ) -> np.ndarray:
     """Correspondence probabilities, shape (moving, fixed), columns sum <= 1.
 
     Inputs are stacked locations (n, 3), scales (n,) and frames (n, 3, 3);
     the moving geometry must already be mapped through the current transform.
     Each column is normalized in log space against the background log eta.
-    The fixed inputs may be a block of columns of a larger fixed set; its
-    size total_fixed (default: this block's) sets log eta, so the block's
-    columns equal those of the whole P.
     """
     fixed, moved = (x_f, s_f, t_f), (x_m, s_m, t_m)
-    if total_fixed is None:
-        total_fixed = x_f.shape[0]
-    elif not total_fixed >= x_f.shape[0]:
-        raise RejectedInputError(
-            f"total_fixed {total_fixed} is smaller than the block's {x_f.shape[0]} columns"
-        )
-    log_eta = _check_estep(fixed, moved, lambda_sq, config.w, total_fixed)
+    log_eta = _check_estep(fixed, moved, lambda_sq, config.w)
     p, inv, _ = _unnormalized(fixed, moved, lambda_sq, log_eta, config)
     p *= inv
     return p
@@ -234,7 +224,7 @@ def _posterior_sums(fixed, moved, x_m, lambda_sq, config, tree=None):
     (built here when not given); see the module docstring for r.
     """
     n, m = fixed[0].shape[0], x_m.shape[0]
-    log_eta = _check_estep(fixed, moved, lambda_sq, config.w, n)
+    log_eta = _check_estep(fixed, moved, lambda_sq, config.w)
     if m * n <= _ESTEP_BLOCK_PAIRS:
         p, inv, col = _unnormalized(fixed, moved, lambda_sq, log_eta, config)
         return col, p @ inv, (p.T @ x_m) * inv[:, None]
@@ -294,7 +284,7 @@ def register(
             t, lam = fit_similarity(x_f[nearest], x_m, ones, ones, x_m)
             history.append(lam)
     else:
-        lam = init_lambda_sq(x_f, t.apply(x_m))
+        lam = _init_lambda_sq(x_f, t.apply(x_m))
         lam_init = lam
         for _ in range(cfg.max_iterations):
             if lam <= cfg.lambda_sq_floor:

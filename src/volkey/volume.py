@@ -98,19 +98,6 @@ def _blur_into(data: np.ndarray, sigma_vox: float, out: np.ndarray, scratch: np.
     ndimage.correlate1d(scratch, k, axis=2, output=out, mode="nearest")
 
 
-def gaussian_blur(data: np.ndarray, sigma_vox: float) -> np.ndarray:
-    """Separable Gaussian blur with clamp-to-edge boundaries.
-
-    sigma_vox is isotropic and in voxel units; sigma_vox <= 0 returns a copy.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    if sigma_vox <= 0.0:
-        return data.copy()
-    out = np.empty(data.shape)
-    _blur_into(data, sigma_vox, out, np.empty(data.shape))
-    return out
-
-
 @dataclass(eq=False)
 class Octave:
     """One resolution tier of the pyramid: levels (6, X, Y, Z)."""

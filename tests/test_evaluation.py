@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import gaussian_blob
 from volkey.errors import RejectedInputError
@@ -67,6 +69,35 @@ def test_probe_grid_covers_the_volume():
     np.testing.assert_allclose(mins, vol.world_min, atol=1e-12)
     np.testing.assert_allclose(maxs, vol.world_max, atol=1e-12)
     assert probe_grid(vol, count=3).shape == (27, 3)
+
+
+@given(
+    count=st.one_of(
+        st.integers(max_value=0), st.floats(), st.booleans(), st.none(), st.text(max_size=2)
+    )
+)
+def test_probe_grid_rejects_a_count_that_is_not_a_positive_integer(count):
+    # -1 raised ValueError, 2.5 TypeError, and 0 gave an empty grid
+    vol = ScalarVolume((4, 4, 4), (1, 1, 1), (0, 0, 0), np.zeros((4, 4, 4)))
+    with pytest.raises(RejectedInputError, match="count"):
+        probe_grid(vol, count)
+
+
+@given(
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    row=st.integers(0, 19),
+    axis=st.integers(0, 2),
+)
+def test_non_finite_probes_are_rejected(bad, row, axis):
+    # evaluate reported pre = nan for a NaN probe
+    t1 = random_similarity(12, center=(0.0, 0.0, 0.0))
+    t2 = random_similarity(13, center=(0.0, 0.0, 0.0))
+    probes = _probes(np.random.default_rng(44))
+    probes[row, axis] = bad
+    with pytest.raises(RejectedInputError, match="finite"):
+        point_registration_error(t1, t2, probes)
+    with pytest.raises(RejectedInputError, match="finite"):
+        evaluate(t1, t2, probes)
 
 
 def test_state_histogram_counts_transitions():

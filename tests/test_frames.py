@@ -15,11 +15,11 @@ from volkey.frames import (
     STATE_SIGNS,
     Frame,
     _circle_scores,
+    _frame_from_tensor,
     _window,
     enumerate_states,
     estimate_frame_max_gradient,
     estimate_frame_structure_tensor,
-    frame_from_tensor,
     icosphere_faces,
 )
 from volkey.keypoints import Keypoint, detect_keypoints
@@ -57,9 +57,9 @@ def test_max_gradient_aligns_with_ramp():
     ss = build_scale_space(vol, num_octaves=2)
     kp = Keypoint(x=np.array([24.0, 24.0, 24.0]), sigma=2.0, sign=1, response=1.0)
     frame = estimate_frame_max_gradient(ss, kp)
-    assert _angle_deg(frame.theta1, np.array([1.0, 0.0, 0.0])) < COARSE_DEG
+    assert _angle_deg(frame.matrix[:, 0], np.array([1.0, 0.0, 0.0])) < COARSE_DEG
     # every gradient points along +x, so the disambiguated sign does too
-    assert frame.theta1[0] > 0.0
+    assert frame.matrix[0, 0] > 0.0
 
 
 def test_estimators_on_anisotropic_blob():
@@ -67,7 +67,7 @@ def test_estimators_on_anisotropic_blob():
     eye = np.eye(3)
     mg = estimate_frame_max_gradient(ss, kp)
     # steepest intensity change is along the narrowest blob axis
-    assert _angle_deg(mg.theta1, eye[0]) < COARSE_DEG
+    assert _angle_deg(mg.matrix[:, 0], eye[0]) < COARSE_DEG
     st = estimate_frame_structure_tensor(ss, kp)
     for i in range(3):
         assert _angle_deg(st.matrix[:, i], eye[i]) < 5.0
@@ -123,7 +123,7 @@ def test_extraction_commutes_with_origin_shift(phantom, phantom_features):
 
 
 def test_frame_from_tensor_axis_aligned():
-    frame = frame_from_tensor(np.diag([9.0, 4.0, 1.0]))
+    frame = _frame_from_tensor(np.diag([9.0, 4.0, 1.0]))
     np.testing.assert_array_equal(frame.matrix, np.eye(3))
 
 
@@ -134,7 +134,7 @@ def test_frame_from_tensor_recovers_rotated_basis():
     for _ in range(20):
         r = matrix_from_rotvec(rng.normal(size=3))
         tensor = r @ np.diag([9.0, 4.0, 1.0]) @ r.T
-        frame = frame_from_tensor(tensor)
+        frame = _frame_from_tensor(tensor)
         assert is_rotation(frame.matrix, tol=1e-9)
         for i in range(3):
             assert _angle_deg(frame.matrix[:, i], r[:, i]) < 1e-5
@@ -146,9 +146,9 @@ def test_frame_from_tensor_recovers_rotated_basis():
 
 def test_frame_from_tensor_rejects_degenerate_spectra():
     with pytest.raises(AmbiguousFrameError):
-        frame_from_tensor(np.diag([4.0, 4.0, 1.0]))
+        _frame_from_tensor(np.diag([4.0, 4.0, 1.0]))
     with pytest.raises(NoOrientationError):
-        frame_from_tensor(np.zeros((3, 3)))
+        _frame_from_tensor(np.zeros((3, 3)))
 
 
 def test_isotropic_blob_has_no_tensor_frame():

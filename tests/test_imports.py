@@ -1,8 +1,10 @@
-"""Source hygiene: every name a module imports is read in that module."""
+"""Source hygiene: every name a module imports is read in that module, and
+every name the package exports is one its users name."""
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,3 +66,21 @@ def test_benchmark_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_every_export_is_named_outside_the_tests():
+    # the package's surface is what the README, the CLI and the benchmark
+    # name; anything else belongs in its module, or in the tests as an oracle
+    init = ast.parse((ROOT / "src" / "volkey" / "__init__.py").read_text())
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert exported
+    users = [ROOT / "README.md", ROOT / "src" / "volkey" / "cli.py"]
+    users += sorted((ROOT / "benchmarks").glob("*.py"))
+    # whole identifiers: `structure_tensor` does not name estimate_frame_structure_tensor
+    named = {word for p in users for word in re.findall(r"\w+", p.read_text())}
+    assert [name for name in exported if name not in named] == []

@@ -1,6 +1,7 @@
 """Scale-space extremum detection on analytic blobs and phantoms."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from volkey.errors import RejectedInputError
 from volkey.keypoints import (
     _GATHER_BLOCK,
     _NEIGHBORS,
+    Keypoint,
     _newton_steps,
     _ring_maxima,
     detect_keypoints,
@@ -115,9 +117,34 @@ def test_border_flag_near_volume_edge():
     assert edge.border is True
 
 
-def test_rejects_negative_threshold(phantom_scale_space):
-    with pytest.raises(RejectedInputError):
-        detect_keypoints(phantom_scale_space, min_abs_response=-1.0)
+@settings(max_examples=80)
+@given(
+    floor=st.one_of(
+        st.floats(max_value=-5e-324),
+        st.sampled_from([math.nan, math.inf, np.float64(np.nan), np.float32(np.inf)]),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=3),
+        st.complex_numbers(),
+        st.lists(st.floats(0.0, 1.0), max_size=2),
+    )
+)
+@example(floor=-1.0)
+def test_rejects_a_response_floor_that_is_not_a_finite_nonnegative_real(phantom_scale_space, floor):
+    # a NaN floor would keep every keypoint, and a string would raise TypeError
+    with pytest.raises(RejectedInputError, match="min_abs_response"):
+        detect_keypoints(phantom_scale_space, min_abs_response=floor)
+
+
+@settings(max_examples=150)
+@given(sigma=st.floats(), sign=st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2)))
+def test_keypoint_takes_a_positive_finite_scale_and_a_unit_sign(sigma, sign):
+    if 0.0 < sigma < math.inf and (sign == 1 or sign == -1):
+        kp = Keypoint(x=np.zeros(3), sigma=sigma, sign=sign, response=1.0)
+        assert kp.sigma == sigma and kp.sign == sign and type(kp.sign) is int
+    else:
+        with pytest.raises(RejectedInputError, match="sigma|sign"):
+            Keypoint(x=np.zeros(3), sigma=sigma, sign=sign, response=1.0)
 
 
 @pytest.mark.parametrize("max_count", [-1, 0, 2.5, True])

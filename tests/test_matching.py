@@ -13,7 +13,6 @@ from conftest import (
     EXTRACTION,
     Geometry,
     apply_to_geometry,
-    geometry_arrays,
     negated,
     pair_table,
 )
@@ -27,7 +26,6 @@ from volkey.matching import (
     consistency_mask,
     hough_init,
     match_features,
-    transform_between,
 )
 from volkey.transforms import (
     SimilarityTransform,
@@ -125,30 +123,31 @@ def test_match_rejects_empty_inputs(phantom_features):
         match_features(phantom_features, [])
 
 
-def _geom_tuple(g):
-    return g.x, g.sigma, g.theta
+def _votes(pairs):
+    """Vote columns (rotation, scale, translation) of the match table of
+    (moving, fixed) Geometry pairs."""
+    table = pair_table(pairs)
+    return table.rotation, table.scale, table.translation
 
 
-def test_transform_between_simple_cases():
-    g = (np.array([1.0, 2.0, 3.0]), 2.0, np.eye(3))
-    r, b, t = transform_between(g, g)
+def test_match_table_votes_simple_cases():
+    g = Geometry(x=np.array([1.0, 2.0, 3.0]), sigma=2.0, theta=np.eye(3))
+    (r,), (b,), (t,) = _votes([(g, g)])
     np.testing.assert_allclose(r, np.eye(3), atol=1e-12)
     assert b == pytest.approx(1.0)
     np.testing.assert_allclose(t, 0.0, atol=1e-12)
-    doubled = (np.array([5.0, 5.0, 5.0]), 4.0, np.eye(3))
-    _, b2, t2 = transform_between(g, doubled)
+    doubled = Geometry(x=np.array([5.0, 5.0, 5.0]), sigma=4.0, theta=np.eye(3))
+    _, (b2,), (t2,) = _votes([(g, doubled)])
     assert b2 == pytest.approx(2.0)
-    np.testing.assert_allclose(t2, doubled[0] - 2.0 * g[0], atol=1e-12)
+    np.testing.assert_allclose(t2, doubled.x - 2.0 * g.x, atol=1e-12)
 
 
-def test_transform_between_round_trip():
+def test_match_table_votes_round_trip():
     rng = np.random.default_rng(24)
     pairs = [(_rand_geom(rng), _rand_geom(rng)) for _ in range(50)]
-    stacked = transform_between(
-        geometry_arrays([src for src, _ in pairs]), geometry_arrays([dst for _, dst in pairs])
-    )
+    stacked = _votes(pairs)
     for k, (src, dst) in enumerate(pairs):
-        single = transform_between(_geom_tuple(src), _geom_tuple(dst))
+        single = [a[0] for a in _votes([(src, dst)])]
         for a, b in zip(stacked, single):
             np.testing.assert_array_equal(a[k], b)
         t = SimilarityTransform(*single)

@@ -22,10 +22,10 @@ from volkey.synth import random_similarity
 from volkey.transforms import SimilarityTransform
 from volkey.volume import (
     ScalarVolume,
+    _blur_into,
     _nearest_level,
     _sample_gradients,
     build_scale_space,
-    gaussian_blur,
     gaussian_kernel1d,
     resample,
     to_isotropic,
@@ -35,6 +35,13 @@ from volkey.volume import (
 def _random_volume(seed, dims=(16, 16, 16)):
     rng = np.random.default_rng(seed)
     return ScalarVolume(dims=dims, spacing=(1, 1, 1), origin=(0, 0, 0), data=rng.random(dims))
+
+
+def _blur(data, sigma_vox):
+    """Clamp-to-edge Gaussian blur of data into a new array."""
+    out = np.empty(data.shape)
+    _blur_into(data, sigma_vox, out, np.empty(data.shape))
+    return out
 
 
 def _trilinear(value, shape, coords):
@@ -107,10 +114,10 @@ def test_levels_equal_chained_gaussian_blurs():
     current = to_isotropic(vol).data
     for o, octave in enumerate(ss.octaves):
         s, h = octave.sigmas, octave.spacing
-        level = gaussian_blur(current, s[0] / h) if o == 0 else current
+        level = _blur(current, s[0] / h) if o == 0 else current
         np.testing.assert_array_equal(octave.data[0], level)
         for i in range(1, len(s)):
-            level = gaussian_blur(level, math.sqrt(s[i] ** 2 - s[i - 1] ** 2) / h)
+            level = _blur(level, math.sqrt(s[i] ** 2 - s[i - 1] ** 2) / h)
             np.testing.assert_array_equal(octave.data[i], level)
         half = [n // 2 for n in octave.data[3].shape]
         current = octave.data[3][: 2 * half[0] : 2, : 2 * half[1] : 2, : 2 * half[2] : 2]
@@ -168,7 +175,7 @@ def test_separable_blur_equals_brute_force_dense():
         for b in range(len(k)):
             for c in range(len(k)):
                 brute += k3[a, b, c] * pad[a : a + 8, b : b + 8, c : c + 8]
-    sep = gaussian_blur(data, sigma)
+    sep = _blur(data, sigma)
     assert np.max(np.abs(brute - sep)) / np.max(np.abs(brute)) < 1e-6
 
 
@@ -176,8 +183,8 @@ def test_gaussian_semigroup_on_interior():
     rng = np.random.default_rng(12)
     data = rng.random((24, 24, 24))
     s1, s2 = 2.0, 1.5
-    twice = gaussian_blur(gaussian_blur(data, s1), s2)
-    once = gaussian_blur(data, float(np.hypot(s1, s2)))
+    twice = _blur(_blur(data, s1), s2)
+    once = _blur(data, float(np.hypot(s1, s2)))
     margin = int(np.ceil(3 * (s1 + s2)))
     inner = (slice(margin, -margin),) * 3
     rel = np.max(np.abs(twice[inner] - once[inner])) / np.max(np.abs(once[inner]))
