@@ -39,9 +39,13 @@ def point_registration_error(
     t_est: SimilarityTransform, t_gt: SimilarityTransform, probes: np.ndarray
 ) -> float:
     """Mean probe displacement between the two transforms."""
-    probes = np.asarray(probes, dtype=float).reshape(-1, 3)
-    if probes.size == 0:
-        raise RejectedInputError("need at least one probe point")
+    try:
+        probes = np.asarray(probes, dtype=float)
+    except (TypeError, ValueError):
+        raise RejectedInputError("probe points must be numbers") from None
+    if probes.size == 0 or probes.size % 3:
+        raise RejectedInputError(f"need one or more 3-D probe points, got {probes.size} numbers")
+    probes = probes.reshape(-1, 3)
     if not np.isfinite(probes).all():
         raise RejectedInputError("probe points must be finite")
     return float(np.linalg.norm(t_est.apply(probes) - t_gt.apply(probes), axis=1).mean())

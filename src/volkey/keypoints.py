@@ -43,13 +43,24 @@ class Keypoint:
     border: bool = False
 
     def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float).reshape(3)
+        # scalar checks only, float first: read_features builds a Keypoint per record
+        try:
+            self.x = np.asarray(self.x, dtype=float).reshape(3)
+        except (TypeError, ValueError):
+            raise RejectedInputError(f"x must be three numbers, got {self.x!r}") from None
+        a, b, c = self.x.tolist()
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise RejectedInputError(f"x must be finite, got {[a, b, c]}")
+        if not (isinstance(self.sigma, float) or isinstance(self.sigma, Real)):
+            raise RejectedInputError(f"sigma must be a real number, got {self.sigma!r}")
         self.sigma = float(self.sigma)
         if not 0.0 < self.sigma < math.inf:
             raise RejectedInputError(f"sigma must be positive and finite, got {self.sigma}")
         if self.sign != 1 and self.sign != -1:
             raise RejectedInputError(f"sign must be 1 or -1, got {self.sign!r}")
         self.sign = int(self.sign)
+        if not (isinstance(self.response, float) or isinstance(self.response, Real)):
+            raise RejectedInputError(f"response must be a real number, got {self.response!r}")
         self.response = float(self.response)
 
 

@@ -6,14 +6,20 @@ resolve to the lowest moving index, then lowest state).  Every match implies
 a similarity transform from the two feature geometries; the matches vote in
 transform space and the dominant mode, refined by mean shift, initializes
 registration.  Vote transforms map moving geometry onto fixed geometry.
-
 Matches live in one record array of MATCH_DTYPE, one row per fixed feature.
+
+Distances come from one float32 product per block: [a, 1].[b, -|b|^2/2] =
+a.b - |b|^2/2 orders b as -|a - b|^2 does; over ranks 0..63 every product and
+partial sum is a multiple of 1/2 below 64 * 63^2 < 2^18 in magnitude, exact in
+float32, so argmax is the first nearest (moving, state).  The vote steps all
+S <= MAX_SEEDS seeds and counts all C <= 2 S candidates pair by pair, bit for
+bit as a one-seed loop, in _BLOCK_BYTES blocks: O(N) memory besides a block.
 """
 from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from .frames import STATE_SIGNS
 from .transforms import (
     SimilarityTransform,
     fit_similarity,
+    is_rotation,
     project_to_rotation,
     rotvec_from_matrix,
 )
@@ -44,9 +51,9 @@ MATCH_DTYPE = np.dtype(
     ]
 )
 
-# bytes of float32 distances per block of fixed rows: matching never holds
-# the whole (N, 4M) table
+# bytes of a block of float32 products or vote test pairs (at most 226 B a pair, tracemalloc)
 _BLOCK_BYTES = 8 << 20
+_PAIR_BYTES = 8 * 40
 
 # vote search caps: seed cells, mean-shift steps per seed, inlier refits
 MAX_SEEDS = 64
@@ -74,27 +81,18 @@ def match_features(fixed: list[Feature], moving: list[Feature]) -> np.recarray:
     if not fixed or not moving:
         raise RejectedInputError("both feature lists must be nonempty")
     ranks_f = np.array([f.descriptors[0].ranked for f in fixed])
-    # row m * nstates + state
-    flat = np.array([d.ranked for f in moving for d in f.descriptors])
+    flat = np.array([d.ranked for f in moving for d in f.descriptors])  # row m * nstates + state
     if min(ranks_f.min(), flat.min()) < 0 or max(ranks_f.max(), flat.max()) >= NUM_BINS:
         raise RejectedInputError(f"descriptor ranks must lie in 0..{NUM_BINS - 1}")
-    ranks_f, flat = ranks_f.astype(np.float32), flat.astype(np.float32)
-    nstates = len(flat) // len(moving)
-    # over ranks in 0..63, a.b and |b|^2 are at most 64 * 63^2 < 2^24, so every
-    # product, partial sum and |b|^2 - 2 a.b is an integer float32 holds
-    # exactly; that difference orders the rows of b as |a - b|^2 does, so the
-    # first minimum is the lowest (moving, state), as over exact integers
-    sq_m = (flat * flat).sum(axis=1)
-    step = max(1, _BLOCK_BYTES // (flat.itemsize * len(flat)))
-    blocks = np.split(ranks_f, np.arange(step, len(fixed), step))
-    best = np.concatenate([(sq_m - 2.0 * (a @ flat.T)).argmin(axis=1) for a in blocks])
-    mi, state = np.divmod(best, nstates)
+    aug_m = np.c_[flat, -0.5 * (flat * flat).sum(axis=1)].astype(np.float32)  # exact, see above
+    aug_f = np.c_[ranks_f, np.ones(len(fixed))].astype(np.float32)
+    best = _blocked(lambda rows: (aug_f[rows] @ aug_m.T).argmax(axis=1), len(fixed), 4 * len(flat))
+    mi, state = np.divmod(best, len(flat) // len(moving))
     x_m, s_m, theta_m = feature_geometry(moving)
     moving_geometry = (x_m[mi], s_m[mi], theta_m[mi] @ np.stack(STATE_SIGNS)[state])
     distance = np.sqrt(((ranks_f - flat[best]) ** 2).sum(axis=1, dtype=float))
-    return match_table(
-        feature_geometry(fixed), moving_geometry, np.arange(len(fixed)), mi, state, distance
-    )
+    fixed_geometry = feature_geometry(fixed)
+    return match_table(fixed_geometry, moving_geometry, np.arange(len(fixed)), mi, state, distance)
 
 
 @dataclass
@@ -123,31 +121,55 @@ class HoughResult:
     inliers: np.recarray
 
 
-def consistency_mask(
-    matches: np.recarray, log_scales: np.ndarray, t: SimilarityTransform, params: HoughParams
-) -> np.ndarray:
-    """Votes consistent with t: per-axis rotation cosines, log-scale gap
-    (log_scales holds math.log of the vote scales), and scale-normalized
-    residual; the batched matrix products round like those of a single match.
-    """
-    cos = np.einsum("nai,ai->ni", np.ascontiguousarray(matches.rotation), t.rotation)
-    moved = (t.rotation @ np.ascontiguousarray(matches.moving_x)[..., None])[..., 0]
-    residual = t.scale * moved + t.translation - matches.fixed_x
-    dist_sq = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
-    norm = (t.scale * matches.moving_sigma) * matches.fixed_sigma
-    return (
-        ~np.any(cos <= params.eps_cos, axis=1)
-        & (np.abs(log_scales - math.log(t.scale)) < params.eps_log_scale)
-        & (dist_sq < params.eps_disp * norm)
-    )
+def _blocked(test, rows: int, row_bytes: int) -> np.ndarray:
+    """test(block) stacked over slices of range(rows) within _BLOCK_BYTES (one row at least)."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return np.concatenate([test(slice(k, k + step)) for k in range(0, rows, step)])
 
 
-def _endpoint_fit(matches: np.recarray, members: np.ndarray) -> SimilarityTransform:
-    """Least-squares similarity carrying the members' moving locations onto
-    their fixed ones, each pair weighted 1."""
-    f, mv = matches.fixed_x[members], matches.moving_x[members]
-    ones = np.ones(len(f))
-    return fit_similarity(f, mv, ones, ones, mv)[0]
+def _consistent(matches, log_scales, candidates, params: HoughParams) -> np.ndarray:
+    """(C, N) votes consistent with candidates (r, b, t) in rotation, log-scale, then residual."""
+    r, b, t = (np.array(c) for c in zip(*candidates))
+    rots_t = np.ascontiguousarray(matches.rotation.transpose(1, 2, 0))
+    def test(rows):
+        q = r[rows, :, :, None] * rots_t  # summed over a in order, as einsum does
+        log_b = np.array([math.log(x) for x in b[rows]])
+        ok = np.all((q[:, 0] + q[:, 1]) + q[:, 2] > params.eps_cos, axis=1)
+        ok &= np.abs(log_scales - log_b[:, None]) < params.eps_log_scale
+        c, n = np.nonzero(ok)
+        k = c + rows.start
+        res = b[k, None] * (r[k] @ matches.moving_x[n, :, None])[..., 0] + t[k] - matches.fixed_x[n]
+        norm = (b[k] * matches.moving_sigma[n]) * matches.fixed_sigma[n]
+        ok[c, n] = (res[:, None, :] @ res[..., None])[:, 0, 0] < params.eps_disp * norm
+        return ok
+    return _blocked(test, len(r), _PAIR_BYTES * len(matches))
+
+
+def _in_bandwidth(rots, log_scales, trans, r_hat, ls_hat, t_hat, params) -> np.ndarray:
+    """(S, N) votes within a bin of modes in rotation angle and log-scale, then translation."""
+    def test(rows):
+        cos_ang = np.clip((np.einsum("kij,sij->sk", rots, r_hat[rows]) - 1.0) / 2.0, -1.0, 1.0)
+        ok = np.arccos(cos_ang) < params.rot_bin
+        ok &= np.abs(log_scales - ls_hat[rows, None]) < params.log_scale_bin
+        s, k = np.nonzero(ok)
+        sq = (trans[k] - t_hat[rows][s]) ** 2  # summed in order, as np.linalg.norm does
+        ok[s, k] = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2]) < params.trans_bin
+        return ok
+    return _blocked(test, len(r_hat), _PAIR_BYTES * len(rots))
+
+
+def _window_means(windows, rots, log_scales, trans):
+    """Bitwise rots[w].mean(axis=0), log_scales[w].mean(), trans[w].mean(axis=0) per window
+    w: add.at adds in order, as reducing axis 0 does; reduceat after 0.0 sums pairwise."""
+    def means(rows):
+        seed, vote = np.nonzero(windows[rows])
+        start = np.flatnonzero(np.diff(seed, prepend=-1))  # every window is nonempty
+        sums = np.zeros((len(start), 12))
+        np.add.at(sums, seed, np.c_[rots[vote].reshape(-1, 9), trans[vote]])
+        ls = np.add.reduceat(np.insert(log_scales[vote], start, 0.0), start + np.arange(len(start)))
+        return np.c_[sums, ls] / np.diff(start, append=len(seed))[:, None]
+    mean = _blocked(means, len(windows), _PAIR_BYTES * len(rots))
+    return project_to_rotation(mean[:, :9].reshape(-1, 3, 3)), mean[:, 12], mean[:, 9:12]
 
 
 def hough_init(matches: np.recarray, params: HoughParams | None = None) -> HoughResult:
@@ -156,85 +178,63 @@ def hough_init(matches: np.recarray, params: HoughParams | None = None) -> Hough
     Votes are hashed on quantized (rotation-vector, log-scale, translation)
     coordinates; the strongest cells seed mean-shift refinement with one-bin
     bandwidth per component (chordal mean for rotation), and candidates are
-    ranked by their consistent-vote count.  Raises when fewer than 3 matches
-    exist or no candidate gathers 3 consistent votes.
-    """
+    ranked by their consistent-vote count.  Raises RejectedInputError unless
+    matches are MATCH_DTYPE records of finite geometry, positive scales and
+    proper rotations, and InitializationFailureError if no candidate (or
+    fewer than 3 matches) gathers 3 consistent votes."""
     params = params or HoughParams()
-    if len(matches) < 3:
-        raise InitializationFailureError(f"need at least 3 matches, got {len(matches)}")
-    rots = np.ascontiguousarray(matches.rotation)
-    trans = matches.translation
-    # math.log, not np.log: the SIMD log differs in the last bit for some
-    # scales, and the cell means below depend on every bit
-    log_scales = np.array(list(map(math.log, matches.scale)))
-    keys = np.column_stack(
-        [
-            np.floor(rotvec_from_matrix(rots) / params.rot_bin),
-            np.floor(log_scales / params.log_scale_bin),
-            np.floor(trans / params.trans_bin),
-        ]
-    ).astype(np.int64)
-    _, cell_of, cell_size = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    candidates: list[SimilarityTransform] = []
+    if not (isinstance(matches, np.ndarray) and matches.dtype == MATCH_DTYPE and matches.ndim == 1):
+        raise RejectedInputError("matches must be a 1-D array of MATCH_DTYPE records")
+    m = matches.view(np.recarray)
+    g = np.c_[m.fixed_x, m.moving_x, m.translation, m.scale, m.fixed_sigma, m.moving_sigma]
+    if not (np.isfinite(g).all() and (g[:, 9:] > 0).all() and is_rotation(m.rotation, 1e-6).all()):
+        raise RejectedInputError("votes need finite geometry, positive scales and rotations")
+    if len(m) < 3:
+        raise InitializationFailureError(f"need at least 3 matches, got {len(m)}")
+    rots, trans = np.ascontiguousarray(m.rotation), np.ascontiguousarray(m.translation)
+    # math.log: the SIMD np.log differs in the last bit for some scales, and means use every bit
+    log_scales = np.array(list(map(math.log, m.scale)))
+    keys = np.floor(np.c_[rotvec_from_matrix(rots) / params.rot_bin,
+                          log_scales / params.log_scale_bin, trans / params.trans_bin])
+    _, cell_of, size = np.unique(keys.astype(int), axis=0, return_inverse=True, return_counts=True)
     # cells come in key order, so a stable sort on size gives (-size, key)
-    for cell in np.argsort(-cell_size, kind="stable")[:MAX_SEEDS]:
-        window = np.flatnonzero(cell_of == cell)
-        r_hat = project_to_rotation(rots[window].mean(axis=0))
-        ls_hat = float(log_scales[window].mean())
-        t_hat = trans[window].mean(axis=0)
-        previous = None
-        for _ in range(MAX_SHIFT_ITERS):
-            cos_ang = np.clip(
-                (np.einsum("kij,ij->k", rots, r_hat) - 1.0) / 2.0, -1.0, 1.0
-            )
-            inside = (
-                (np.arccos(cos_ang) < params.rot_bin)
-                & (np.abs(log_scales - ls_hat) < params.log_scale_bin)
-                & (np.linalg.norm(trans - t_hat, axis=1) < params.trans_bin)
-            )
-            window = np.flatnonzero(inside)
-            if window.size == 0:
-                break
-            r_hat = project_to_rotation(rots[window].mean(axis=0))
-            ls_hat = float(log_scales[window].mean())
-            t_hat = trans[window].mean(axis=0)
-            if previous is not None and np.array_equal(window, previous):
-                break
-            previous = window
-        candidates.append(
-            SimilarityTransform(rotation=r_hat, scale=math.exp(ls_hat), translation=t_hat)
-        )
-        # The vote mean inherits each vote's single-frame noise; a
-        # least-squares fit of the window members' matched endpoints is much
-        # sharper, so offer it as a second candidate for the same cluster.
-        if window.size >= 3:
-            with suppress(DegenerateGeometryError, RejectedInputError):
-                candidates.append(_endpoint_fit(matches, window))
+    windows = cell_of == np.argsort(-size, kind="stable")[:MAX_SEEDS, None]
+    live, emptied = np.ones(len(windows), bool), np.zeros(len(windows), bool)
+    for _ in range(MAX_SHIFT_ITERS):
+        s = np.flatnonzero(live)
+        modes = _window_means(windows[s], rots, log_scales, trans)
+        new = _in_bandwidth(rots, log_scales, trans, *modes, params)
+        # stop when a window repeats (a cell's repeats next) or empties (last means kept, no fit)
+        emptied[s] = ~new.any(axis=1)
+        live[s] = ~emptied[s] & (new != windows[s]).any(axis=1)
+        windows[s[~emptied[s]]] = new[~emptied[s]]
+        if not live.any():
+            break
+    r_hat, ls_hat, t_hat = _window_means(windows, rots, log_scales, trans)
 
-    masks = [consistency_mask(matches, log_scales, c, params) for c in candidates]
-    counts = [int(mask.sum()) for mask in masks]
-    if max(counts, default=0) < 3:
+    def fit(members):  # least-squares fit of the members' endpoints, each weighted 1
+        f, mv, ones = m.fixed_x[members], m.moving_x[members], np.ones(members.sum())
+        return fit_similarity(f, mv, ones, ones, mv)[0]
+    # a window of 3 or more also offers its members' endpoint fit, much sharper than its mode
+    candidates = []
+    for k, members in enumerate(windows.sum(axis=1)):
+        candidates.append((r_hat[k], math.exp(ls_hat[k]), t_hat[k]))
+        with suppress(DegenerateGeometryError, RejectedInputError):
+            candidates += [astuple(fit(windows[k]))] if members >= 3 and not emptied[k] else []
+    masks = _consistent(m, log_scales, candidates, params)
+    counts = masks.sum(axis=1)
+    if counts.max() < 3:
         raise InitializationFailureError(
-            f"no transform cluster with >= 3 consistent votes (best {max(counts, default=0)})"
-        )
-    winner = int(np.argmax(counts))
-    best, inliers = candidates[winner], masks[winner]
-    # Re-fit to the inlier pairs and recount until membership stabilizes; the
-    # mean-shift mode is a vote average while the least-squares fit of the
-    # matched endpoints is sharper, which recovers inliers the residual test
-    # rejects under the coarser mode.
-    for _ in range(MAX_REFIT_ITERS):
-        if inliers.sum() < 3:
-            break
-        try:
-            refit = _endpoint_fit(matches, inliers)
-        except (DegenerateGeometryError, RejectedInputError):
-            break
-        new_inliers = consistency_mask(matches, log_scales, refit, params)
-        if new_inliers.sum() < inliers.sum():
-            break
-        best = refit
-        if np.array_equal(new_inliers, inliers):
-            break
-        inliers = new_inliers
-    return HoughResult(t_star=best, inliers=matches[inliers])
+            f"no transform cluster with >= 3 consistent votes (best {counts.max()})")
+    best, inliers = SimilarityTransform(*candidates[counts.argmax()]), masks[counts.argmax()]
+    # re-fit to the inliers (3 or more) and recount until membership stabilizes
+    with suppress(DegenerateGeometryError, RejectedInputError):
+        for _ in range(MAX_REFIT_ITERS):
+            refit = fit(inliers)
+            new_inliers = _consistent(m, log_scales, [astuple(refit)], params)[0]
+            if new_inliers.sum() < inliers.sum():
+                break
+            best, stable, inliers = refit, np.array_equal(new_inliers, inliers), new_inliers
+            if stable:
+                break
+    return HoughResult(t_star=best, inliers=m[inliers])

@@ -173,7 +173,9 @@ def build_scale_space(
     spacing = float(iso.spacing[0])
     origin = np.asarray(iso.origin, dtype=float)
     octaves: list[Octave] = []
-    current = iso.data
+    # the resampled input lives until octave 0's first level is blurred, and
+    # each octave's scratch until its last level is
+    current, iso = iso.data, None
     for o in range(num_octaves):
         oct_base = base_sigma * (2.0**o)
         sigmas = [oct_base * 2.0 ** (i / INTERVALS) for i in range(LEVELS_PER_OCTAVE)]
@@ -185,9 +187,11 @@ def build_scale_space(
             _blur_into(current, sigmas[0] / spacing, levels[0], scratch)
         else:
             levels[0] = current
+        current = None
         for i in range(1, LEVELS_PER_OCTAVE):
             inc = math.sqrt(sigmas[i] ** 2 - sigmas[i - 1] ** 2) / spacing
             _blur_into(levels[i - 1], inc, levels[i], scratch)
+        del scratch
         octaves.append(Octave(data=levels, sigmas=sigmas, spacing=spacing, origin=origin.copy()))
         if o + 1 < num_octaves:
             half = [d // 2 for d in levels[INTERVALS].shape]

@@ -60,6 +60,14 @@ def test_error_is_symmetric_and_needs_probes():
         point_registration_error(t1, t2, np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("probes", [np.zeros((5, 2)), np.zeros(4), "abc", [[1.0, "x", 2.0]], None])
+def test_probes_that_are_not_3d_points_are_rejected(probes):
+    # a size that is not a multiple of 3, and a string, raised a bare ValueError
+    t1 = random_similarity(12, center=(0.0, 0.0, 0.0))
+    with pytest.raises(RejectedInputError, match="probe"):
+        point_registration_error(t1, t1, probes)
+
+
 def test_probe_grid_covers_the_volume():
     vol = ScalarVolume((32, 32, 32), (1, 1, 1), (0, 0, 0), np.zeros((32, 32, 32)))
     grid = probe_grid(vol)

@@ -147,6 +147,29 @@ def test_keypoint_takes_a_positive_finite_scale_and_a_unit_sign(sigma, sign):
             Keypoint(x=np.zeros(3), sigma=sigma, sign=sign, response=1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("x", [math.nan, 0.0, 0.0]), ("x", [0.0, math.inf, 0.0]), ("x", [0.0, 0.0, -math.inf]),
+        ("x", [1.0, 2.0]), ("x", "abc"), ("x", None),
+        ("sigma", "abc"), ("sigma", None), ("sigma", [2.0]), ("sigma", "2.0"),
+        ("response", "abc"), ("response", None), ("response", [1.0]),
+    ],
+)
+def test_keypoint_rejects_a_non_finite_location_and_non_numbers(field, value):
+    # a NaN location was accepted; sigma "abc" or None raised a bare float() error
+    args = {"x": np.zeros(3), "sigma": 2.0, "sign": 1, "response": 1.0, field: value}
+    with pytest.raises(RejectedInputError, match=field):
+        Keypoint(**args)
+
+
+def test_keypoint_takes_numpy_and_python_numbers():
+    kp = Keypoint(x=[1, 2, 3], sigma=np.float32(2.5), sign=np.int64(-1), response=np.float64(-0.5))
+    assert kp.x.tolist() == [1.0, 2.0, 3.0] and kp.x.dtype == float
+    assert (kp.sigma, kp.sign, kp.response) == (2.5, -1, -0.5)
+    assert type(kp.sigma) is float and type(kp.sign) is int and type(kp.response) is float
+
+
 @pytest.mark.parametrize("max_count", [-1, 0, 2.5, True])
 def test_rejects_max_count_that_is_not_a_positive_integer(phantom_scale_space, max_count):
     with pytest.raises(RejectedInputError, match="max_count"):

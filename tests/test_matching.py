@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,18 +18,27 @@ from conftest import (
 )
 from volkey import matching
 from volkey.descriptors import NUM_BINS, Descriptor, Feature, extract_features
-from volkey.errors import InitializationFailureError, RejectedInputError
+from volkey.errors import (
+    DegenerateGeometryError,
+    InitializationFailureError,
+    RejectedInputError,
+)
 from volkey.frames import STATE_SIGNS, Frame
 from volkey.keypoints import Keypoint
 from volkey.matching import (
+    MATCH_DTYPE,
+    MAX_REFIT_ITERS,
+    MAX_SEEDS,
+    MAX_SHIFT_ITERS,
     HoughParams,
-    consistency_mask,
     hough_init,
     match_features,
 )
 from volkey.transforms import (
     SimilarityTransform,
+    fit_similarity,
     matrix_from_rotvec,
+    project_to_rotation,
     rotvec_from_matrix,
 )
 
@@ -207,6 +216,15 @@ def test_hough_is_deterministic():
     assert [m.fixed_index for m in a.inliers] == [m.fixed_index for m in b.inliers]
 
 
+def test_seeds_stop_when_their_windows_repeat():
+    # exact votes: each cell window is already its bandwidth window, so one
+    # mean-shift step finds every window repeated
+    matches = _planted_matches(np.random.default_rng(22), T_TRUE, n_in=12, n_out=20, jitter=False)
+    with mock.patch.object(matching, "_in_bandwidth", wraps=matching._in_bandwidth) as step:
+        hough_init(matches)
+    assert step.call_count == 1
+
+
 def test_hough_failure_modes():
     rng = np.random.default_rng(26)
     with pytest.raises(InitializationFailureError):
@@ -332,27 +350,11 @@ def _is_consistent(m, t, params):
     return bool(residual @ residual < params.eps_disp * norm)
 
 
-@settings(max_examples=60)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    count=st.integers(1, 40),
-    noise=st.floats(0.0, 1.0),
-    eps_cos=st.floats(-1.0, 0.99),
-    eps_log_scale=st.floats(1e-3, 1.0),
-    eps_disp=st.floats(1e-3, 2.0),
-)
-def test_consistency_mask_equals_scalar_predicate(
-    seed, count, noise, eps_cos, eps_log_scale, eps_disp
-):
-    rng = np.random.default_rng(seed)
-    t = SimilarityTransform(
-        rotation=matrix_from_rotvec(rng.normal(size=3)),
-        scale=float(np.exp(rng.normal(0.0, 0.2))),
-        translation=rng.uniform(-10.0, 10.0, 3),
-    )
+def _noisy_pairs(rng, t, count, noise):
+    """(moving, fixed) pairs whose votes spread, row by row, from exact
+    agreement with t (level 0) to unrelated (level near 1)."""
     pairs = []
     for _ in range(count):
-        # votes spread from exact agreement with t to unrelated, per row
         g_mov = _rand_geom(rng)
         g_fix = apply_to_geometry(t, g_mov)
         level = noise * rng.uniform()
@@ -362,8 +364,387 @@ def test_consistency_mask_equals_scalar_predicate(
             theta=matrix_from_rotvec(rng.normal(0.0, level, 3)) @ g_fix.theta,
         )
         pairs.append((g_mov, g_fix))
-    table = pair_table(pairs)
+    return pairs
+
+
+def _rand_transform(rng):
+    return SimilarityTransform(
+        rotation=matrix_from_rotvec(rng.normal(size=3)),
+        scale=float(np.exp(rng.normal(0.0, 0.2))),
+        translation=rng.uniform(-10.0, 10.0, 3),
+    )
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 40),
+    candidates=st.integers(1, 6),
+    noise=st.floats(0.0, 1.0),
+    eps_cos=st.floats(-1.0, 0.99),
+    eps_log_scale=st.floats(1e-3, 1.0),
+    eps_disp=st.floats(1e-3, 2.0),
+    block_bytes=st.sampled_from([1, 8 << 20]),
+)
+def test_consistency_mask_equals_scalar_predicate(
+    seed, count, candidates, noise, eps_cos, eps_log_scale, eps_disp, block_bytes
+):
+    # C candidates at once, in one block or a row at a time: row c is the
+    # scalar predicate of every vote under candidate c
+    rng = np.random.default_rng(seed)
+    ts = [_rand_transform(rng) for _ in range(candidates)]
+    table = pair_table(_noisy_pairs(rng, ts[0], count, noise))
     params = HoughParams(eps_cos=eps_cos, eps_log_scale=eps_log_scale, eps_disp=eps_disp)
     log_scales = np.array([math.log(s) for s in table.scale])
-    mask = consistency_mask(table, log_scales, t, params)
-    assert mask.tolist() == [_is_consistent(m, t, params) for m in table]
+    stacked = [(t.rotation, t.scale, t.translation) for t in ts]
+    with mock.patch.object(matching, "_BLOCK_BYTES", block_bytes):
+        masks = matching._consistent(table, log_scales, stacked, params)
+    assert masks.shape == (candidates, count)
+    for t, mask in zip(ts, masks):
+        assert mask.tolist() == [_is_consistent(m, t, params) for m in table]
+
+
+def _one_mode_window(rots, log_scales, trans, r_hat, ls_hat, t_hat, params):
+    """One mode's mean-shift window over all votes, as the one-seed vote took it."""
+    cos_ang = np.clip((np.einsum("kij,ij->k", rots, r_hat) - 1.0) / 2.0, -1.0, 1.0)
+    return (
+        (np.arccos(cos_ang) < params.rot_bin)
+        & (np.abs(log_scales - ls_hat) < params.log_scale_bin)
+        & (np.linalg.norm(trans - t_hat, axis=1) < params.trans_bin)
+    )
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 300),
+    seeds=st.integers(1, 8),
+    fill=st.floats(0.0, 1.0),
+    noise=st.floats(0.0, 1.0),
+    bins=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(1.0, 40.0)),
+    block_bytes=st.sampled_from([1, 8 << 20]),
+)
+def test_window_means_and_test_equal_one_seed_steps(
+    seed, count, seeds, fill, noise, bins, block_bytes
+):
+    # each row of the stacked step is one seed's step: np.add.at and reduceat
+    # after a leading 0.0 reproduce rots[w].mean(axis=0) (sequential sums) and
+    # log_scales[w].mean() (pairwise), and each mode's window is its own test
+    rng = np.random.default_rng(seed)
+    table = pair_table(_noisy_pairs(rng, _rand_transform(rng), count, noise))
+    rots, trans = np.ascontiguousarray(table.rotation), np.ascontiguousarray(table.translation)
+    log_scales = np.array([math.log(s) for s in table.scale])
+    windows = rng.random((seeds, count)) < fill
+    windows[np.arange(seeds), rng.integers(count, size=seeds)] = True
+    params = HoughParams(rot_bin=bins[0], log_scale_bin=bins[1], trans_bin=bins[2])
+    with mock.patch.object(matching, "_BLOCK_BYTES", block_bytes):
+        modes = matching._window_means(windows, rots, log_scales, trans)
+        got = matching._in_bandwidth(rots, log_scales, trans, *modes, params)
+    for k, w in enumerate(windows):
+        r_hat, ls_hat, t_hat = (
+            project_to_rotation(rots[w].mean(axis=0)), log_scales[w].mean(), trans[w].mean(axis=0)
+        )
+        np.testing.assert_array_equal(modes[0][k], r_hat)
+        assert modes[1][k].hex() == ls_hat.hex()
+        np.testing.assert_array_equal(modes[2][k], t_hat)
+        expected = _one_mode_window(rots, log_scales, trans, r_hat, ls_hat, t_hat, params)
+        np.testing.assert_array_equal(got[k], expected)
+
+
+def _consistency_terms(matches, log_scales, t):
+    """Per vote, one candidate's axis cosines, log-scale gap, squared residual
+    and its scale norm, as the one-seed vote computed them."""
+    cos = np.einsum("nai,ai->ni", np.ascontiguousarray(matches.rotation), t.rotation)
+    moved = (t.rotation @ np.ascontiguousarray(matches.moving_x)[..., None])[..., 0]
+    residual = t.scale * moved + t.translation - matches.fixed_x
+    dist_sq = (residual[:, None, :] @ residual[:, :, None])[:, 0, 0]
+    norm = (t.scale * matches.moving_sigma) * matches.fixed_sigma
+    return cos, np.abs(log_scales - math.log(t.scale)), dist_sq, norm
+
+
+def _consistency_oracle(matches, log_scales, t, params):
+    """One candidate's consistency over all votes, as the one-seed vote took it."""
+    cos, gap, dist_sq, norm = _consistency_terms(matches, log_scales, t)
+    return (
+        ~np.any(cos <= params.eps_cos, axis=1)
+        & (gap < params.eps_log_scale)
+        & (dist_sq < params.eps_disp * norm)
+    )
+
+
+def _endpoint_fit(matches, members):
+    f, mv = matches.fixed_x[members], matches.moving_x[members]
+    ones = np.ones(len(f))
+    return fit_similarity(f, mv, ones, ones, mv)[0]
+
+
+def _hough_oracle(matches, params):
+    """The vote one seed and one candidate at a time: the scalar twin of
+    hough_init, whose every window, mean and count it must equal bit for bit."""
+    if len(matches) < 3:
+        raise InitializationFailureError(f"need at least 3 matches, got {len(matches)}")
+    rots = np.ascontiguousarray(matches.rotation)
+    trans = matches.translation
+    log_scales = np.array(list(map(math.log, matches.scale)))
+    keys = np.column_stack(
+        [
+            np.floor(rotvec_from_matrix(rots) / params.rot_bin),
+            np.floor(log_scales / params.log_scale_bin),
+            np.floor(trans / params.trans_bin),
+        ]
+    ).astype(np.int64)
+    _, cell_of, cell_size = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    candidates = []
+    for cell in np.argsort(-cell_size, kind="stable")[:MAX_SEEDS]:
+        window = np.flatnonzero(cell_of == cell)
+        r_hat = project_to_rotation(rots[window].mean(axis=0))
+        ls_hat = float(log_scales[window].mean())
+        t_hat = trans[window].mean(axis=0)
+        previous = None
+        for _ in range(MAX_SHIFT_ITERS):
+            inside = _one_mode_window(rots, log_scales, trans, r_hat, ls_hat, t_hat, params)
+            window = np.flatnonzero(inside)
+            if window.size == 0:
+                break
+            r_hat = project_to_rotation(rots[window].mean(axis=0))
+            ls_hat = float(log_scales[window].mean())
+            t_hat = trans[window].mean(axis=0)
+            if previous is not None and np.array_equal(window, previous):
+                break
+            previous = window
+        candidates.append(
+            SimilarityTransform(rotation=r_hat, scale=math.exp(ls_hat), translation=t_hat)
+        )
+        if window.size >= 3:
+            try:
+                candidates.append(_endpoint_fit(matches, window))
+            except (DegenerateGeometryError, RejectedInputError):
+                pass
+    masks = [_consistency_oracle(matches, log_scales, c, params) for c in candidates]
+    counts = [int(mask.sum()) for mask in masks]
+    if max(counts, default=0) < 3:
+        raise InitializationFailureError("no transform cluster with >= 3 consistent votes")
+    winner = int(np.argmax(counts))
+    best, inliers = candidates[winner], masks[winner]
+    for _ in range(MAX_REFIT_ITERS):
+        if inliers.sum() < 3:
+            break
+        try:
+            refit = _endpoint_fit(matches, inliers)
+        except (DegenerateGeometryError, RejectedInputError):
+            break
+        new_inliers = _consistency_oracle(matches, log_scales, refit, params)
+        if new_inliers.sum() < inliers.sum():
+            break
+        best = refit
+        if np.array_equal(new_inliers, inliers):
+            break
+        inliers = new_inliers
+    return best, matches[inliers]
+
+
+def _outcome(vote, matches, params):
+    """t_star's bits and the inlier rows, or that no cluster was found."""
+    try:
+        t, inliers = vote(matches, params)
+    except InitializationFailureError:
+        return "no cluster"
+    bits = (t.rotation.tobytes(), float(t.scale).hex(), t.translation.tobytes())
+    return bits, inliers.fixed_index.tolist()
+
+
+def _hough(matches, params):
+    result = hough_init(matches, params)
+    return result.t_star, result.inliers
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(3, 300),
+    inlier_fraction=st.floats(0.0, 1.0),
+    jitter=st.floats(0.0, 0.5),
+    clusters=st.integers(1, 3),
+    thresholds=st.fixed_dictionaries(
+        {
+            "eps_cos": st.floats(-0.5, 0.9),
+            "eps_log_scale": st.floats(0.01, 1.0),
+            "eps_disp": st.floats(0.05, 2.0),
+            "rot_bin": st.floats(0.05, 1.0),
+            "log_scale_bin": st.floats(0.05, 1.0),
+            "trans_bin": st.floats(1.0, 40.0),
+        }
+    ),
+    block_bytes=st.sampled_from([1, 8 << 20]),
+)
+def test_hough_equals_one_seed_oracle(
+    seed, count, inlier_fraction, jitter, clusters, thresholds, block_bytes
+):
+    # planted clusters of agreeing votes among unrelated ones; past 64 cells
+    # the seeds are capped at MAX_SEEDS, and ties between cells are common
+    rng = np.random.default_rng(seed)
+    n_in = round(inlier_fraction * count)
+    pairs = []
+    for c in range(clusters):
+        share = n_in // clusters + (c < n_in % clusters)
+        pairs += _planted_pairs(rng, _rand_transform(rng), n_in=share, n_out=0)
+    pairs += [(_rand_geom(rng), _rand_geom(rng)) for _ in range(count - n_in)]
+    pairs = [
+        (Geometry(x=g.x + rng.normal(0.0, jitter, 3), sigma=g.sigma, theta=g.theta), f)
+        for g, f in pairs
+    ]
+    order = rng.permutation(count)
+    matches = pair_table([pairs[i] for i in order])
+    params = HoughParams(**thresholds)
+    with mock.patch.object(matching, "_BLOCK_BYTES", block_bytes):
+        got = _outcome(_hough, matches, params)
+    assert got == _outcome(_hough_oracle, matches, params)
+
+
+def test_hough_equals_oracle_on_emptied_and_cycling_seeds():
+    # Three clusters share scale and translation; B and C are turned 60
+    # degrees from A about two axes.  Projecting A's window mean onto B's rotation and B's onto
+    # A's makes their seeds alternate between the two windows up to
+    # MAX_SHIFT_ITERS; projecting the mean of C, the largest cluster and one
+    # cell, onto a rotation no vote is near empties its window at once, so C
+    # offers no fit and A wins.  Neither happens on real votes.
+    rng = np.random.default_rng(53)
+    t_a = SimilarityTransform(T_TRUE.rotation, 1.0, T_TRUE.translation)
+
+    def turned(rotvec):
+        return SimilarityTransform(matrix_from_rotvec(rotvec) @ t_a.rotation, 1.0, t_a.translation)
+
+    pairs = (
+        _planted_pairs(rng, t_a, n_in=8, n_out=0)
+        + _planted_pairs(rng, turned([np.pi / 3, 0.0, 0.0]), n_in=6, n_out=0)
+        + _planted_pairs(rng, turned([0.0, 0.0, np.pi / 3]), n_in=10, n_out=4, jitter=False)
+    )
+    matches = pair_table(pairs)
+    rots = np.ascontiguousarray(matches.rotation)
+    mean_a, mean_b, mean_c = (rots[rows].mean(axis=0) for rows in np.split(np.arange(24), [8, 14]))
+    far = turned([0.0, np.pi / 2, 0.0]).rotation
+    assert np.linalg.norm(rotvec_from_matrix(far.T @ rots), axis=1).min() > HoughParams().rot_bin
+    swaps = {
+        mean_a.tobytes(): project_to_rotation(mean_b),
+        mean_b.tobytes(): project_to_rotation(mean_a),
+        mean_c.tobytes(): far,
+    }
+    hits, project = [], project_to_rotation
+
+    def swapped(m):
+        out = project(m)
+        for i, one in enumerate(np.reshape(m, (-1, 3, 3))):
+            if one.tobytes() in swaps:
+                hits.append(one.tobytes())
+                out.reshape(-1, 3, 3)[i] = swaps[one.tobytes()]
+        return out
+
+    with mock.patch.object(matching, "project_to_rotation", swapped):
+        got = _outcome(_hough, matches, HoughParams())
+    with mock.patch(f"{__name__}.project_to_rotation", swapped):
+        assert got == _outcome(_hough_oracle, matches, HoughParams())
+    # C's cell took its swap, the A-B cycle ran to the step cap, and A won
+    assert mean_c.tobytes() in hits
+    assert hits.count(mean_a.tobytes()) > MAX_SHIFT_ITERS
+    assert set(got[1]) == set(range(8))
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12), noise=st.floats(0.0, 1.0))
+def test_vote_tests_agree_at_thresholds_on_a_votes_own_values(seed, count, noise):
+    # a threshold equal to a vote's own value puts that vote within rounding
+    # of the boundary, where only the same operations in the same order agree
+    rng = np.random.default_rng(seed)
+    t = _rand_transform(rng)
+    table = pair_table(_noisy_pairs(rng, t, count, noise))
+    log_scales = np.array([math.log(s) for s in table.scale])
+    rots = np.ascontiguousarray(table.rotation)
+    trans = np.ascontiguousarray(table.translation)
+    cos, gap, dist_sq, norm = _consistency_terms(table, log_scales, t)
+    ratio = dist_sq / norm
+    loose = {"eps_cos": -1.0, "eps_log_scale": 1e9, "eps_disp": 1e9}
+    cases = [{"eps_cos": c} for c in cos.ravel() if -1.0 <= c < 1.0]
+    cases += [{"eps_log_scale": g} for g in gap if g > 0.0]
+    cases += [{"eps_disp": r} for r in ratio if r > 0.0]
+    # 1.3113289052261936 is a scale whose np.log and math.log differ in the
+    # last bit where numpy's log is vectorized
+    odd = SimilarityTransform(t.rotation, 1.3113289052261936, t.translation)
+    odd_gap = np.abs(log_scales - math.log(odd.scale))
+    cases = [(t, {**loose, **case}) for case in cases]
+    cases += [(odd, {**loose, "eps_log_scale": g}) for g in odd_gap if g > 0.0]
+    for c, case in cases:
+        params = HoughParams(**case)
+        got = matching._consistent(table, log_scales, [(c.rotation, c.scale, c.translation)],
+                                   params)
+        np.testing.assert_array_equal(got[0], _consistency_oracle(table, log_scales, c, params))
+    # the mean-shift window about one vote's mode
+    r_hat, ls_hat, t_hat = project_to_rotation(rots[0]), log_scales[0], trans[0]
+    cos_ang = np.clip((np.einsum("kij,ij->k", rots, r_hat) - 1.0) / 2.0, -1.0, 1.0)
+    angle, gap, dist = (
+        np.arccos(cos_ang), np.abs(log_scales - ls_hat), np.linalg.norm(trans - t_hat, axis=1)
+    )
+    loose = {"rot_bin": 10.0, "log_scale_bin": 1e9, "trans_bin": 1e9}
+    cases = [{"rot_bin": a} for a in angle if a > 0.0]
+    cases += [{"log_scale_bin": g} for g in gap if g > 0.0]
+    cases += [{"trans_bin": d} for d in dist if d > 0.0]
+    for case in cases:
+        params = HoughParams(**{**loose, **case})
+        got = matching._in_bandwidth(
+            rots, log_scales, trans, r_hat[None], np.array([ls_hat]), t_hat[None], params
+        )
+        inside = (
+            (angle < params.rot_bin) & (gap < params.log_scale_bin) & (dist < params.trans_bin)
+        )
+        np.testing.assert_array_equal(got[0], inside)
+
+
+_VOTE_FIELDS = [
+    "fixed_x", "moving_x", "translation", "rotation", "scale", "fixed_sigma", "moving_sigma"
+]
+
+
+@settings(max_examples=120)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 12),
+    field=st.sampled_from(_VOTE_FIELDS + ["descriptor_distance", None]),
+    value=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, -0.0]),
+    shape=st.sampled_from(["table", "table", "plain", "list", "other_dtype", "2d", "scalar"]),
+)
+@example(seed=0, count=10, field="rotation", value=math.nan, shape="table")
+@example(seed=0, count=10, field="rotation", value=math.inf, shape="table")
+@example(seed=0, count=10, field="moving_x", value=math.nan, shape="plain")
+@example(seed=0, count=10, field="scale", value=0.0, shape="table")
+@example(seed=0, count=10, field="scale", value=-1.0, shape="table")
+@example(seed=0, count=10, field="fixed_sigma", value=-0.0, shape="table")
+def test_hough_contract(seed, count, field, value, shape):
+    # any table yields a result or a documented error, never a bare one; a
+    # non-finite vote entry, or a scale or sigma that is not positive, is
+    # rejected outright (math.log raised ValueError, the SVD LinAlgError)
+    rng = np.random.default_rng(seed)
+    table = pair_table(_planted_pairs(rng, T_TRUE, n_in=count // 2, n_out=count - count // 2))
+    if field is not None and count:
+        column = table[field].reshape(count, -1)
+        assert np.shares_memory(column, table)
+        column[rng.integers(count), rng.integers(column.shape[1])] = value
+    other_dtype = MATCH_DTYPE.descr[:-1] + [("translation", "<f4", (3,))]
+    matches = {
+        "table": table,
+        "plain": table.view(np.ndarray).astype(MATCH_DTYPE),
+        "list": table.tolist(),
+        "other_dtype": table.view(np.ndarray).astype(other_dtype),
+        "2d": table.reshape(1, -1),
+        "scalar": value,
+    }[shape]
+    positive = field in ("scale", "fixed_sigma", "moving_sigma")
+    invalid = field in _VOTE_FIELDS and count and (not math.isfinite(value) or positive)
+    try:
+        res = hough_init(matches)
+    except RejectedInputError:
+        return
+    except InitializationFailureError:
+        assert shape in ("table", "plain") and not invalid
+        return
+    assert shape in ("table", "plain") and not invalid
+    assert len(res.inliers) >= 3
+    assert np.isfinite(res.t_star.rotation).all() and np.isfinite(res.t_star.translation).all()

@@ -18,7 +18,7 @@ from conftest import EXTRACTION, dog, gaussian_blob, volume_center
 from volkey import descriptors, frames
 from volkey.errors import RejectedInputError
 from volkey.io import write_features
-from volkey.synth import random_similarity
+from volkey.synth import make_phantom, random_similarity
 from volkey.transforms import SimilarityTransform
 from volkey.volume import (
     ScalarVolume,
@@ -121,6 +121,23 @@ def test_levels_equal_chained_gaussian_blurs():
             np.testing.assert_array_equal(octave.data[i], level)
         half = [n // 2 for n in octave.data[3].shape]
         current = octave.data[3][: 2 * half[0] : 2, : 2 * half[1] : 2, : 2 * half[2] : 2]
+
+
+def test_scale_space_build_peaks_at_octave_zero():
+    # the isotropic resample and each octave's scratch are released before
+    # the next octave allocates, so the build peaks while octave 0 blurs its
+    # first level: 6 levels, the resample and one scratch, 8 x V x 8 B; kept
+    # through the build, they would peak at 8.86 x V x 8 B on this phantom
+    vol = make_phantom(7, 40, (40, 40, 20), (1.0, 1.0, 2.0))
+    v_bytes = math.prod(to_isotropic(vol).dims) * 8
+    tracemalloc.start()
+    try:
+        ss = build_scale_space(vol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ss.octaves) == 2
+    assert peak < 8.25 * v_bytes
 
 
 def test_build_scale_space_rejects_degenerate_inputs():
