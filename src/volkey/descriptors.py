@@ -11,7 +11,9 @@ unchanged.  Bin magnitudes are rank-order normalized before matching.
 
 The four states' lattices are one point set: a state flips frame axes, which
 mirrors the symmetric lattice along them.  Extraction samples it once per
-keypoint and bins each state's rows in that state's own order.
+keypoint and bins each state's rows in that state's own order.  Matching,
+registration and the feature writer read a feature list as one stack of
+arrays, `stack_features`, named as the feature file's record fields.
 """
 from __future__ import annotations
 
@@ -123,12 +125,25 @@ class Feature:
     border: bool = False
 
 
-def feature_geometry(features: list[Feature]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked locations (n, 3), scales (n,) and base frames (n, 3, 3)."""
-    x = np.array([f.keypoint.x for f in features], dtype=float).reshape(-1, 3)
-    sigma = np.array([f.keypoint.sigma for f in features], dtype=float)
-    frames = np.array([f.frame.matrix for f in features], dtype=float).reshape(-1, 3, 3)
-    return x, sigma, frames
+def stack_features(features: list[Feature]) -> dict[str, np.ndarray]:
+    """C-contiguous arrays x (n, 3), sigma, frame (n, 3, 3), sign, border, ranks
+    (n, 4, 64) int16; RejectedInputError names a feature without 4 descriptors."""
+    try:
+        counts = [len(f.descriptors) for f in features]
+    except (TypeError, AttributeError):
+        raise RejectedInputError("features must be a list of Feature records") from None
+    for i, count in enumerate(counts):
+        if count != 4:
+            raise RejectedInputError(f"feature {i} has {count} descriptors, not 4")
+    return {
+        "x": np.array([f.keypoint.x for f in features], dtype=float).reshape(-1, 3),
+        "sigma": np.array([f.keypoint.sigma for f in features], dtype=float),
+        "frame": np.array([f.frame.matrix for f in features], dtype=float).reshape(-1, 3, 3),
+        "sign": np.array([f.keypoint.sign for f in features], dtype=int),
+        "border": np.array([bool(f.border) for f in features]),
+        "ranks": np.array([[d.ranked for d in f.descriptors] for f in features], np.int16)
+        .reshape(-1, 4, NUM_BINS),
+    }
 
 
 _ESTIMATORS = {

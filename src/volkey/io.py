@@ -8,7 +8,8 @@ header name with a .raw suffix).
 Feature files are a text preamble (magic line ``VOLKEYFEAT <version>``, then
 ``key = value`` lines, then ``END``) followed by fixed-size little-endian
 records: location (3 f64), sigma (f64), frame (9 f64 row-major), sign (i8),
-border flag (u8) and the four ranked descriptors (4 x 64 u8).
+border flag (u8) and the four ranked descriptors (4 x 64 u8): one row of
+`descriptors.stack_features`.  The writer refuses what the reader refuses.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptors import Descriptor, ExtractionConfig, Feature, feature_geometry
+from .descriptors import Descriptor, ExtractionConfig, Feature, stack_features
 from .errors import ParseError, RejectedInputError
 from .frames import Frame
 from .keypoints import Keypoint
@@ -220,15 +221,38 @@ def config_digest(config: ExtractionConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _check_records(stack: dict, error) -> None:
+    """Raise error(i, why) at the first record a feature file refuses; stack is
+    laid out as by stack_features, whose int16 ranks sort ten times faster than u8."""
+    x, sigma, sign, ranks = stack["x"], stack["sigma"], stack["sign"], stack["ranks"]
+    rotation = is_rotation(stack["frame"], tol=1e-6)
+    located = (0.0 < sigma) & (sigma < math.inf) & np.isfinite(x).all(axis=1)
+    # each state's descriptor is a rank order of its 64 bins
+    permuted = np.all(np.sort(ranks, axis=2) == np.arange(64), axis=(1, 2))
+    bad = np.stack([~rotation, (sign != 1) & (sign != -1), ~located, ~permuted])
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        why = (
+            "frame is not a rotation",
+            f"has sign {sign[i]}",
+            f"has x {x[i]}, sigma {sigma[i]}",
+            "ranks are not a permutation of 0..63",
+        )[int(np.argmax(bad[:, i]))]
+        raise error(i, why)
+
+
 def write_features(
     path: str | Path,
     features: list[Feature],
     volume_id: str = "",
     config: ExtractionConfig | None = None,
 ) -> None:
-    """Serialize features (geometry plus ranked descriptors) to one file."""
+    """Serialize features (geometry plus ranked descriptors) to one file, or
+    raise RejectedInputError naming the first one read_features would refuse."""
     path = Path(path)
     cfg = config or ExtractionConfig()
+    stack = stack_features(features)
+    _check_records(stack, lambda i, why: RejectedInputError(f"feature {i} {why}"))
     header = (
         f"{FEATURE_MAGIC} {FEATURE_VERSION}\n"
         f"volume_id = {volume_id}\n"
@@ -237,16 +261,9 @@ def write_features(
         f"count = {len(features)}\n"
         "END\n"
     )
-    ranks = np.array(
-        [[d.ranked for d in f.descriptors] for f in features], dtype=np.int64
-    ).reshape(-1, 4, 64)
-    if np.any((ranks < 0) | (ranks > 255)):
-        raise RejectedInputError("descriptor ranks must lie in 0..255")
     records = np.zeros(len(features), dtype=_RECORD)
-    records["x"], records["sigma"], records["frame"] = feature_geometry(features)
-    records["sign"] = [f.keypoint.sign for f in features]
-    records["border"] = [bool(f.border) for f in features]
-    records["ranks"] = ranks
+    for name in _RECORD.names:
+        records[name] = stack[name]
     path.write_bytes(header.encode("ascii") + records.tobytes())
 
 
@@ -292,21 +309,12 @@ def read_features(path: str | Path) -> tuple[list[Feature], dict]:
     records = np.frombuffer(body, dtype=_RECORD)
     x, sigma, frames = records["x"].copy(), records["sigma"].copy(), records["frame"].copy()
     sign, ranks = records["sign"].astype(int), records["ranks"].astype(np.int16)
-    rotation = is_rotation(frames, tol=1e-6)
-    located = (0.0 < sigma) & (sigma < math.inf) & np.isfinite(x).all(axis=1)
-    # each state's descriptor is a rank order of its 64 bins
-    permuted = np.all(np.sort(ranks, axis=2) == np.arange(64), axis=(1, 2))
-    bad = np.stack([~rotation, (sign != 1) & (sign != -1), ~located, ~permuted])
-    if bad.any():
-        i = int(np.flatnonzero(bad.any(axis=0))[0])
-        why = (
-            "frame is not a rotation",
-            f"has sign {sign[i]}",
-            f"has x {x[i]}, sigma {sigma[i]}",
-            "ranks are not a permutation of 0..63",
-        )[int(np.argmax(bad[:, i]))]
-        offset = end + 4 + i * _RECORD.itemsize
-        raise ParseError(f"{path}: record {i} {why} (byte offset {offset})")
+    _check_records(
+        {"x": x, "sigma": sigma, "frame": frames, "sign": sign, "ranks": ranks},
+        lambda i, why: ParseError(
+            f"{path}: record {i} {why} (byte offset {end + 4 + i * _RECORD.itemsize})"
+        ),
+    )
     border = (records["border"] != 0).tolist()
     features = [
         Feature(

@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .descriptors import NUM_BINS, Feature, feature_geometry
+from .descriptors import NUM_BINS, Feature, stack_features
 from .errors import (
     DegenerateGeometryError,
     InitializationFailureError,
@@ -78,21 +78,26 @@ def match_table(fixed, moving, fixed_index, moving_index, moving_state, distance
 
 def match_features(fixed: list[Feature], moving: list[Feature]) -> np.recarray:
     """Nearest ranked descriptor over all moving features and states."""
-    if not fixed or not moving:
+    return _match_stacks(stack_features(fixed), stack_features(moving))
+
+
+def _match_stacks(fixed: dict, moving: dict) -> np.recarray:
+    """match_features on the two lists' stack_features stacks."""
+    if not (len(fixed["x"]) and len(moving["x"])):
         raise RejectedInputError("both feature lists must be nonempty")
-    ranks_f = np.array([f.descriptors[0].ranked for f in fixed])
-    flat = np.array([d.ranked for f in moving for d in f.descriptors])  # row m * nstates + state
+    ranks_f, n = fixed["ranks"][:, 0], len(fixed["x"])
+    flat = moving["ranks"].reshape(-1, NUM_BINS)  # row m * nstates + state
     if min(ranks_f.min(), flat.min()) < 0 or max(ranks_f.max(), flat.max()) >= NUM_BINS:
         raise RejectedInputError(f"descriptor ranks must lie in 0..{NUM_BINS - 1}")
     aug_m = np.c_[flat, -0.5 * (flat * flat).sum(axis=1)].astype(np.float32)  # exact, see above
-    aug_f = np.c_[ranks_f, np.ones(len(fixed))].astype(np.float32)
-    best = _blocked(lambda rows: (aug_f[rows] @ aug_m.T).argmax(axis=1), len(fixed), 4 * len(flat))
-    mi, state = np.divmod(best, len(flat) // len(moving))
-    x_m, s_m, theta_m = feature_geometry(moving)
+    aug_f = np.c_[ranks_f, np.ones(n)].astype(np.float32)
+    best = _blocked(lambda rows: (aug_f[rows] @ aug_m.T).argmax(axis=1), n, 4 * len(flat))
+    mi, state = np.divmod(best, len(STATE_SIGNS))
+    x_m, s_m, theta_m = moving["x"], moving["sigma"], moving["frame"]
     moving_geometry = (x_m[mi], s_m[mi], theta_m[mi] @ np.stack(STATE_SIGNS)[state])
     distance = np.sqrt(((ranks_f - flat[best]) ** 2).sum(axis=1, dtype=float))
-    fixed_geometry = feature_geometry(fixed)
-    return match_table(fixed_geometry, moving_geometry, np.arange(len(fixed)), mi, state, distance)
+    fixed_geometry = fixed["x"], fixed["sigma"], fixed["frame"]
+    return match_table(fixed_geometry, moving_geometry, np.arange(n), mi, state, distance)
 
 
 @dataclass
@@ -179,23 +184,28 @@ def hough_init(matches: np.recarray, params: HoughParams | None = None) -> Hough
     coordinates; the strongest cells seed mean-shift refinement with one-bin
     bandwidth per component (chordal mean for rotation), and candidates are
     ranked by their consistent-vote count.  Raises RejectedInputError unless
-    matches are MATCH_DTYPE records of finite geometry, positive scales and
-    proper rotations, and InitializationFailureError if no candidate (or
-    fewer than 3 matches) gathers 3 consistent votes."""
+    matches are MATCH_DTYPE records of proper rotations, positive scales and
+    sigmas, geometry below 2^64 (sums of its squares stay finite) and cells
+    below 2^62 bins (int64 keys), and InitializationFailureError if no
+    candidate (or fewer than 3 matches) gathers 3 consistent votes."""
     params = params or HoughParams()
     if not (isinstance(matches, np.ndarray) and matches.dtype == MATCH_DTYPE and matches.ndim == 1):
         raise RejectedInputError("matches must be a 1-D array of MATCH_DTYPE records")
     m = matches.view(np.recarray)
     g = np.c_[m.fixed_x, m.moving_x, m.translation, m.scale, m.fixed_sigma, m.moving_sigma]
-    if not (np.isfinite(g).all() and (g[:, 9:] > 0).all() and is_rotation(m.rotation, 1e-6).all()):
-        raise RejectedInputError("votes need finite geometry, positive scales and rotations")
-    if len(m) < 3:
-        raise InitializationFailureError(f"need at least 3 matches, got {len(m)}")
+    rotations = is_rotation(m.rotation, 1e-6).all()
+    if not ((np.abs(g) < 2.0**64).all() and (g[:, 9:] > 0).all() and rotations):
+        raise RejectedInputError("votes need geometry below 2^64, positive scales and rotations")
     rots, trans = np.ascontiguousarray(m.rotation), np.ascontiguousarray(m.translation)
     # math.log: the SIMD np.log differs in the last bit for some scales, and means use every bit
     log_scales = np.array(list(map(math.log, m.scale)))
-    keys = np.floor(np.c_[rotvec_from_matrix(rots) / params.rot_bin,
-                          log_scales / params.log_scale_bin, trans / params.trans_bin])
+    cells = np.c_[rotvec_from_matrix(rots), log_scales, trans]
+    bins = np.repeat([params.rot_bin, params.log_scale_bin, params.trans_bin], [3, 1, 3])
+    if not (np.abs(cells) / 2.0**62 < bins).all():
+        raise RejectedInputError("votes lie 2^62 bins or more from 0: the bins are too small")
+    if len(m) < 3:
+        raise InitializationFailureError(f"need at least 3 matches, got {len(m)}")
+    keys = np.floor(cells / bins)
     _, cell_of, size = np.unique(keys.astype(int), axis=0, return_inverse=True, return_counts=True)
     # cells come in key order, so a stable sort on size gives (-size, key)
     windows = cell_of == np.argsort(-size, kind="stable")[:MAX_SEEDS, None]

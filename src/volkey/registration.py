@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .descriptors import Feature, feature_geometry
+from .descriptors import Feature, stack_features
 from .errors import (
     DegenerateCorrespondenceError,
     DegenerateGeometryError,
@@ -54,7 +54,7 @@ from .errors import (
     check_field_types,
 )
 from .kernels import KernelParams, check_finite, log_kernel_matrix, squared_distances
-from .matching import HoughParams, HoughResult, hough_init, match_features
+from .matching import HoughParams, HoughResult, _match_stacks, hough_init
 from .transforms import SimilarityTransform, fit_similarity
 
 log = logging.getLogger(__name__)
@@ -257,12 +257,12 @@ def register(
     """Match, vote, then refine a moving-onto-fixed similarity transform."""
     cfg = config or RegistrationConfig()
     start = time.perf_counter()
-    matches = match_features(fixed, moving)
-    init = hough_init(matches, cfg.hough)
+    stack_f, stack_m = stack_features(fixed), stack_features(moving)
+    init = hough_init(_match_stacks(stack_f, stack_m), cfg.hough)
     t = init.t_star
 
-    x_f, s_f, t_f = feature_geometry(fixed)
-    x_m, s_m, t_m = feature_geometry(moving)
+    x_f, s_f, t_f = stack_f["x"], stack_f["sigma"], stack_f["frame"]
+    x_m, s_m, t_m = stack_m["x"], stack_m["sigma"], stack_m["frame"]
     if cfg.variant == "sift_cpd_star":
         keep = np.unique(init.inliers.fixed_index)
         x_f, s_f, t_f = x_f[keep], s_f[keep], t_f[keep]

@@ -10,12 +10,17 @@ given center point so content stays in the field of view.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
 from .errors import RejectedInputError
 from .transforms import SimilarityTransform, rotation_x, rotation_y, rotation_z
 from .volume import ScalarVolume
+
+# bounds (mm) on spacings, widths, translations and centers: squares and
+# sums of squares of such lengths, and their ratios, stay finite
+_MIN_MM, _MAX_MM = 2.0**-64, 2.0**64
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -39,6 +44,11 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise RejectedInputError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def make_phantom(
     seed: int,
     num_blobs: int = 40,
@@ -49,19 +59,33 @@ def make_phantom(
     """Sum of seeded anisotropic Gaussian blobs on a regular grid.
 
     Centers are uniform over the central 80% of the extent per axis so blob
-    mass stays inside the field of view.
+    mass stays inside the field of view.  Raises RejectedInputError unless
+    seed is a nonnegative integer, num_blobs a positive one, dims three
+    positive integers, and the spacings and the width range (lo <= hi) lie
+    in [2^-64, 2^64] mm, where no blob's exponent overflows.
     """
-    if num_blobs < 1:
-        raise RejectedInputError("num_blobs must be positive")
+    _check_seed(seed)
+    if isinstance(num_blobs, bool) or not isinstance(num_blobs, Integral) or num_blobs < 1:
+        raise RejectedInputError(f"num_blobs must be a positive integer, got {num_blobs!r}")
+    try:
+        dims = tuple(int(d) for d in dims)
+        spacing = tuple(float(s) for s in spacing)
+        w_lo, w_hi = (float(w) for w in width_range)
+    except (TypeError, ValueError):
+        raise RejectedInputError("dims, spacing and width_range must be numbers") from None
+    if len(dims) != 3 or min(dims) < 1:
+        raise RejectedInputError(f"dims must be three positive integers, got {dims}")
+    if len(spacing) != 3 or not all(_MIN_MM <= s <= _MAX_MM for s in spacing):
+        raise RejectedInputError(f"spacing must be three lengths in [2^-64, 2^64], got {spacing}")
+    if not _MIN_MM <= w_lo <= w_hi <= _MAX_MM:
+        raise RejectedInputError(f"width_range needs lo <= hi in [2^-64, 2^64], got {width_range}")
     rng = np.random.default_rng(seed)
-    dims = tuple(int(d) for d in dims)
-    spacing = tuple(float(s) for s in spacing)
     extent = (np.asarray(dims) - 1) * np.asarray(spacing)
     data = np.zeros(dims)
     axes = [np.arange(d) * s for d, s in zip(dims, spacing)]
     for _ in range(num_blobs):
         center = (0.1 + 0.8 * rng.random(3)) * extent
-        widths = width_range[0] + (width_range[1] - width_range[0]) * rng.random(3)
+        widths = w_lo + (w_hi - w_lo) * rng.random(3)
         rot = _random_rotation(rng)
         amp = 0.5 + 0.5 * rng.random()
         # inverse covariance of the oriented blob
@@ -94,18 +118,27 @@ def random_similarity(
 
     Per-axis rotation magnitudes are uniform in rot_range_deg with random
     sign, composed as Rx @ Ry @ Rz about `center`; per-axis translations have
-    magnitude uniform in trans_range_mm with random sign.
+    magnitude uniform in trans_range_mm with random sign.  Raises
+    RejectedInputError unless seed is a nonnegative integer, the rotation
+    range is finite with 0 <= lo <= hi, and the translation range
+    (0 <= lo <= hi) and the center's entries are below 2^64 mm in magnitude.
     """
-    if rot_range_deg[0] < 0 or rot_range_deg[0] > rot_range_deg[1]:
+    _check_seed(seed)
+    try:
+        lo, hi = (float(a) for a in rot_range_deg)
+        tlo, thi = (float(a) for a in trans_range_mm)
+        c = np.asarray(center, dtype=float).reshape(3)
+    except (TypeError, ValueError):
+        raise RejectedInputError("ranges must be two numbers and center three") from None
+    if not 0.0 <= lo <= hi < math.inf:
         raise RejectedInputError(f"bad rotation range {rot_range_deg}")
-    if trans_range_mm[0] < 0 or trans_range_mm[0] > trans_range_mm[1]:
+    if not 0.0 <= tlo <= thi < _MAX_MM:
         raise RejectedInputError(f"bad translation range {trans_range_mm}")
+    if not (np.abs(c) < _MAX_MM).all():
+        raise RejectedInputError(f"center must be three numbers below 2^64 mm, got {center}")
     rng = np.random.default_rng(seed)
-    lo, hi = rot_range_deg
     angles = np.radians(lo + (hi - lo) * rng.random(3)) * rng.choice([-1.0, 1.0], size=3)
-    tlo, thi = trans_range_mm
     shift = (tlo + (thi - tlo) * rng.random(3)) * rng.choice([-1.0, 1.0], size=3)
     r = rotation_x(angles[0]) @ rotation_y(angles[1]) @ rotation_z(angles[2])
-    c = np.asarray(center, dtype=float)
     translation = c - r @ c + shift
     return SimilarityTransform(rotation=r, scale=1.0, translation=translation)

@@ -136,9 +136,14 @@ class SimilarityTransform:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        b = float(self.scale)
+        try:
+            r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
+            t = np.asarray(self.translation, dtype=float).reshape(3)
+            b = float(self.scale)
+        except (TypeError, ValueError):
+            raise RejectedInputError(
+                "rotation must be 3 x 3 numbers, translation 3 and scale one"
+            ) from None
         if not is_rotation(r, tol=1e-6):
             raise RejectedInputError("rotation is not a proper rotation matrix")
         if not (b > 0.0 and np.isfinite(b)):
@@ -159,14 +164,6 @@ class SimilarityTransform:
             rotation=rt,
             scale=1.0 / self.scale,
             translation=-(rt @ self.translation) / self.scale,
-        )
-
-    def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
-        """Transform equal to applying `other` first, then self."""
-        return SimilarityTransform(
-            rotation=self.rotation @ other.rotation,
-            scale=self.scale * other.scale,
-            translation=self.scale * (self.rotation @ other.translation) + self.translation,
         )
 
     def as_dict(self) -> dict:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy import ndimage
@@ -54,16 +55,19 @@ class ScalarVolume:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        self.dims = tuple(int(d) for d in self.dims)
-        self.spacing = tuple(float(s) for s in self.spacing)
-        self.origin = tuple(float(o) for o in self.origin)
+        try:
+            self.dims = tuple(int(d) for d in self.dims)
+            self.spacing = tuple(float(s) for s in self.spacing)
+            self.origin = tuple(float(o) for o in self.origin)
+            self.data = np.asarray(self.data, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise RejectedInputError("dims, spacing, origin and data must be numbers") from None
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise RejectedInputError(f"dims must be three positive ints, got {self.dims}")
-        if any(not (s > 0.0 and np.isfinite(s)) for s in self.spacing):
-            raise RejectedInputError(f"spacing must be positive, got {self.spacing}")
-        if any(not np.isfinite(o) for o in self.origin):
-            raise RejectedInputError("origin must be finite")
-        self.data = np.asarray(self.data, dtype=np.float64)
+        if len(self.spacing) != 3 or any(not (s > 0.0 and np.isfinite(s)) for s in self.spacing):
+            raise RejectedInputError(f"spacing must be three positive numbers, got {self.spacing}")
+        if len(self.origin) != 3 or any(not np.isfinite(o) for o in self.origin):
+            raise RejectedInputError(f"origin must be three finite numbers, got {self.origin}")
         if self.data.shape != self.dims:
             raise RejectedInputError(
                 f"data shape {self.data.shape} does not match dims {self.dims}"
@@ -153,8 +157,11 @@ def build_scale_space(
     from level 3 (sigma doubled) subsampled by 2 per axis (floor halving).
     Anisotropic inputs are first resampled to isotropic min spacing.
     """
-    if not (base_sigma > 0.0 and np.isfinite(base_sigma)):
-        raise RejectedInputError(f"base_sigma must be positive, got {base_sigma}")
+    real = isinstance(base_sigma, Real) and not isinstance(base_sigma, bool)
+    if not (real and 0.0 < base_sigma < math.inf):
+        raise RejectedInputError(f"base_sigma must be a positive number, got {base_sigma!r}")
+    if isinstance(num_octaves, bool) or not isinstance(num_octaves, (Integral, type(None))):
+        raise RejectedInputError(f"num_octaves must be None or an integer, got {num_octaves!r}")
     if min(volume.dims) < MIN_DIM:
         raise RejectedInputError(
             f"volume dims {volume.dims} too small; need >= {MIN_DIM} voxels per axis"

@@ -362,6 +362,16 @@ def test_cli_error_exits(workspace, tmp_path, capsys):
             f"{bad_w}: section 'registration': outlier fraction w",
             "register", "--config", bad_w, *feats, "--w", 0.2, "--out", out / "e.json",
         ),
+        # the synthetic inputs' library checks make these usage errors, not tracebacks
+        ("seed must be a nonnegative integer", "phantom", "--seed", -1, "--out", out / "p.txt"),
+        (
+            "seed must be a nonnegative integer",
+            "synth-transform", "--seed", -1, "--out", out / "t.json",
+        ),
+        (
+            "spacing must be three lengths",
+            "phantom", "--seed", 1, "--spacing", "nan", 1, 1, "--out", out / "p.txt",
+        ),
     ]
     for message, *args in cases:
         code, err = _error_exit(capsys, *args)

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from volkey.config import load_config
-from volkey.descriptors import Descriptor, ExtractionConfig, Feature
+from volkey import io as vio
+from volkey.descriptors import Descriptor, ExtractionConfig, Feature, stack_features
 from volkey.errors import ParseError, RejectedInputError
 from volkey.frames import Frame
 from volkey.io import (
@@ -326,15 +327,18 @@ def test_feature_file_round_trip(tmp_path):
     assert meta["config_digest"] == config_digest(cfg)
     assert int(meta["count"]) == 1000
     assert len(loaded) == 1000
-    for a, b in zip(features, loaded):
-        np.testing.assert_array_equal(a.keypoint.x, b.keypoint.x)
-        assert a.keypoint.sigma == b.keypoint.sigma
-        assert a.keypoint.sign == b.keypoint.sign
-        assert a.border == b.border
-        np.testing.assert_array_equal(a.frame.matrix, b.frame.matrix)
-        for da, db in zip(a.descriptors, b.descriptors):
-            assert db.bins is None
-            np.testing.assert_array_equal(da.ranked, db.ranked)
+    assert all(d.bins is None for f in loaded for d in f.descriptors)
+    # the record body is the stack, field by field, and reads back as it, bitwise
+    stack = stack_features(features)
+    raw = path.read_bytes()
+    records = np.zeros(1000, dtype=vio._RECORD)
+    for name in vio._RECORD.names:
+        records[name] = stack[name]
+    assert raw[raw.find(b"END\n") + 4 :] == records.tobytes()
+    back = stack_features(loaded)
+    assert back.keys() == stack.keys()
+    for name, array in stack.items():
+        assert back[name].dtype == array.dtype and back[name].tobytes() == array.tobytes()
 
 
 def test_feature_file_rewrite_is_byte_identical(tmp_path):
@@ -348,11 +352,44 @@ def test_feature_file_rewrite_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_write_features_rejects_ranks_beyond_a_byte(tmp_path):
-    feature = _random_feature(np.random.default_rng(55))
+def _frame_not_rotation(feature):
+    feature.frame = Frame(2.0 * np.eye(3))
+
+
+def _zero_ranks(feature):
+    for d in feature.descriptors:
+        d.ranked[:] = 0
+
+
+def _rank_past_a_byte(feature):
     feature.descriptors[2].ranked[5] = 256
-    with pytest.raises(RejectedInputError, match="ranks"):
-        write_features(tmp_path / "wide.vkf", [feature])
+
+
+def _three_descriptors(feature):
+    del feature.descriptors[3]
+
+
+@pytest.mark.parametrize(
+    "spoil, why",
+    [
+        pytest.param(_frame_not_rotation, "frame is not a rotation", id="frame-not-rotation"),
+        pytest.param(_zero_ranks, "ranks are not a permutation of 0..63", id="zero-ranks"),
+        pytest.param(
+            _rank_past_a_byte, "ranks are not a permutation of 0..63", id="rank-past-a-byte"
+        ),
+        pytest.param(_three_descriptors, "has 3 descriptors, not 4", id="three-descriptors"),
+    ],
+)
+def test_write_features_refuses_what_read_features_refuses(tmp_path, spoil, why):
+    # the writer runs the reader's record check, so it never writes a file
+    # the reader refuses; the error names the feature
+    rng = np.random.default_rng(57)
+    features = [_random_feature(rng) for _ in range(4)]
+    spoil(features[2])
+    path = tmp_path / "spoilt.vkf"
+    with pytest.raises(RejectedInputError, match=f"^feature 2 {why}$"):
+        write_features(path, features)
+    assert not path.exists()
 
 
 def test_empty_feature_file(tmp_path):

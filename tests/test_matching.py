@@ -708,19 +708,31 @@ _VOTE_FIELDS = [
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(0, 12),
     field=st.sampled_from(_VOTE_FIELDS + ["descriptor_distance", None]),
-    value=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, -0.0]),
+    value=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, -0.0, 1e150, 1e300]),
     shape=st.sampled_from(["table", "table", "plain", "list", "other_dtype", "2d", "scalar"]),
+    trans_bin=st.sampled_from([10.0, 10.0, 1e-17, 1e-300]),
 )
-@example(seed=0, count=10, field="rotation", value=math.nan, shape="table")
-@example(seed=0, count=10, field="rotation", value=math.inf, shape="table")
-@example(seed=0, count=10, field="moving_x", value=math.nan, shape="plain")
-@example(seed=0, count=10, field="scale", value=0.0, shape="table")
-@example(seed=0, count=10, field="scale", value=-1.0, shape="table")
-@example(seed=0, count=10, field="fixed_sigma", value=-0.0, shape="table")
-def test_hough_contract(seed, count, field, value, shape):
+@example(seed=0, count=10, field="rotation", value=math.nan, shape="table", trans_bin=10.0)
+@example(seed=0, count=10, field="rotation", value=math.inf, shape="table", trans_bin=10.0)
+@example(seed=0, count=10, field="moving_x", value=math.nan, shape="plain", trans_bin=10.0)
+@example(seed=0, count=10, field="scale", value=0.0, shape="table", trans_bin=10.0)
+@example(seed=0, count=10, field="scale", value=-1.0, shape="table", trans_bin=10.0)
+@example(seed=0, count=10, field="fixed_sigma", value=-0.0, shape="table", trans_bin=10.0)
+# finite but huge: the endpoint fit's matmul overflowed, the cell key's cast went invalid
+@example(seed=0, count=10, field="fixed_x", value=1e150, shape="table", trans_bin=10.0)
+@example(seed=0, count=10, field="fixed_x", value=1e200, shape="table", trans_bin=10.0)
+@example(seed=0, count=10, field="moving_x", value=1e300, shape="table", trans_bin=10.0)
+@example(seed=0, count=10, field="translation", value=1e150, shape="table", trans_bin=10.0)
+@example(seed=0, count=10, field="scale", value=1e200, shape="table", trans_bin=10.0)
+@example(seed=0, count=10, field="moving_sigma", value=1e300, shape="table", trans_bin=10.0)
+# ordinary translations 2^62 tiny bins from 0
+@example(seed=0, count=10, field=None, value=0.0, shape="table", trans_bin=1e-300)
+def test_hough_contract(seed, count, field, value, shape, trans_bin):
     # any table yields a result or a documented error, never a bare one; a
-    # non-finite vote entry, or a scale or sigma that is not positive, is
-    # rejected outright (math.log raised ValueError, the SVD LinAlgError)
+    # non-finite vote entry, a scale or sigma that is not positive, an entry
+    # of 2^64 or more, or a translation 2^62 bins or more from 0 is rejected
+    # outright (math.log raised ValueError, the SVD LinAlgError, the fit and
+    # the key cast overflowed)
     rng = np.random.default_rng(seed)
     table = pair_table(_planted_pairs(rng, T_TRUE, n_in=count // 2, n_out=count - count // 2))
     if field is not None and count:
@@ -728,18 +740,22 @@ def test_hough_contract(seed, count, field, value, shape):
         assert np.shares_memory(column, table)
         column[rng.integers(count), rng.integers(column.shape[1])] = value
     other_dtype = MATCH_DTYPE.descr[:-1] + [("translation", "<f4", (3,))]
-    matches = {
-        "table": table,
-        "plain": table.view(np.ndarray).astype(MATCH_DTYPE),
-        "list": table.tolist(),
-        "other_dtype": table.view(np.ndarray).astype(other_dtype),
-        "2d": table.reshape(1, -1),
-        "scalar": value,
-    }[shape]
+    with np.errstate(over="ignore"):  # a huge translation overflows the float32 cast
+        matches = {
+            "table": table,
+            "plain": table.view(np.ndarray).astype(MATCH_DTYPE),
+            "list": table.tolist(),
+            "other_dtype": table.view(np.ndarray).astype(other_dtype),
+            "2d": table.reshape(1, -1),
+            "scalar": value,
+        }[shape]
     positive = field in ("scale", "fixed_sigma", "moving_sigma")
-    invalid = field in _VOTE_FIELDS and count and (not math.isfinite(value) or positive)
+    bad = not abs(value) < 2.0**64 or (positive and not value > 0.0)
+    invalid = count and (
+        (field in _VOTE_FIELDS and bad) or np.abs(table.translation).max() >= 2.0**62 * trans_bin
+    )
     try:
-        res = hough_init(matches)
+        res = hough_init(matches, HoughParams(trans_bin=trans_bin))
     except RejectedInputError:
         return
     except InitializationFailureError:

@@ -19,7 +19,8 @@ from conftest import (
     negated,
     solve_rigid,
 )
-from volkey.descriptors import Feature, extract_features, feature_geometry
+from volkey import descriptors, matching, registration
+from volkey.descriptors import Feature, extract_features, stack_features
 from volkey.errors import (
     DegenerateCorrespondenceError,
     DegenerateGeometryError,
@@ -192,7 +193,8 @@ def test_e_step_at_vanishing_variance_matches_linear_oracle(seed, n_fixed, n_mov
 
 def test_e_step_rejects_bad_variance(phantom_features):
     cfg = RegistrationConfig()
-    geometry = feature_geometry(phantom_features[:3])
+    stack = stack_features(phantom_features[:3])
+    geometry = stack["x"], stack["sigma"], stack["frame"]
     with pytest.raises(RejectedInputError):
         e_step(*geometry, *geometry, 0.0, cfg)
     with pytest.raises(RejectedInputError):
@@ -225,7 +227,8 @@ def test_e_step_at_the_smallest_normal_variance(variant, w, expected):
 def test_e_step_rejects_non_finite_geometry(phantom_features, variant, bad, which):
     # one non-finite location, scale or frame entry, fixed or moving, would
     # otherwise make its whole column NaN
-    args = [a.copy() for a in feature_geometry(phantom_features[:3]) * 2]
+    stack = stack_features(phantom_features[:3])
+    args = [stack[k].copy() for k in ("x", "sigma", "frame") * 2]
     args[which].flat[1] = bad
     with pytest.raises(RejectedInputError):
         e_step(*args, 5.0, RegistrationConfig(variant=variant))
@@ -547,6 +550,17 @@ def test_self_registration_recovers_identity(phantom_features):
     assert res.converged
     assert res.iterations <= 10
     assert res.runtime > 0.0
+
+
+def test_register_stacks_each_list_once(planted_pair):
+    # matching and EM read one stack of each list, through either module's name
+    fixed, moving, _ = planted_pair
+    spy = mock.Mock(wraps=descriptors.stack_features)
+    with mock.patch.object(registration, "stack_features", spy), \
+            mock.patch.object(matching, "stack_features", spy):
+        register(fixed, moving)
+    (a,), (b,) = (c.args for c in spy.call_args_list)
+    assert a is fixed and b is moving
 
 
 def test_icp_self_registration(phantom_features):

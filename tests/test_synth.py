@@ -1,8 +1,12 @@
 """Seeded phantom volumes and random similarity transforms."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from volkey.errors import RejectedInputError
 from volkey.synth import make_phantom, random_similarity
@@ -84,3 +88,56 @@ def test_random_similarity_validates_ranges():
         random_similarity(0, trans_range_mm=(-1.0, 5.0))
     with pytest.raises(RejectedInputError):
         random_similarity(0, rot_range_deg=(-5.0, 10.0))
+
+
+_SEEDS = st.one_of(st.integers(-2, 2**64), st.sampled_from([True, 1.5, "1", None]))
+# numbers at and past every bound, and values that are not numbers
+_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 2.0**-64, 0.5, 2.5, 2.0**64, 1e300, "a", None]
+)
+
+
+@settings(max_examples=150)
+@given(
+    seed=_SEEDS,
+    num_blobs=st.one_of(st.integers(-1, 3), st.sampled_from([2.5, True, "2"])),
+    dims=st.one_of(st.tuples(*[st.integers(-1, 9)] * 3), st.tuples(st.integers(1, 9))),
+    spacing=st.one_of(st.tuples(*[_VALUES] * 3), st.tuples(_VALUES, _VALUES)),
+    width_range=st.one_of(st.tuples(_VALUES, _VALUES), st.tuples(_VALUES)),
+)
+@example(seed=-1, num_blobs=1, dims=(4, 4, 4), spacing=(1, 1, 1), width_range=(2, 8))
+@example(seed=0, num_blobs=2.5, dims=(4, 4, 4), spacing=(1, 1, 1), width_range=(2, 8))
+@example(seed=0, num_blobs=1, dims=(4, 4, 4), spacing=(math.nan, 1, 1), width_range=(2, 8))
+@example(seed=0, num_blobs=1, dims=(4, 4, 4), spacing=(1, 1, 1), width_range=(0, 0))
+@example(seed=0, num_blobs=1, dims=(4, 4, 4), spacing=(1e300, 1, 1), width_range=(2, 8))
+def test_make_phantom_contract(seed, num_blobs, dims, spacing, width_range):
+    # a phantom of finite intensities, or RejectedInputError, never a bare
+    # error or a warning: not for a negative seed, a float count, a NaN
+    # spacing, zero widths or a spacing whose blob exponents would overflow
+    try:
+        vol = make_phantom(seed, num_blobs, dims, spacing, width_range)
+    except RejectedInputError:
+        return
+    assert vol.dims == tuple(dims) and np.isfinite(vol.data).all()
+
+
+@settings(max_examples=150)
+@given(
+    seed=_SEEDS,
+    rot_range_deg=st.one_of(st.tuples(_VALUES, _VALUES), st.tuples(_VALUES)),
+    trans_range_mm=st.one_of(st.tuples(_VALUES, _VALUES), st.tuples(_VALUES)),
+    center=st.one_of(st.tuples(*[_VALUES] * 3), st.tuples(_VALUES, _VALUES)),
+)
+@example(seed=-1, rot_range_deg=(10, 30), trans_range_mm=(0, 10), center=(0, 0, 0))
+@example(seed=0, rot_range_deg=(10, 30), trans_range_mm=(0, 10), center=(0, 0))
+@example(seed=0, rot_range_deg=(10, math.inf), trans_range_mm=(0, 10), center=(0, 0, 0))
+@example(seed=0, rot_range_deg=(10, 30), trans_range_mm=(0, 1e300), center=(1e300, 0, 0))
+def test_random_similarity_contract(seed, rot_range_deg, trans_range_mm, center):
+    # a similarity with unit scale, or RejectedInputError, never a bare error
+    # or a warning: not for a negative seed, a two-entry center, an infinite
+    # angle or a translation that overflows
+    try:
+        t = random_similarity(seed, rot_range_deg, trans_range_mm, center)
+    except RejectedInputError:
+        return
+    assert is_rotation(t.rotation) and t.scale == 1.0 and np.isfinite(t.translation).all()

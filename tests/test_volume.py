@@ -91,6 +91,16 @@ def test_scalar_volume_validation():
     bad[0, 0, 0] = np.nan
     with pytest.raises(RejectedInputError):
         ScalarVolume(dims=(4, 4, 4), spacing=(1, 1, 1), origin=(0, 0, 0), data=bad)
+    # two spacings or origin entries, or intensities that are not numbers
+    zeros = np.zeros((4, 4, 4))
+    for spacing, origin, data in (
+        ((1, 1), (0, 0, 0), zeros),
+        ((1, 1, 1), (0, 0), zeros),
+        ((1, 1, 1), (0, 0, 0), np.full((4, 4, 4), "a")),
+        (("a", 1, 1), (0, 0, 0), zeros),
+    ):
+        with pytest.raises(RejectedInputError):
+            ScalarVolume(dims=(4, 4, 4), spacing=spacing, origin=origin, data=data)
 
 
 def test_scale_space_structure():
@@ -149,6 +159,11 @@ def test_build_scale_space_rejects_degenerate_inputs():
         build_scale_space(vol, num_octaves=3)  # coarsest octave would be 4 voxels
     with pytest.raises(RejectedInputError):
         build_scale_space(vol, base_sigma=0.0)
+    # a string sigma, and a bool standing for an octave count
+    with pytest.raises(RejectedInputError):
+        build_scale_space(vol, base_sigma="1")
+    with pytest.raises(RejectedInputError):
+        build_scale_space(vol, num_octaves=True)
 
 
 def test_constant_volume_stays_constant():
