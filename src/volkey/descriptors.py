@@ -22,8 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousFrameError, NoOrientationError, RejectedInputError, check_field_types
+from .errors import (
+    FINITE, POSITIVE, AmbiguousFrameError, NoOrientationError, RejectedInputError,
+    check_field_types,
+)
 from .frames import (
+    MAX_WINDOW_FACTOR,
     STATE_SIGNS,
     Frame,
     enumerate_states,
@@ -31,6 +35,7 @@ from .frames import (
     estimate_frame_structure_tensor,
 )
 from .keypoints import Keypoint, detect_keypoints
+from .transforms import is_rotation
 from .volume import ScalarVolume, ScaleSpace, build_scale_space, _sample_gradients
 
 NUM_BINS = 64
@@ -68,9 +73,12 @@ class Descriptor:
     ranked: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bins is not None:
-            self.bins = np.asarray(self.bins, dtype=float).reshape(NUM_BINS)
-        self.ranked = np.asarray(self.ranked, dtype=np.int16).reshape(NUM_BINS)
+        try:
+            if self.bins is not None:
+                self.bins = np.asarray(self.bins, dtype=float).reshape(NUM_BINS)
+            self.ranked = np.asarray(self.ranked, dtype=np.int16).reshape(NUM_BINS)
+        except (TypeError, ValueError, OverflowError):
+            raise RejectedInputError(f"bins and ranked must be {NUM_BINS} numbers each") from None
 
 
 def rank_normalize_bins(bins: np.ndarray) -> np.ndarray:
@@ -127,7 +135,8 @@ class Feature:
 
 def stack_features(features: list[Feature]) -> dict[str, np.ndarray]:
     """C-contiguous arrays x (n, 3), sigma, frame (n, 3, 3), sign, border, ranks
-    (n, 4, 64) int16; RejectedInputError names a feature without 4 descriptors."""
+    (n, 4, 64) int16; RejectedInputError names a feature without 4 descriptors
+    or whose frame is not a rotation to within 1e-6, the feature file's rule."""
     try:
         counts = [len(f.descriptors) for f in features]
     except (TypeError, AttributeError):
@@ -135,10 +144,14 @@ def stack_features(features: list[Feature]) -> dict[str, np.ndarray]:
     for i, count in enumerate(counts):
         if count != 4:
             raise RejectedInputError(f"feature {i} has {count} descriptors, not 4")
+    frame = np.array([f.frame.matrix for f in features], dtype=float).reshape(-1, 3, 3)
+    bad = np.flatnonzero(~is_rotation(frame, tol=1e-6))
+    if bad.size:
+        raise RejectedInputError(f"feature {bad[0]} frame is not a rotation")
     return {
         "x": np.array([f.keypoint.x for f in features], dtype=float).reshape(-1, 3),
         "sigma": np.array([f.keypoint.sigma for f in features], dtype=float),
-        "frame": np.array([f.frame.matrix for f in features], dtype=float).reshape(-1, 3, 3),
+        "frame": frame,
         "sign": np.array([f.keypoint.sign for f in features], dtype=int),
         "border": np.array([bool(f.border) for f in features]),
         "ranks": np.array([[d.ranked for d in f.descriptors] for f in features], np.int16)
@@ -163,14 +176,10 @@ class ExtractionConfig:
 
     def __post_init__(self) -> None:
         # floats are stored as floats: an int standing for one must not change config_digest
-        check_field_types(self)
-        for name in ("base_sigma", "window_factor"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise RejectedInputError(f"{name} must be positive and finite")
-        if not 0.0 <= self.min_abs_response < math.inf:
-            raise RejectedInputError("min_abs_response must be nonnegative and finite")
-        if self.max_count < 1 or (self.num_octaves is not None and self.num_octaves < 1):
-            raise RejectedInputError("max_count and num_octaves must be positive")
+        check_field_types(
+            self, base_sigma=(POSITIVE, FINITE), window_factor=(POSITIVE, MAX_WINDOW_FACTOR),
+            min_abs_response=(0.0, FINITE), max_count=(1, math.inf), num_octaves=(1, math.inf),
+        )
         if self.estimator not in _ESTIMATORS:
             raise RejectedInputError(f"unknown estimator {self.estimator!r}")
 
@@ -193,9 +202,7 @@ def extract_features_with_stats(
     cfg = config or ExtractionConfig()
     estimator = _ESTIMATORS[cfg.estimator]
     ss = build_scale_space(volume, base_sigma=cfg.base_sigma, num_octaves=cfg.num_octaves)
-    keypoints = detect_keypoints(
-        ss, min_abs_response=cfg.min_abs_response, max_count=cfg.max_count
-    )
+    keypoints = detect_keypoints(ss, min_abs_response=cfg.min_abs_response, max_count=cfg.max_count)
     stats = ExtractionStats(num_keypoints=len(keypoints))
     features: list[Feature] = []
     for kp in keypoints:
@@ -207,15 +214,10 @@ def extract_features_with_stats(
         except AmbiguousFrameError:
             stats.dropped_ambiguous += 1
             continue
-        descriptors = compute_state_descriptors(ss, kp, base)
-        features.append(
-            Feature(keypoint=kp, frame=base, descriptors=descriptors, border=kp.border)
-        )
+        features.append(Feature(kp, base, compute_state_descriptors(ss, kp, base), kp.border))
     return features, stats
 
 
-def extract_features(
-    volume: ScalarVolume, config: ExtractionConfig | None = None
-) -> list[Feature]:
+def extract_features(volume: ScalarVolume, config: ExtractionConfig | None = None) -> list[Feature]:
     features, _ = extract_features_with_stats(volume, config)
     return features

@@ -8,11 +8,11 @@ reported per axis from the rotation vector of R_est R_gt^T.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import RejectedInputError, check_number
+from .matching import MATCH_DTYPE
 from .transforms import SimilarityTransform, rotvec_from_matrix
 from .volume import ScalarVolume, resample
 
@@ -27,8 +27,7 @@ class EvaluationReport:
 
 def probe_grid(volume: ScalarVolume, count: int = 5) -> np.ndarray:
     """count^3 world-space probe points spread over the volume extent."""
-    if isinstance(count, bool) or not isinstance(count, Integral) or count < 1:
-        raise RejectedInputError(f"count must be a positive integer, got {count!r}")
+    check_number("count", count, int, lo=1)
     lo = volume.world_min
     hi = volume.world_max
     ax = [np.linspace(lo[a], hi[a], count) for a in range(3)]
@@ -75,10 +74,14 @@ def state_histogram(matches: np.recarray) -> np.ndarray:
 
     Matching holds the fixed feature at state 0, so a single run fills row 0;
     a symmetric run (directions swapped) can be added into column 0 by the
-    caller via the transpose convention.
+    caller via the transpose convention.  matches must be a 1-D array of
+    MATCH_DTYPE records with states 0..3.
     """
+    table = isinstance(matches, np.ndarray) and matches.dtype == MATCH_DTYPE and matches.ndim == 1
+    if not (table and ((matches["moving_state"] >= 0) & (matches["moving_state"] < 4)).all()):
+        raise RejectedInputError("matches must be a 1-D array of MATCH_DTYPE records, states 0..3")
     hist = np.zeros((4, 4), dtype=int)
-    hist[0] = np.bincount(matches.moving_state, minlength=4)
+    hist[0] = np.bincount(matches["moving_state"], minlength=4)
     return hist
 
 
@@ -97,9 +100,4 @@ def evaluate(
     ssd = None
     if fixed is not None and moving is not None:
         ssd = overlap_ssd(fixed, moving, t_est)
-    return EvaluationReport(
-        pre=pre,
-        rotation_error_deg=rot_err,
-        translation_error_mm=trans_err,
-        ssd=ssd,
-    )
+    return EvaluationReport(pre, rot_err, trans_err, ssd)

@@ -23,11 +23,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import AmbiguousFrameError, NoOrientationError
+from .errors import (
+    POSITIVE, AmbiguousFrameError, NoOrientationError, RejectedInputError, check_number,
+)
 from .keypoints import Keypoint
 from .volume import ScaleSpace, _nearest_level, _sample_gradients
 
 SUPPORT_RADIUS = 3.0  # in units of keypoint sigma
+# at this window factor the weights over the support ball are within 5e-6 of 1
+MAX_WINDOW_FACTOR = 1000.0
 GRADIENT_FLOOR = 1e-12
 _EIG_RATIO_TOL = 1e-6
 _CIRCLE_STEPS = 720  # 0.25 degree over half a turn
@@ -48,7 +52,10 @@ class Frame:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float).reshape(3, 3)
+        try:
+            self.matrix = np.asarray(self.matrix, dtype=float).reshape(3, 3)
+        except (TypeError, ValueError):
+            raise RejectedInputError(f"frame must be 3 x 3 numbers, got {self.matrix!r}") from None
 
 
 @dataclass(eq=False)
@@ -93,11 +100,14 @@ def icosphere_faces() -> np.ndarray:
 
 
 def _window(ss: ScaleSpace, kp: Keypoint, window_factor: float):
-    """Gradient samples and Gaussian weights over the keypoint's support ball.
+    """Gradient samples and Gaussian weights over the keypoint's support ball,
+    or NoOrientationError where every gradient vanishes.
 
     The ball's points sit on the nearest level's voxel lattice around kp.x,
-    in world mm like every scale-space sample.
+    in world mm like every scale-space sample.  window_factor, the window's
+    width in units of kp.sigma, must lie in (0, MAX_WINDOW_FACTOR].
     """
+    check_number("window_factor", window_factor, lo=POSITIVE, hi=MAX_WINDOW_FACTOR)
     o, _ = _nearest_level(ss, kp.sigma)
     spacing = ss.octaves[o].spacing
     r_vox = SUPPORT_RADIUS * kp.sigma / spacing
@@ -110,6 +120,8 @@ def _window(ss: ScaleSpace, kp: Keypoint, window_factor: float):
     grads = _sample_gradients(ss, kp.x + offsets * spacing, kp.sigma)
     dist_sq = (offsets**2).sum(axis=1) * spacing**2
     weights = np.exp(-dist_sq / (2.0 * (window_factor * kp.sigma) ** 2))
+    if np.linalg.norm(grads, axis=1).max(initial=0.0) <= GRADIENT_FLOOR:
+        raise NoOrientationError("gradient field vanishes over the support window")
     return grads, weights
 
 
@@ -163,8 +175,6 @@ def estimate_frame_max_gradient(
     frame.  Axes are swapped if the second objective value beats the first.
     """
     grads, weights = _window(ss, kp, window_factor)
-    if np.linalg.norm(grads, axis=1).max(initial=0.0) <= GRADIENT_FLOOR:
-        raise NoOrientationError("gradient field vanishes over the support window")
     mean_grad = (weights[:, None] * grads).sum(axis=0)
 
     faces = icosphere_faces()
@@ -238,7 +248,5 @@ def estimate_frame_structure_tensor(
 ) -> Frame:
     """Frame from the eigenvectors of the windowed structure tensor."""
     grads, weights = _window(ss, kp, window_factor)
-    if np.linalg.norm(grads, axis=1).max(initial=0.0) <= GRADIENT_FLOOR:
-        raise NoOrientationError("gradient field vanishes over the support window")
     tensor = (weights[:, None] * grads).T @ grads
     return _frame_from_tensor(tensor)

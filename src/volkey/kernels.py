@@ -31,12 +31,11 @@ per axis.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectedInputError, check_field_types
+from .errors import FINITE, POSITIVE, RejectedInputError, check_field_types
 
 
 @dataclass
@@ -46,11 +45,7 @@ class KernelParams:
     use_orientation_states: bool = True
 
     def __post_init__(self) -> None:
-        check_field_types(self)
-        if not 0.0 < self.k < math.inf:
-            raise RejectedInputError("kernel k must be positive and finite")
-        if not 0.0 <= self.sigma_t_sq < math.inf:
-            raise RejectedInputError("kernel sigma_t_sq must be nonnegative and finite")
+        check_field_types(self, k=(POSITIVE, FINITE), sigma_t_sq=(0.0, FINITE))
 
 
 def squared_distances(x_m: np.ndarray, x_f: np.ndarray) -> np.ndarray:
@@ -73,10 +68,22 @@ def squared_distances(x_m: np.ndarray, x_f: np.ndarray) -> np.ndarray:
     return dist_sq
 
 
-def check_finite(*arrays: np.ndarray) -> None:
-    """Reject geometry with a NaN or infinite entry."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise RejectedInputError("feature locations, scales and frames must be finite")
+def check_geometry(*sets: tuple) -> None:
+    """Reject feature sets (x, s, theta) unless each holds real-number arrays
+    x (n, 3), s (n,) and theta (n, 3, 3) with locations below 2^64 in
+    magnitude, scales in (0, 2^64) and frame entries in [-2, 2]: squared
+    distances and the scale and frame products then stay finite, and no
+    kernel exceeds exp(33)."""
+    for x, s, theta in sets:
+        n = len(s) if getattr(s, "ndim", 0) == 1 else -1
+        real = all(isinstance(a, np.ndarray) and a.dtype.kind in "iuf" for a in (x, s, theta))
+        if not (real and x.shape == (n, 3) and theta.shape == (n, 3, 3)):
+            raise RejectedInputError("geometry must be real arrays shaped (n, 3), (n,), (n, 3, 3)")
+        bounded = (np.abs(x) < 2.0**64).all() and (np.abs(theta) <= 2.0).all()
+        if not (bounded and ((s > 0.0) & (s < 2.0**64)).all()):
+            raise RejectedInputError(
+                "locations must lie below 2^64, scales in (0, 2^64) and frame entries in [-2, 2]"
+            )
 
 
 def _rows(s: np.ndarray, t: np.ndarray, moving: bool) -> np.ndarray:
@@ -132,7 +139,7 @@ def kernel_matrix(
     params: KernelParams,
 ) -> np.ndarray:
     """All-pairs geometry kernel, shaped (moving, fixed), of stacked locations
-    (n, 3), scales (n,) and frames (n, 3, 3)."""
-    check_finite(x_f, s_f, t_f, x_m, s_m, t_m)
+    (n, 3), scales (n,) and frames (n, 3, 3), as check_geometry admits them."""
+    check_geometry((x_f, s_f, t_f), (x_m, s_m, t_m))
     log_k = log_kernel_matrix(squared_distances(x_m, x_f), s_f, t_f, s_m, t_m, params)
     return np.exp(log_k, out=log_k)

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import FINITE, POSITIVE, RejectedInputError, check_number
 from .volume import DOG_TO_LOG, INTERVALS, ScaleSpace
 
 MAX_OFFSET = 0.6
@@ -51,17 +50,12 @@ class Keypoint:
         a, b, c = self.x.tolist()
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
             raise RejectedInputError(f"x must be finite, got {[a, b, c]}")
-        if not (isinstance(self.sigma, float) or isinstance(self.sigma, Real)):
-            raise RejectedInputError(f"sigma must be a real number, got {self.sigma!r}")
-        self.sigma = float(self.sigma)
-        if not 0.0 < self.sigma < math.inf:
-            raise RejectedInputError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.sign != 1 and self.sign != -1:
+        # bounds passed positionally: keyword arguments cost more per call
+        self.sigma = float(check_number("sigma", self.sigma, float, POSITIVE, FINITE))
+        if check_number("sign", self.sign, float, -1, 1) not in (1, -1):
             raise RejectedInputError(f"sign must be 1 or -1, got {self.sign!r}")
         self.sign = int(self.sign)
-        if not (isinstance(self.response, float) or isinstance(self.response, Real)):
-            raise RejectedInputError(f"response must be a real number, got {self.response!r}")
-        self.response = float(self.response)
+        self.response = float(check_number("response", self.response))
 
 
 # the fit's axes (x, y, z, scale) as unit steps of a (scale, x, y, z) stack index
@@ -171,18 +165,8 @@ def detect_keypoints(
     Ordering is descending |response|, ties broken by lexicographic location
     then sigma; the list is truncated to max_count when given.
     """
-    if (
-        isinstance(min_abs_response, bool)
-        or not isinstance(min_abs_response, Real)
-        or not 0.0 <= min_abs_response < math.inf
-    ):
-        raise RejectedInputError(
-            f"min_abs_response must be nonnegative and finite, got {min_abs_response!r}"
-        )
-    if max_count is not None and (
-        isinstance(max_count, bool) or not isinstance(max_count, Integral) or max_count < 1
-    ):
-        raise RejectedInputError(f"max_count must be a positive integer, got {max_count!r}")
+    check_number("min_abs_response", min_abs_response, lo=0.0, hi=FINITE)
+    check_number("max_count", max_count, int, lo=1, optional=True)
     world, sigma, response = [], [], []
     for octave in ss.octaves:
         at = _ring_maxima(octave.data)

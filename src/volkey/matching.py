@@ -25,6 +25,9 @@ import numpy as np
 
 from .descriptors import NUM_BINS, Feature, stack_features
 from .errors import (
+    BELOW_ONE,
+    FINITE,
+    POSITIVE,
     DegenerateGeometryError,
     InitializationFailureError,
     RejectedInputError,
@@ -112,12 +115,9 @@ class HoughParams:
     trans_bin: float = 10.0
 
     def __post_init__(self) -> None:
-        check_field_types(self)
-        if not -1.0 <= self.eps_cos < 1.0:
-            raise RejectedInputError(f"eps_cos must be in [-1, 1), got {self.eps_cos}")
-        for name in ("eps_log_scale", "eps_disp", "rot_bin", "log_scale_bin", "trans_bin"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise RejectedInputError(f"{name} must be positive and finite")
+        positive = ("eps_log_scale", "eps_disp", "rot_bin", "log_scale_bin", "trans_bin")
+        bounds = dict.fromkeys(positive, (POSITIVE, FINITE))
+        check_field_types(self, eps_cos=(-1.0, BELOW_ONE), **bounds)
 
 
 @dataclass(eq=False)

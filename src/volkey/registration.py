@@ -48,12 +48,15 @@ from scipy.spatial import cKDTree
 
 from .descriptors import Feature, stack_features
 from .errors import (
+    BELOW_ONE,
+    FINITE,
     DegenerateCorrespondenceError,
     DegenerateGeometryError,
     RejectedInputError,
     check_field_types,
+    check_number,
 )
-from .kernels import KernelParams, check_finite, log_kernel_matrix, squared_distances
+from .kernels import KernelParams, check_geometry, log_kernel_matrix, squared_distances
 from .matching import HoughParams, HoughResult, _match_stacks, hough_init
 from .transforms import SimilarityTransform, fit_similarity
 
@@ -68,6 +71,9 @@ _ESTEP_BLOCK_PAIRS = 1 << 17
 _CULLED_BLOCK_COLUMNS = 64
 # log u, u = 2^-53 the float64 unit roundoff
 _LOG_ROUNDOFF = -53.0 * np.log(2.0)
+# lambda^2 bounds: 1 / (2 lambda^2) and 2 pi lambda^2 stay finite
+_TINY = float(np.finfo(float).tiny)
+_LAMBDA_SQ_MAX = FINITE / (2.0 * np.pi)
 
 
 @dataclass
@@ -80,17 +86,10 @@ class RegistrationConfig:
     hough: HoughParams = field(default_factory=HoughParams)
 
     def __post_init__(self) -> None:
-        check_field_types(self)
+        check_field_types(self, max_iterations=(1, np.inf), lambda_sq_floor=(_TINY, np.inf))
         if self.variant not in VARIANTS:
             raise RejectedInputError(f"unknown variant {self.variant!r}")
-        if not 0.0 <= self.w < 1.0:
-            raise RejectedInputError(f"outlier fraction w must be in [0, 1), got {self.w!r}")
-        if self.max_iterations < 1:
-            raise RejectedInputError(
-                f"max_iterations must be a positive integer, got {self.max_iterations!r}"
-            )
-        if not self.lambda_sq_floor >= np.finfo(float).tiny:
-            raise RejectedInputError("lambda_sq_floor must be a positive normal float")
+        check_number("outlier fraction w", self.w, lo=0.0, hi=BELOW_ONE)
 
 
 @dataclass(eq=False)
@@ -115,17 +114,15 @@ def _init_lambda_sq(fixed_points: np.ndarray, moving_points: np.ndarray) -> floa
 
 
 def _check_estep(fixed, moved, lambda_sq: float, w: float) -> float:
-    """Validate an E-step's inputs; return the log background
+    """Validate an E-step's inputs, two nonempty sets as check_geometry admits
+    them and lambda^2 in [_TINY, _LAMBDA_SQ_MAX]; return the log background
     log eta = 1.5 log(2 pi lambda^2) + log(w / (1 - w)) + log(M / N), with M
     the moving and N the fixed features."""
-    # from the smallest normal float up, 1 / (2 lambda^2) is finite
-    if not lambda_sq >= np.finfo(float).tiny:
-        raise RejectedInputError(f"lambda_sq must be a positive normal float, got {lambda_sq}")
-    check_finite(*fixed, *moved)
-    with np.errstate(over="ignore"):
-        log_volume = 1.5 * np.log(2.0 * np.pi * lambda_sq)
-    if not np.isfinite(log_volume):
-        raise RejectedInputError(f"lambda_sq {lambda_sq} is too large: 2 pi lambda_sq overflows")
+    check_number("lambda_sq", lambda_sq, lo=_TINY, hi=_LAMBDA_SQ_MAX)
+    check_geometry(fixed, moved)
+    if not (len(fixed[1]) and len(moved[1])):
+        raise RejectedInputError("the fixed and the moving set must be nonempty")
+    log_volume = 1.5 * np.log(2.0 * np.pi * lambda_sq)
     with np.errstate(divide="ignore"):
         log_w = np.log(w / (1.0 - w))  # -inf: no background for w = 0
         return log_volume + log_w + np.log(moved[0].shape[0] / fixed[0].shape[0])
@@ -308,16 +305,7 @@ def register(
             lam = lam_new
         else:
             log.warning(
-                "EM did not converge in %d iterations (lambda_sq %.3e)",
-                cfg.max_iterations,
-                lam,
+                "EM did not converge in %d iterations (lambda_sq %.3e)", cfg.max_iterations, lam
             )
     runtime = time.perf_counter() - start
-    return RegistrationResult(
-        transform=t,
-        iterations=len(history),
-        lambda_sq_history=history,
-        converged=converged,
-        runtime=runtime,
-        init=init,
-    )
+    return RegistrationResult(t, len(history), history, converged, runtime, init)

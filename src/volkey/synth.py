@@ -10,11 +10,10 @@ given center point so content stays in the field of view.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import RejectedInputError, check_number
 from .transforms import SimilarityTransform, rotation_x, rotation_y, rotation_z
 from .volume import ScalarVolume
 
@@ -44,11 +43,6 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise RejectedInputError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
 def make_phantom(
     seed: int,
     num_blobs: int = 40,
@@ -64,9 +58,8 @@ def make_phantom(
     positive integers, and the spacings and the width range (lo <= hi) lie
     in [2^-64, 2^64] mm, where no blob's exponent overflows.
     """
-    _check_seed(seed)
-    if isinstance(num_blobs, bool) or not isinstance(num_blobs, Integral) or num_blobs < 1:
-        raise RejectedInputError(f"num_blobs must be a positive integer, got {num_blobs!r}")
+    check_number("seed", seed, int, lo=0)
+    check_number("num_blobs", num_blobs, int, lo=1)
     try:
         dims = tuple(int(d) for d in dims)
         spacing = tuple(float(s) for s in spacing)
@@ -123,7 +116,7 @@ def random_similarity(
     range is finite with 0 <= lo <= hi, and the translation range
     (0 <= lo <= hi) and the center's entries are below 2^64 mm in magnitude.
     """
-    _check_seed(seed)
+    check_number("seed", seed, int, lo=0)
     try:
         lo, hi = (float(a) for a in rot_range_deg)
         tlo, thi = (float(a) for a in trans_range_mm)

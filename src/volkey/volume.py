@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import RejectedInputError
+from .errors import POSITIVE, RejectedInputError, check_number
 from .transforms import SimilarityTransform
 
 INTERVALS = 3
@@ -142,10 +141,6 @@ def to_isotropic(volume: ScalarVolume) -> ScalarVolume:
     return ScalarVolume(dims=new_dims, spacing=(s, s, s), origin=volume.origin, data=data)
 
 
-def _auto_num_octaves(min_dim: int) -> int:
-    return max(1, int(math.floor(math.log2(min_dim))) - 3)
-
-
 def build_scale_space(
     volume: ScalarVolume,
     base_sigma: float = 1.6,
@@ -155,27 +150,22 @@ def build_scale_space(
 
     Each octave carries 6 levels at sigma * 2**(i/3); the next octave starts
     from level 3 (sigma doubled) subsampled by 2 per axis (floor halving).
-    Anisotropic inputs are first resampled to isotropic min spacing.
+    Anisotropic inputs are first resampled to isotropic min spacing.  The
+    base level's blur must reach no farther than the volume does: 3
+    base_sigma is at most the largest extent (dims - 1) * spacing, so no
+    blur kernel has more than about four taps per voxel of the longest axis.
     """
-    real = isinstance(base_sigma, Real) and not isinstance(base_sigma, bool)
-    if not (real and 0.0 < base_sigma < math.inf):
-        raise RejectedInputError(f"base_sigma must be a positive number, got {base_sigma!r}")
-    if isinstance(num_octaves, bool) or not isinstance(num_octaves, (Integral, type(None))):
-        raise RejectedInputError(f"num_octaves must be None or an integer, got {num_octaves!r}")
     if min(volume.dims) < MIN_DIM:
         raise RejectedInputError(
             f"volume dims {volume.dims} too small; need >= {MIN_DIM} voxels per axis"
         )
+    extent = max((d - 1) * s for d, s in zip(volume.dims, volume.spacing))
+    check_number("base_sigma", base_sigma, lo=POSITIVE, hi=extent / 3.0)
     iso = to_isotropic(volume)
-    min_dim = min(iso.dims)
-    max_octaves = int(math.floor(math.log2(min_dim / MIN_DIM))) + 1
-    if num_octaves is None:
-        num_octaves = min(_auto_num_octaves(min_dim), max_octaves)
-    if num_octaves < 1 or num_octaves > max_octaves:
-        raise RejectedInputError(
-            f"num_octaves={num_octaves} leaves the coarsest octave under "
-            f"{MIN_DIM} voxels per axis (max {max_octaves} for dims {iso.dims})"
-        )
+    # the coarsest octave keeps MIN_DIM voxels per axis; by default one octave less
+    max_octaves = int(math.floor(math.log2(min(iso.dims) / MIN_DIM))) + 1
+    num_octaves = max(1, max_octaves - 1) if num_octaves is None else num_octaves
+    check_number("num_octaves", num_octaves, int, lo=1, hi=max_octaves)
 
     spacing = float(iso.spacing[0])
     origin = np.asarray(iso.origin, dtype=float)
@@ -212,18 +202,10 @@ def build_scale_space(
     )
 
 
-def _check_sigma(ss: ScaleSpace, sigma: float) -> None:
-    if not (sigma > 0.0 and np.isfinite(sigma)):
-        raise RejectedInputError(f"sigma must be positive, got {sigma}")
-    if sigma < ss.sigma_min * (1.0 - 1e-9) or sigma > ss.sigma_max * (1.0 + 1e-9):
-        raise RejectedInputError(
-            f"sigma {sigma} outside pyramid range [{ss.sigma_min}, {ss.sigma_max}]"
-        )
-
-
 def _nearest_level(ss: ScaleSpace, sigma: float) -> tuple[int, int]:
-    """Level with sigma closest in log scale; ties prefer the finer level."""
-    _check_sigma(ss, sigma)
+    """Level with sigma closest in log scale; ties prefer the finer level.
+    sigma must lie in the pyramid's range, widened by 1e-9 relative."""
+    check_number("sigma", sigma, lo=ss.sigma_min * (1.0 - 1e-9), hi=ss.sigma_max * (1.0 + 1e-9))
     ls = math.log(sigma)
     best = None
     for o, octave in enumerate(ss.octaves):

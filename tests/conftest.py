@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from volkey.descriptors import ExtractionConfig, extract_features
 from volkey.frames import STATE_SIGNS
@@ -157,6 +158,36 @@ def geometry_arrays(geoms):
         np.array([g.sigma for g in geoms]),
         np.array([g.theta for g in geoms]).reshape(-1, 3, 3),
     )
+
+
+# how geometry_set spoils one array of a feature set: one entry NaN, inf or
+# 1e200, no rows at all, a wrong shape, strings, or a list for the array
+SPOILS = ("none", "nan", "inf", "huge", "empty", "shape", "text", "list")
+
+
+def geometry_set(seed, n=3, spoil="none", which=0):
+    """A stacked set (x (n, 3), s (n,), frames (n, 3, 3)) of orthonormal
+    frames, with array `which` spoiled as named; returns (set, spoil)."""
+    rng = np.random.default_rng(seed)
+    frames = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    arrays = [rng.uniform(-50.0, 50.0, (n, 3)), rng.uniform(0.5, 8.0, n), frames]
+    a = arrays[which]
+    if spoil in ("nan", "inf", "huge"):
+        a.flat[-1] = {"nan": np.nan, "inf": np.inf, "huge": 1e200}[spoil]
+    elif spoil == "empty":
+        arrays = [b[:0] for b in arrays]
+    elif spoil == "shape":
+        arrays[which] = np.append(a, 1.0) if which == 1 else a[:, :2]
+    elif spoil == "text":
+        arrays[which] = a.astype(str)
+    elif spoil == "list":
+        arrays[which] = a.tolist()
+    return tuple(arrays), spoil
+
+
+geometry_sets = st.builds(
+    geometry_set, st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(SPOILS), st.integers(0, 2)
+)
 
 
 def pair_table(pairs):

@@ -372,6 +372,17 @@ def test_cli_error_exits(workspace, tmp_path, capsys):
             "spacing must be three lengths",
             "phantom", "--seed", 1, "--spacing", "nan", 1, 1, "--out", out / "p.txt",
         ),
+        # (window_factor sigma)^2 overflowed in the frame window; a 1e300 base
+        # sigma failed in np.arange and 1e9 asked for a 44.7 GiB blur kernel
+        *(
+            (f"{name} must be a number in", "extract", "--volume", fixed,
+             "--out", out / "f.vkf", flag, value)
+            for name, flag, value in (
+                ("window_factor", "--window-factor", 1e300),
+                ("base_sigma", "--base-sigma", 1e300),
+                ("base_sigma", "--base-sigma", 1e9),
+            )
+        ),
     ]
     for message, *args in cases:
         code, err = _error_exit(capsys, *args)

@@ -156,6 +156,8 @@ def test_load_config_accepts_ints_for_floats_and_null_octaves(tmp_path):
         lambda: ExtractionConfig(max_count=-1),
         lambda: ExtractionConfig(max_count=0),
         lambda: ExtractionConfig(window_factor=0.0),
+        lambda: ExtractionConfig(window_factor=1000.5),
+        lambda: ExtractionConfig(window_factor=1e300),
         lambda: ExtractionConfig(base_sigma=float("nan")),
         lambda: ExtractionConfig(num_octaves=0),
         lambda: ExtractionConfig(min_abs_response=-1e-3),

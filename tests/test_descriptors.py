@@ -10,17 +10,21 @@ from conftest import EXTRACTION, negated, volume_center
 from volkey.descriptors import (
     NUM_BINS,
     STATE_BIN_MASKS,
+    Descriptor,
     ExtractionConfig,
+    Feature,
     compute_descriptor,
     compute_state_descriptors,
     extract_features,
     extract_features_with_stats,
     rank_normalize_bins,
+    stack_features,
 )
 from volkey.errors import RejectedInputError
 from volkey.frames import Frame, enumerate_states
 from volkey.keypoints import Keypoint
 from volkey.matching import match_features
+from volkey.registration import register
 from volkey.synth import random_similarity
 from volkey.volume import ScalarVolume, build_scale_space, resample
 
@@ -218,3 +222,44 @@ def test_negated_phantom_extracts_matching_features(phantom, phantom_features):
         ra = sorted(tuple(d.ranked) for d in a.descriptors)
         rb = sorted(tuple(d.ranked) for d in b.descriptors)
         assert ra == rb
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.full((3, 3), np.nan), np.where(np.eye(3) > 0, np.inf, 0.0), 2.0 * np.eye(3), -np.eye(3)],
+    ids=["nan", "inf", "scaled", "reflection"],
+)
+def test_stacks_refuse_a_frame_the_feature_file_refuses(phantom_features, matrix):
+    # a NaN frame ended in LinAlgError (SVD did not converge) inside the
+    # match table, an inf frame in a RuntimeWarning
+    features = list(phantom_features[:5])
+    f = features[2]
+    features[2] = Feature(keypoint=f.keypoint, frame=Frame(matrix), descriptors=f.descriptors)
+    for call in (
+        lambda: stack_features(features),
+        lambda: match_features(phantom_features, features),
+        lambda: match_features(features, phantom_features),
+        lambda: register(features, phantom_features),
+        lambda: register(phantom_features, features),
+    ):
+        with pytest.raises(RejectedInputError, match="^feature 2 frame is not a rotation$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Frame([1, 2]),
+        lambda: Frame("abc"),
+        lambda: Frame(None),
+        lambda: Descriptor(None, [1, 2]),
+        lambda: Descriptor(None, "a" * 64),
+        lambda: Descriptor(None, [70000] * 64),
+        lambda: Descriptor([1.0, 2.0], np.arange(64)),
+        lambda: Descriptor(None, None),
+    ],
+)
+def test_frame_and_descriptor_refuse_what_they_cannot_hold(make):
+    # each raised a bare ValueError, TypeError or OverflowError
+    with pytest.raises(RejectedInputError):
+        make()

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import gaussian_blob
@@ -187,3 +187,29 @@ def test_evaluate_attaches_optional_metrics():
     probes = probe_grid(blob, count=3)
     report = evaluate(t, t, probes, fixed=blob, moving=blob)
     assert report.ssd == pytest.approx(0.0, abs=1e-18)
+
+
+@given(
+    states=st.lists(st.integers(-2, 6), max_size=6),
+    form=st.sampled_from(["records", "structured", "floats", "list", "two-d"]),
+)
+# at the parent: a bare ValueError for states 7 and -1, AttributeError for a plain array
+@example(states=[7], form="records")
+@example(states=[-1], form="records")
+@example(states=[0, 1], form="floats")
+def test_state_histogram_contract(states, form):
+    table = np.zeros(len(states), dtype=MATCH_DTYPE)
+    table["moving_state"] = states
+    matches = {
+        "records": table.view(np.recarray),
+        "structured": table,
+        "floats": np.asarray(states, dtype=float),
+        "list": list(table),
+        "two-d": table.reshape(1, -1).view(np.recarray),
+    }[form]
+    if form in ("records", "structured") and all(0 <= s <= 3 for s in states):
+        hist = state_histogram(matches)
+        assert hist[0].tolist() == [states.count(k) for k in range(4)] and not hist[1:].any()
+    else:
+        with pytest.raises(RejectedInputError):
+            state_histogram(matches)

@@ -12,6 +12,7 @@ from conftest import EXTRACTION, gaussian_blob, negated
 from volkey.descriptors import extract_features
 from volkey.errors import AmbiguousFrameError, NoOrientationError, RejectedInputError
 from volkey.frames import (
+    MAX_WINDOW_FACTOR,
     STATE_SIGNS,
     Frame,
     _circle_scores,
@@ -177,6 +178,17 @@ def test_estimators_reject_non_finite_keypoints(estimate, bad):
     x[1] = bad
     with pytest.raises(RejectedInputError):
         estimate(ss, Keypoint(x=x, sigma=kp.sigma, sign=kp.sign, response=kp.response))
+
+
+@pytest.mark.parametrize("estimate", [estimate_frame_max_gradient, estimate_frame_structure_tensor])
+@pytest.mark.parametrize("factor", [np.nan, -1.0, 0.0, np.inf, 1e300, 1000.5, True, "1.5"])
+def test_estimators_take_a_window_factor_in_the_config_range(estimate, factor):
+    # NaN and -1.0 returned a frame, and 1e300 overflowed (window_factor sigma)^2
+    _, ss, kp = _aniso_setup()
+    with pytest.raises(RejectedInputError, match="window_factor"):
+        estimate(ss, kp, window_factor=factor)
+    wide = estimate(ss, kp, window_factor=MAX_WINDOW_FACTOR)
+    assert is_rotation(wide.matrix)
 
 
 def test_enumerate_states_signs_and_handedness():

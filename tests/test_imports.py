@@ -84,3 +84,21 @@ def test_every_export_is_named_outside_the_tests():
     # whole identifiers: `structure_tensor` does not name estimate_frame_structure_tensor
     named = {word for p in users for word in re.findall(r"\w+", p.read_text())}
     assert [name for name in exported if name not in named] == []
+
+
+def test_one_module_tests_numbers():
+    # scalar arguments go through errors.check_number: no other module
+    # imports `numbers` or asks isinstance(..., bool)
+    found = []
+    for path in sorted((ROOT / "src" / "volkey").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            imports = isinstance(node, ast.ImportFrom) and node.module == "numbers"
+            imports |= isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+            bool_test = (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and "bool" in ast.unparse(node.args[1])
+            )
+            if imports or bool_test:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found and all(place.startswith("errors.py:") for place in found), found

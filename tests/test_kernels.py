@@ -9,12 +9,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     Geometry,
     geometry_arrays,
+    geometry_set,
+    geometry_sets,
     kernel_geometry,
     kernel_location,
     kernel_orientation,
@@ -242,3 +244,24 @@ def test_squared_distances_equal_exact_differences(seed, n_moving, n_fixed, scal
     got = squared_distances(x_m, x_f)
     assert got.shape == (n_moving, n_fixed)
     assert got.tobytes() == np.asarray(want, dtype=float).reshape(n_moving, n_fixed).tobytes()
+
+
+@settings(max_examples=150)
+@given(fixed=geometry_sets, moving=geometry_sets, states=st.booleans())
+# at the parent: IndexError, a bare ValueError, a UFuncTypeError, a RuntimeWarning
+@example(fixed=geometry_set(1, 2, "shape", 0), moving=geometry_set(2), states=True)
+@example(fixed=geometry_set(1), moving=geometry_set(2, 3, "shape", 1), states=True)
+@example(fixed=geometry_set(1, 3, "text", 0), moving=geometry_set(2), states=False)
+@example(fixed=geometry_set(1), moving=geometry_set(2, 3, "huge", 0), states=True)
+def test_kernel_matrix_contract(fixed, moving, states):
+    # NaN, inf, 1e200, empty, wrong-shape and wrongly typed sets: a kernel
+    # matrix in [0, 1] (empty sets give an empty one) or RejectedInputError
+    (f, f_spoil), (m, m_spoil) = fixed, moving
+    params = KernelParams(use_orientation_states=states)
+    if {f_spoil, m_spoil} <= {"none", "empty"}:
+        k = kernel_matrix(*f, *m, params)
+        assert k.shape == (len(m[1]), len(f[1]))
+        assert ((k >= 0.0) & (k <= 1.0 + 1e-12)).all()
+    else:
+        with pytest.raises(RejectedInputError):
+            kernel_matrix(*f, *m, params)

@@ -154,10 +154,12 @@ def test_keypoint_takes_a_positive_finite_scale_and_a_unit_sign(sigma, sign):
         ("x", [1.0, 2.0]), ("x", "abc"), ("x", None),
         ("sigma", "abc"), ("sigma", None), ("sigma", [2.0]), ("sigma", "2.0"),
         ("response", "abc"), ("response", None), ("response", [1.0]),
+        ("sigma", True), ("sigma", np.True_), ("response", False), ("sign", True), ("sign", np.True_),
     ],
 )
 def test_keypoint_rejects_a_non_finite_location_and_non_numbers(field, value):
-    # a NaN location was accepted; sigma "abc" or None raised a bare float() error
+    # a NaN location was accepted; sigma "abc" or None raised a bare float() error,
+    # and a bool stood for 1 or 0
     args = {"x": np.zeros(3), "sigma": 2.0, "sign": 1, "response": 1.0, field: value}
     with pytest.raises(RejectedInputError, match=field):
         Keypoint(**args)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import tracemalloc
 from unittest import mock
 
@@ -15,6 +16,8 @@ from conftest import (
     EXTRACTION,
     Geometry,
     geometry_arrays,
+    geometry_set,
+    geometry_sets,
     kernel_geometry,
     negated,
     solve_rigid,
@@ -232,6 +235,39 @@ def test_e_step_rejects_non_finite_geometry(phantom_features, variant, bad, whic
     args[which].flat[1] = bad
     with pytest.raises(RejectedInputError):
         e_step(*args, 5.0, RegistrationConfig(variant=variant))
+
+
+@settings(max_examples=150)
+@given(
+    fixed=geometry_sets,
+    moving=geometry_sets,
+    lambda_sq=st.one_of(st.floats(), st.sampled_from([5e-324, 2.3e-308, 1e300, 1e308, "1", None, True])),
+    variant=st.sampled_from(["cpd", "sift_cpd"]),
+)
+# at the parent: ZeroDivisionError, a bare ValueError, IndexError, a
+# UFuncTypeError and a RuntimeWarning
+@example(fixed=geometry_set(1, 3, "empty"), moving=geometry_set(2), lambda_sq=4.0, variant="cpd")
+@example(fixed=geometry_set(1), moving=geometry_set(2, 3, "empty"), lambda_sq=4.0, variant="cpd")
+@example(fixed=geometry_set(1, 2, "shape", 0), moving=geometry_set(2), lambda_sq=4.0, variant="cpd")
+@example(fixed=geometry_set(1), moving=geometry_set(2), lambda_sq="1", variant="sift_cpd")
+@example(fixed=geometry_set(1, 3, "huge", 0), moving=geometry_set(2), lambda_sq=4.0, variant="cpd")
+def test_e_step_contract(fixed, moving, lambda_sq, variant):
+    # NaN, inf, 1e200, empty, wrong-shape and wrongly typed sets and
+    # variances: columns of probabilities summing to at most 1, or
+    # RejectedInputError
+    (f, f_spoil), (m, m_spoil) = fixed, moving
+    cfg = RegistrationConfig(variant=variant, w=0.1)
+    # from the smallest normal float up to where 2 pi lambda^2 overflows
+    lambda_ok = isinstance(lambda_sq, float) and lambda_sq >= np.finfo(float).tiny
+    lambda_ok = lambda_ok and math.isfinite(2.0 * math.pi * lambda_sq)
+    if f_spoil == m_spoil == "none" and lambda_ok:
+        p = e_step(*f, *m, lambda_sq, cfg)
+        assert p.shape == (len(m[1]), len(f[1]))
+        assert np.isfinite(p).all() and (p >= 0.0).all()
+        assert (p.sum(axis=0) <= 1.0 + 1e-12).all()
+    else:
+        with pytest.raises(RejectedInputError):
+            e_step(*f, *m, lambda_sq, cfg)
 
 
 def _random_geometry_arrays(rng, count, span=50.0):

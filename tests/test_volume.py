@@ -166,6 +166,26 @@ def test_build_scale_space_rejects_degenerate_inputs():
         build_scale_space(vol, num_octaves=True)
 
 
+def test_build_scale_space_bounds_the_base_blur_by_the_volume():
+    # 3 base_sigma may reach the largest extent, 15 mm here, and no farther
+    vol = _random_volume(1, (16, 16, 16))
+    assert build_scale_space(vol, base_sigma=5.0, num_octaves=1).sigma_min == 5.0
+    # 1e300 failed in np.arange and 1e9 asked for a 44.7 GiB kernel; both
+    # are refused before any allocation
+    tracemalloc.start()
+    try:
+        for sigma in (math.nextafter(5.0, 6.0), 1e9, 1e300, math.inf):
+            with pytest.raises(RejectedInputError, match="base_sigma"):
+                build_scale_space(vol, base_sigma=sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # the bound is in world mm: an anisotropic grid reaches its longest extent
+    aniso = ScalarVolume(dims=(8, 8, 8), spacing=(1, 1, 3), origin=(0, 0, 0), data=np.zeros((8, 8, 8)))
+    build_scale_space(aniso, base_sigma=7.0, num_octaves=1)
+
+
 def test_constant_volume_stays_constant():
     vol = ScalarVolume(dims=(16, 16, 16), spacing=(1, 1, 1), origin=(0, 0, 0), data=np.full((16, 16, 16), 3.5))
     ss = build_scale_space(vol, num_octaves=2)
