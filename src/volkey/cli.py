@@ -5,8 +5,8 @@ states.  Every command prints deterministic ``key=value`` lines on stdout
 (seeded runs are byte-identical across invocations); timings and progress go
 to stderr as log records.  ``--config`` (extract, register, states) points at
 a JSON file overriding the built-in defaults, and explicit flags override
-both: a flag's dest is the name of the dataclass field it sets.  ``--format``
-(synth-transform, extract, evaluate) names the format of volume inputs.
+both: a flag's dest is the name of the dataclass field it sets.  Volume
+inputs are read by `io.read_volume`, which takes the format from the file.
 """
 from __future__ import annotations
 
@@ -51,14 +51,6 @@ def _emit(key: str, value) -> None:
     print(f"{key}={value}")
 
 
-def _read_volume(path: str, fmt: str) -> ScalarVolume:
-    if fmt == "auto":
-        fmt = "nifti1" if path.endswith((".nii", ".nii.gz")) else "raw_meta"
-    if fmt == "nifti1":
-        return vio.read_nifti(path)
-    return vio.read_volume(path)
-
-
 def _load_transform(path: str) -> SimilarityTransform:
     try:
         with open(path) as fh:
@@ -100,13 +92,8 @@ def _with_flags(section, args: argparse.Namespace):
 
 
 def cmd_phantom(args) -> int:
-    volume = make_phantom(
-        seed=args.seed,
-        num_blobs=args.num_blobs,
-        dims=tuple(args.dims),
-        spacing=tuple(args.spacing),
-    )
-    vio.write_volume(args.out, volume, dtype="f32")
+    volume = make_phantom(args.seed, args.num_blobs, tuple(args.dims), tuple(args.spacing))
+    vio.write_volume(args.out, volume)
     _emit("out", args.out)
     _emit("dims", f"{volume.dims[0]} {volume.dims[1]} {volume.dims[2]}")
     _emit("num_blobs", args.num_blobs)
@@ -121,7 +108,7 @@ def cmd_synth_transform(args) -> int:
     if args.center is not None:
         center = tuple(args.center)
     elif args.center_of is not None:
-        vol = _read_volume(args.center_of, args.format)
+        vol = vio.read_volume(args.center_of)
         center = tuple((vol.world_min + vol.world_max) / 2.0)
     t = random_similarity(
         seed=args.seed,
@@ -137,24 +124,21 @@ def cmd_synth_transform(args) -> int:
         _save_transform(args.out_inverse, t.inverse())
         _emit("out_inverse", args.out_inverse)
     if args.apply_to:
-        vol = _read_volume(args.apply_to, args.format)
-        moved = resample(vol, t)
+        moved = resample(vio.read_volume(args.apply_to), t)
         if args.negate:
             moved = ScalarVolume(moved.dims, moved.spacing, moved.origin, -moved.data)
-        vio.write_volume(args.out_volume, moved, dtype="f32")
+        vio.write_volume(args.out_volume, moved)
         _emit("out_volume", args.out_volume)
     return 0
 
 
 def cmd_extract(args) -> int:
     ecfg = _with_flags(load_config(args.config)["extraction"], args)
-    volume = _read_volume(args.volume, args.format)
+    volume = vio.read_volume(args.volume)
     start = time.perf_counter()
     features, stats = extract_features_with_stats(volume, ecfg)
     log.info("extracted %d features in %.2fs", len(features), time.perf_counter() - start)
-    vio.write_features(
-        args.out, features, volume_id=Path(args.volume).name, config=ecfg
-    )
+    vio.write_features(args.out, features, volume_id=Path(args.volume).name, config=ecfg)
     _emit("out", args.out)
     _emit("num_keypoints", stats.num_keypoints)
     _emit("num_features", len(features))
@@ -233,12 +217,9 @@ def cmd_evaluate(args) -> int:
         raise RejectedInputError("SSD needs both --fixed-volume and --moving-volume")
     t_est = _load_transform(args.est)
     t_gt = _load_transform(args.gt)
-    if args.probes:
-        probes = _read_probes(args.probes)
-    else:
-        probes = probe_grid(_read_volume(args.volume, args.format))
-    fixed_vol = _read_volume(args.fixed_volume, args.format) if args.fixed_volume else None
-    moving_vol = _read_volume(args.moving_volume, args.format) if args.moving_volume else None
+    probes = _read_probes(args.probes) if args.probes else probe_grid(vio.read_volume(args.volume))
+    fixed_vol = vio.read_volume(args.fixed_volume) if args.fixed_volume else None
+    moving_vol = vio.read_volume(args.moving_volume) if args.moving_volume else None
     report = evaluate(t_est, t_gt, probes, fixed=fixed_vol, moving=moving_vol)
     _emit("pre_mm", report.pre)
     _emit("rotation_error_deg", report.rotation_error_deg)
@@ -265,15 +246,6 @@ def cmd_states(args) -> int:
     return 0
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        default="auto",
-        choices=["auto", "raw_meta", "nifti1"],
-        help="volume file format (default: by extension)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volkey",
@@ -291,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("synth-transform", help="sample a random similarity transform")
-    _add_format(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rot-min", type=float, default=10.0)
     p.add_argument("--rot-max", type=float, default=30.0)
@@ -308,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract features from a volume")
     p.add_argument("--config", default=None, help="JSON config file")
-    _add_format(p)
     p.add_argument("--volume", required=True)
     p.add_argument("--out", required=True, help="output feature file")
     p.add_argument("--estimator", choices=["max_gradient", "structure_tensor"], default=None)
@@ -340,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("evaluate", help="compare an estimated transform to ground truth")
-    _add_format(p)
     p.add_argument("--est", required=True, help="estimated transform JSON")
     p.add_argument("--gt", required=True, help="ground-truth transform JSON (moving onto fixed)")
     p.add_argument("--probes", default=None, help="text file of probe points (x y z per line)")

@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and the one number check that
-every scalar argument and parameter dataclass field goes through."""
+"""Exception types shared across the library, the one number check that
+every scalar argument and parameter dataclass field goes through, and the
+type check of the library's object arguments."""
 from __future__ import annotations
 
 import functools
@@ -76,6 +77,13 @@ def check_number(name: str, value, kind=float, lo=-math.inf, hi=math.inf, option
         number = value.item() if isinstance(value, np.generic) else value
     if not lo <= number <= hi:
         raise RejectedInputError(f"{name} must be {_rule(kind, lo, hi)}, got {value!r}")
+    return value
+
+
+def check_type(name: str, value, kind: type):
+    """value, if it is an instance of kind; else RejectedInputError naming the argument."""
+    if not isinstance(value, kind):
+        raise RejectedInputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
     return value
 
 

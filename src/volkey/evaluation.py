@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import RejectedInputError, check_number
+from .errors import RejectedInputError, check_number, check_type
 from .matching import MATCH_DTYPE
 from .transforms import SimilarityTransform, rotvec_from_matrix
 from .volume import ScalarVolume, resample
@@ -93,6 +93,8 @@ def evaluate(
     moving: ScalarVolume | None = None,
 ) -> EvaluationReport:
     """Bundle of registration metrics against a known ground truth."""
+    check_type("t_est", t_est, SimilarityTransform)
+    check_type("t_gt", t_gt, SimilarityTransform)
     pre = point_registration_error(t_est, t_gt, probes)
     rel = t_est.rotation @ t_gt.rotation.T
     rot_err = np.degrees(np.abs(rotvec_from_matrix(rel)))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import (
-    POSITIVE, AmbiguousFrameError, NoOrientationError, RejectedInputError, check_number,
+    POSITIVE, AmbiguousFrameError, NoOrientationError, RejectedInputError, check_number, check_type,
 )
 from .keypoints import Keypoint
 from .volume import ScaleSpace, _nearest_level, _sample_gradients
@@ -66,6 +66,7 @@ class OrientationState:
 
 def enumerate_states(base: Frame) -> list[OrientationState]:
     """The four sign states of a frame, state 0 first."""
+    check_type("base", base, Frame)
     return [OrientationState(k, Frame(base.matrix @ STATE_SIGNS[k])) for k in range(4)]
 
 

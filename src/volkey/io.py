@@ -31,6 +31,9 @@ from .transforms import is_rotation
 from .volume import ScalarVolume
 
 _DTYPES = {"u8": np.uint8, "i16": np.dtype("<i2"), "f32": np.dtype("<f4")}
+# the first bytes of a gzip stream, and of a NIfTI-1 header in either byte order
+_GZIP_MAGIC = b"\x1f\x8b"
+_SIZEOF_HDR = (struct.pack("<i", 348), struct.pack(">i", 348))
 
 FEATURE_MAGIC = "VOLKEYFEAT"
 FEATURE_VERSION = 1
@@ -43,20 +46,22 @@ _RECORD = np.dtype(
 )
 
 
-def _check_finite(path: Path, flat: np.ndarray, start: int) -> None:
-    """ParseError at the byte offset of the first non-finite sample."""
+def _samples(path: Path, raw: bytes, dtype: np.dtype, dims: tuple, start: int = 0) -> np.ndarray:
+    """The dims array of dtype samples at byte offset start of raw, x fastest,
+    as float64; ParseError at the byte offset of the first non-finite one."""
+    flat = np.frombuffer(raw, dtype=dtype, count=math.prod(dims), offset=start)
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         offset = start + int(bad[0]) * flat.itemsize
         raise ParseError(f"{path}: non-finite intensity at byte offset {offset}")
+    return flat.reshape(dims, order="F").astype(np.float64)
 
 
-def _parse_header(path: Path) -> tuple[dict, dict]:
-    """Key-value lines with the byte offset of each line start."""
+def _parse_header(path: Path, raw: bytes, offset: int = 0) -> tuple[dict, dict]:
+    """The ``key = value`` lines of raw, which starts at byte offset of path,
+    and the byte offset of each key's last line; blank and # lines are skipped."""
     values: dict[str, str] = {}
     offsets: dict[str, int] = {}
-    offset = 0
-    raw = path.read_bytes()
     for line in raw.split(b"\n"):
         text = line.decode("ascii", errors="replace").strip()
         if text and not text.startswith("#"):
@@ -70,9 +75,14 @@ def _parse_header(path: Path) -> tuple[dict, dict]:
 
 
 def read_volume(path: str | Path) -> ScalarVolume:
-    """Read a raw_meta volume (header file plus binary blob)."""
+    """Read a volume, NIfTI-1 or raw_meta, as its file says: NIfTI-1 when the
+    name ends in .nii or .nii.gz, or the bytes start with the gzip magic or
+    with sizeof_hdr 348 in either byte order; raw_meta otherwise."""
     path = Path(path)
-    values, offsets = _parse_header(path)
+    raw = path.read_bytes()
+    if path.name.endswith((".nii", ".nii.gz")) or raw[:2] == _GZIP_MAGIC or raw[:4] in _SIZEOF_HDR:
+        return _read_nifti(path, raw)
+    values, offsets = _parse_header(path, raw)
     for key in ("dims", "spacing", "origin", "dtype"):
         if key not in values:
             raise ParseError(f"{path}: missing header key {key!r} (byte offset 0)")
@@ -100,80 +110,68 @@ def read_volume(path: str | Path) -> ScalarVolume:
         raise ParseError(f"{path}: data file {blob} not found")
     raw = blob.read_bytes()
     dtype = np.dtype(_DTYPES[dtype_name])
-    expected = dims[0] * dims[1] * dims[2] * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize
     if len(raw) != expected:
         raise ParseError(
             f"{blob}: size mismatch at byte offset {min(len(raw), expected)}: "
             f"expected {expected} bytes for dims {dims}, found {len(raw)}"
         )
-    flat = np.frombuffer(raw, dtype=dtype)
-    _check_finite(blob, flat, 0)
-    data = flat.reshape(dims, order="F").astype(np.float64)
-    return ScalarVolume(dims=dims, spacing=spacing, origin=origin, data=data)
+    return ScalarVolume(dims, spacing, origin, _samples(blob, raw, dtype, dims))
 
 
-def write_volume(path: str | Path, volume: ScalarVolume, dtype: str = "f32") -> None:
-    """Write a raw_meta volume; intensities are cast (with rounding for ints)."""
-    if dtype not in _DTYPES:
-        raise RejectedInputError(f"unsupported dtype {dtype!r}")
+def write_volume(path: str | Path, volume: ScalarVolume) -> None:
+    """Write a raw_meta volume with float32 samples, or raise RejectedInputError
+    for a volume whose samples float32 cannot hold, which read_volume refuses."""
     path = Path(path)
     blob = path.with_suffix(".raw")
-    np_dtype = np.dtype(_DTYPES[dtype])
-    data = volume.data
-    if np_dtype.kind in "ui":
-        info = np.iinfo(np_dtype)
-        data = np.clip(np.rint(data), info.min, info.max)
-    cast = np.asarray(data, dtype=np_dtype)
+    with np.errstate(over="ignore"):
+        samples = volume.data.astype("<f4").ravel(order="F")
+    if not np.isfinite(samples).all():
+        raise RejectedInputError("volume intensities overflow float32")
     lines = [
         f"dims = {volume.dims[0]} {volume.dims[1]} {volume.dims[2]}",
         f"spacing = {volume.spacing[0]!r} {volume.spacing[1]!r} {volume.spacing[2]!r}",
         f"origin = {volume.origin[0]!r} {volume.origin[1]!r} {volume.origin[2]!r}",
-        f"dtype = {dtype}",
+        "dtype = f32",
         f"data = {blob.name}",
     ]
     path.write_text("\n".join(lines) + "\n")
-    blob.write_bytes(cast.ravel(order="F").tobytes())
+    blob.write_bytes(samples.tobytes())
 
 
 _NIFTI_DTYPES = {2: np.uint8, 4: np.dtype("i2"), 16: np.dtype("f4")}
 
 
-def read_nifti(path: str | Path) -> ScalarVolume:
-    """Minimal single-file NIfTI-1 reader, gzip-compressed (.nii.gz) or not.
+def _read_nifti(path: Path, raw: bytes) -> ScalarVolume:
+    """Single-file NIfTI-1 image from the file's bytes raw, gzip-compressed or not.
 
     Honors dims, pixdim, datatype (u8/i16/f32), scl_slope/scl_inter and
     vox_offset; every other header field (orientation included) is ignored
     with a warning and the origin is set to zero.
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:2] == b"\x1f\x8b":
+    if raw[:2] == _GZIP_MAGIC:
         try:
             raw = gzip.decompress(raw)
         except (OSError, EOFError, zlib.error) as exc:
             raise ParseError(f"{path}: corrupt gzip stream ({exc}) at byte offset 0") from exc
     if len(raw) < 348:
         raise ParseError(f"{path}: truncated header at byte offset {len(raw)} (need 348)")
-    sizeof_hdr = struct.unpack_from("<i", raw, 0)[0]
-    endian = "<"
-    if sizeof_hdr != 348:
-        if struct.unpack_from(">i", raw, 0)[0] == 348:
-            endian = ">"
-        else:
-            raise ParseError(f"{path}: bad sizeof_hdr {sizeof_hdr} at byte offset 0")
+    if raw[:4] not in _SIZEOF_HDR:
+        sizeof_hdr = struct.unpack_from("<i", raw, 0)[0]
+        raise ParseError(f"{path}: bad sizeof_hdr {sizeof_hdr} at byte offset 0")
+    endian = "<" if raw[:4] == _SIZEOF_HDR[0] else ">"
     magic = raw[344:348]
     if magic not in (b"n+1\x00", b"ni1\x00"):
         raise ParseError(f"{path}: bad magic {magic!r} at byte offset 344")
-    dim = struct.unpack_from(endian + "8h", raw, 40)
-    ndim = dim[0]
+    ndim, *dim = struct.unpack_from(endian + "8h", raw, 40)
     if ndim < 3:
         raise ParseError(f"{path}: need a 3D image, header says {ndim}D (byte offset 40)")
-    extra = [d for d in dim[4 : 1 + ndim] if d > 1]
+    extra = [d for d in dim[3:ndim] if d > 1]
     if extra:
         raise ParseError(
             f"{path}: need a 3D image, trailing dims {extra} exceed 1 (byte offset 48)"
         )
-    dims = (int(dim[1]), int(dim[2]), int(dim[3]))
+    dims = (int(dim[0]), int(dim[1]), int(dim[2]))
     for i, d in enumerate(dims):
         if d < 1:
             raise ParseError(f"{path}: dim[{i + 1}] = {d} at byte offset {42 + 2 * i}")
@@ -200,16 +198,13 @@ def read_nifti(path: str | Path) -> ScalarVolume:
         raise ParseError(f"{path}: two-file images are not supported (byte offset 344)")
     warnings.warn(
         f"{path.name}: orientation and remaining header fields ignored; origin set to 0",
-        stacklevel=2,
+        stacklevel=3,
     )
     dtype = np.dtype(_NIFTI_DTYPES[datatype]).newbyteorder(endian)
-    count = dims[0] * dims[1] * dims[2]
-    need = vox_offset + count * dtype.itemsize
+    need = vox_offset + math.prod(dims) * dtype.itemsize
     if len(raw) < need:
         raise ParseError(f"{path}: truncated data at byte offset {len(raw)} (need {need})")
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=vox_offset)
-    _check_finite(path, flat, vox_offset)
-    data = flat.reshape(dims, order="F").astype(np.float64)
+    data = _samples(path, raw, dtype, dims, vox_offset)
     slope = float(scl_slope) if scl_slope != 0.0 else 1.0
     if slope != 1.0 or scl_inter != 0.0:
         data = data * slope + float(scl_inter)
@@ -248,14 +243,15 @@ def write_features(
     config: ExtractionConfig | None = None,
 ) -> None:
     """Serialize features (geometry plus ranked descriptors) to one file, or
-    raise RejectedInputError naming the first one read_features would refuse."""
+    raise RejectedInputError naming the first one read_features would refuse.
+    volume_id is stored with Python's string escapes, as one ascii line."""
     path = Path(path)
     cfg = config or ExtractionConfig()
     stack = stack_features(features)
     _check_records(stack, lambda i, why: RejectedInputError(f"feature {i} {why}"))
     header = (
         f"{FEATURE_MAGIC} {FEATURE_VERSION}\n"
-        f"volume_id = {volume_id}\n"
+        f"volume_id = {str(volume_id).encode('unicode_escape').decode('ascii')}\n"
         f"config_digest = {config_digest(cfg)}\n"
         f"estimator = {cfg.estimator}\n"
         f"count = {len(features)}\n"
@@ -274,29 +270,23 @@ def read_features(path: str | Path) -> tuple[list[Feature], dict]:
     """
     path = Path(path)
     raw = path.read_bytes()
-    end = raw.find(b"END\n")
-    if end < 0:
+    # END is a whole line: the preamble before it ends in a line break
+    end = raw.find(b"\nEND\n") + 1
+    if end == 0:
         raise ParseError(f"{path}: missing END marker in header (byte offset 0)")
-    # ascii decoding keeps one character per byte, so line lengths are byte counts
-    header_lines = raw[:end].decode("ascii", errors="replace").splitlines(keepends=True)
-    if not header_lines or not header_lines[0].startswith(FEATURE_MAGIC):
+    # ascii decoding keeps one character per byte, so the magic line's length is a byte count
+    magic = raw[: raw.index(b"\n")].decode("ascii", errors="replace")
+    if not magic.startswith(FEATURE_MAGIC):
         raise ParseError(f"{path}: bad magic at byte offset 0")
     try:
-        version = int(header_lines[0].split()[1])
+        version = int(magic.split()[1])
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{path}: malformed magic line at byte offset 0") from exc
     if not 1 <= version <= FEATURE_VERSION:
         raise ParseError(f"{path}: unsupported file version {version} (byte offset 0)")
-    meta: dict[str, str] = {}
-    count_at, offset = end, len(header_lines[0])
-    for line in header_lines[1:]:
-        if "=" in line:
-            k, _, v = line.partition("=")
-            meta[k.strip()] = v.strip()
-            if k.strip() == "count":
-                count_at = offset
-        offset += len(line)
+    meta, offsets = _parse_header(path, raw[len(magic) + 1 : end], len(magic) + 1)
     if not meta.get("count", "").isdecimal():
+        count_at = offsets.get("count", end)
         raise ParseError(f"{path}: header count missing or not a count (byte offset {count_at})")
     count = int(meta["count"])
     body = raw[end + 4 :]

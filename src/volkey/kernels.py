@@ -68,13 +68,16 @@ def squared_distances(x_m: np.ndarray, x_f: np.ndarray) -> np.ndarray:
     return dist_sq
 
 
-def check_geometry(*sets: tuple) -> None:
+def check_geometry(fixed: tuple, moving: tuple, params: KernelParams | None = None) -> None:
     """Reject feature sets (x, s, theta) unless each holds real-number arrays
     x (n, 3), s (n,) and theta (n, 3, 3) with locations below 2^64 in
     magnitude, scales in (0, 2^64) and frame entries in [-2, 2]: squared
     distances and the scale and frame products then stay finite, and no
-    kernel exceeds exp(33)."""
-    for x, s, theta in sets:
+    kernel exceeds exp(33).  Given params, the location bandwidth k s_m s_f +
+    sigma_t^2, formed in log_kernel_matrix's order, must lie in [2^-768,
+    FINITE] at the scale extremes, and so at every pair: squared distances
+    then divide to at most 2^900, which no finite log term carries past FINITE."""
+    for x, s, theta in (fixed, moving):
         n = len(s) if getattr(s, "ndim", 0) == 1 else -1
         real = all(isinstance(a, np.ndarray) and a.dtype.kind in "iuf" for a in (x, s, theta))
         if not (real and x.shape == (n, 3) and theta.shape == (n, 3, 3)):
@@ -83,6 +86,13 @@ def check_geometry(*sets: tuple) -> None:
         if not (bounded and ((s > 0.0) & (s < 2.0**64)).all()):
             raise RejectedInputError(
                 "locations must lie below 2^64, scales in (0, 2^64) and frame entries in [-2, 2]"
+            )
+    if params is not None and len(fixed[1]) and len(moving[1]):
+        low = params.k * float(moving[1].min()) * float(fixed[1].min()) + params.sigma_t_sq
+        high = params.k * float(moving[1].max()) * float(fixed[1].max()) + params.sigma_t_sq
+        if not 2.0**-768 <= low <= high <= FINITE:
+            raise RejectedInputError(
+                f"location bandwidth must lie in [2^-768, FINITE], got [{low!r}, {high!r}]"
             )
 
 
@@ -106,9 +116,6 @@ def log_kernel_matrix(
     params: KernelParams,
 ) -> np.ndarray:
     """Log of kernel_matrix, given the (moving, fixed) squared distances dist_sq."""
-    for s in (s_f, s_m):
-        if not np.all((s > 0.0) & (s < np.inf)):
-            raise RejectedInputError("scales must be positive and finite")
     rows_m, rows_f = _rows(s_m, t_m, moving=True), _rows(s_f, t_f, moving=False)
     scratch = None
     if params.use_orientation_states:
@@ -139,7 +146,8 @@ def kernel_matrix(
     params: KernelParams,
 ) -> np.ndarray:
     """All-pairs geometry kernel, shaped (moving, fixed), of stacked locations
-    (n, 3), scales (n,) and frames (n, 3, 3), as check_geometry admits them."""
-    check_geometry((x_f, s_f, t_f), (x_m, s_m, t_m))
+    (n, 3), scales (n,) and frames (n, 3, 3), as check_geometry admits them
+    with params."""
+    check_geometry((x_f, s_f, t_f), (x_m, s_m, t_m), params)
     log_k = log_kernel_matrix(squared_distances(x_m, x_f), s_f, t_f, s_m, t_m, params)
     return np.exp(log_k, out=log_k)

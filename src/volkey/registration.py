@@ -113,18 +113,19 @@ def _init_lambda_sq(fixed_points: np.ndarray, moving_points: np.ndarray) -> floa
     return float(f.var(axis=0).sum() + m.var(axis=0).sum() + gap @ gap) / 3.0
 
 
-def _check_estep(fixed, moved, lambda_sq: float, w: float) -> float:
+def _check_estep(fixed, moved, lambda_sq: float, config: RegistrationConfig) -> float:
     """Validate an E-step's inputs, two nonempty sets as check_geometry admits
-    them and lambda^2 in [_TINY, _LAMBDA_SQ_MAX]; return the log background
+    them with the kernel (without, for "cpd"), and lambda^2 in [_TINY,
+    _LAMBDA_SQ_MAX]; return the log background
     log eta = 1.5 log(2 pi lambda^2) + log(w / (1 - w)) + log(M / N), with M
     the moving and N the fixed features."""
     check_number("lambda_sq", lambda_sq, lo=_TINY, hi=_LAMBDA_SQ_MAX)
-    check_geometry(fixed, moved)
+    check_geometry(fixed, moved, None if config.variant == "cpd" else config.kernel)
     if not (len(fixed[1]) and len(moved[1])):
         raise RejectedInputError("the fixed and the moving set must be nonempty")
     log_volume = 1.5 * np.log(2.0 * np.pi * lambda_sq)
     with np.errstate(divide="ignore"):
-        log_w = np.log(w / (1.0 - w))  # -inf: no background for w = 0
+        log_w = np.log(config.w / (1.0 - config.w))  # -inf: no background for w = 0
         return log_volume + log_w + np.log(moved[0].shape[0] / fixed[0].shape[0])
 
 
@@ -179,7 +180,7 @@ def e_step(
     Each column is normalized in log space against the background log eta.
     """
     fixed, moved = (x_f, s_f, t_f), (x_m, s_m, t_m)
-    log_eta = _check_estep(fixed, moved, lambda_sq, config.w)
+    log_eta = _check_estep(fixed, moved, lambda_sq, config)
     p, inv, _ = _unnormalized(fixed, moved, lambda_sq, log_eta, config)
     p *= inv
     return p
@@ -221,7 +222,7 @@ def _posterior_sums(fixed, moved, x_m, lambda_sq, config, tree=None):
     (built here when not given); see the module docstring for r.
     """
     n, m = fixed[0].shape[0], x_m.shape[0]
-    log_eta = _check_estep(fixed, moved, lambda_sq, config.w)
+    log_eta = _check_estep(fixed, moved, lambda_sq, config)
     if m * n <= _ESTEP_BLOCK_PAIRS:
         p, inv, col = _unnormalized(fixed, moved, lambda_sq, log_eta, config)
         return col, p @ inv, (p.T @ x_m) * inv[:, None]

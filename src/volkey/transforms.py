@@ -30,19 +30,8 @@ def rotation_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def matrix_from_rotvec(v: np.ndarray) -> np.ndarray:
-    """Rodrigues formula; v is axis * angle in radians."""
-    v = np.asarray(v, dtype=float)
-    angle = float(np.linalg.norm(v))
-    if angle < 1e-14:
-        return np.eye(3)
-    k = v / angle
-    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
-
-
 def rotvec_from_matrix(r: np.ndarray) -> np.ndarray:
-    """Inverse of matrix_from_rotvec, stable near 0 and pi; r is (..., 3, 3)."""
+    """Rotation vectors (axis times angle) of rotations r (..., 3, 3), stable near 0 and pi."""
     r = np.asarray(r, dtype=float)
     stack = r.reshape(-1, 3, 3)
     cos = np.clip((np.trace(stack, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import POSITIVE, RejectedInputError, check_number
+from .errors import RejectedInputError, check_number, check_type
 from .transforms import SimilarityTransform
 
 INTERVALS = 3
@@ -131,6 +131,7 @@ class ScaleSpace:
 
 def to_isotropic(volume: ScalarVolume) -> ScalarVolume:
     """Resample onto the smallest spacing when the grid is anisotropic."""
+    check_type("volume", volume, ScalarVolume)
     sp = np.asarray(volume.spacing, dtype=float)
     if sp.max() == sp.min():
         return volume
@@ -154,13 +155,17 @@ def build_scale_space(
     base level's blur must reach no farther than the volume does: 3
     base_sigma is at most the largest extent (dims - 1) * spacing, so no
     blur kernel has more than about four taps per voxel of the longest axis.
+    It is also at least 2^-400 in mm and in voxels and at most 2^400 mm, so
+    every tap's (x / sigma)^2 and squared level sigma stays finite and nonzero.
     """
+    check_type("volume", volume, ScalarVolume)
     if min(volume.dims) < MIN_DIM:
         raise RejectedInputError(
             f"volume dims {volume.dims} too small; need >= {MIN_DIM} voxels per axis"
         )
     extent = max((d - 1) * s for d, s in zip(volume.dims, volume.spacing))
-    check_number("base_sigma", base_sigma, lo=POSITIVE, hi=extent / 3.0)
+    lo = 2.0**-400 * max(1.0, min(volume.spacing))
+    check_number("base_sigma", base_sigma, lo=lo, hi=min(extent / 3.0, 2.0**400))
     iso = to_isotropic(volume)
     # the coarsest octave keeps MIN_DIM voxels per axis; by default one octave less
     max_octaves = int(math.floor(math.log2(min(iso.dims) / MIN_DIM))) + 1
@@ -278,7 +283,8 @@ def resample(volume: ScalarVolume, t: SimilarityTransform) -> ScalarVolume:
     Output voxel at world position v holds the trilinear sample of the input
     at t^-1(v); points mapping outside the input get 0.
     """
-    inv = t.inverse()
+    check_type("volume", volume, ScalarVolume)
+    inv = check_type("t", t, SimilarityTransform).inverse()
     sp = np.asarray(volume.spacing)
     org = np.asarray(volume.origin)
     # output voxel j sits at org + j sp and samples voxel (inv(org + j sp) - org) / sp;

@@ -9,8 +9,9 @@ Geometry records into the stacked arrays and match tables the library takes.
 The scalar oracles live here too: one feature's `Geometry` and its image
 under a similarity, the per-pair kernel factors that `kernels.kernel_matrix`
 vectorizes, `orientation_scores`, the per-state form of its closed-form state
-score, and `solve_rigid`, the dense-weight-matrix form of
-`transforms.fit_similarity`, and `dog`, an octave's whole DoG stack.
+score, `solve_rigid`, the dense-weight-matrix form of
+`transforms.fit_similarity`, `dog`, an octave's whole DoG stack, and
+`matrix_from_rotvec`, the Rodrigues formula that the tests draw rotations from.
 """
 from __future__ import annotations
 
@@ -81,6 +82,17 @@ def gaussian_blob(
     return ScalarVolume(
         dims=dims, spacing=tuple(sp), origin=(0.0, 0.0, 0.0), data=amplitude * np.exp(-0.5 * q)
     )
+
+
+def matrix_from_rotvec(v: np.ndarray) -> np.ndarray:
+    """Rodrigues formula; v is axis * angle in radians."""
+    v = np.asarray(v, dtype=float)
+    angle = float(np.linalg.norm(v))
+    if angle < 1e-14:
+        return np.eye(3)
+    k = v / angle
+    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
 
 
 @dataclass(frozen=True, eq=False)

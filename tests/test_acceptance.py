@@ -22,6 +22,7 @@ from conftest import (
     apply_to_geometry,
     geometry_arrays,
     kernel_geometry,
+    matrix_from_rotvec,
     negated,
     pair_table,
     volume_center,
@@ -39,7 +40,6 @@ from volkey.transforms import (
     SimilarityTransform,
     fit_similarity,
     is_rotation,
-    matrix_from_rotvec,
     rotvec_from_matrix,
 )
 from volkey.volume import build_scale_space, resample

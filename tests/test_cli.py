@@ -104,24 +104,25 @@ def _nifti_f32(volume) -> bytes:
     return bytes(hdr) + volume.data.astype("<f4").ravel(order="F").tobytes()
 
 
-def test_extract_reads_gzipped_nifti(tmp_path, capsys):
+def test_extract_reads_nifti_by_name_or_bytes(tmp_path, capsys):
+    # the same image, plain and gzipped, named .nii or .nii.gz or unrelated names
     image = _nifti_f32(make_phantom(seed=3, num_blobs=8, dims=(32, 32, 32)))
-    (tmp_path / "a.nii").write_bytes(image)
-    (tmp_path / "a.nii.gz").write_bytes(gzip.compress(image))
+    packed = gzip.compress(image)
+    files = {"a.nii": image, "a.nii.gz": packed, "scan": image, "scan.img": packed}
     runs = []
-    for name in ("a.nii", "a.nii.gz"):
+    for name, raw in files.items():
+        (tmp_path / name).write_bytes(raw)
         out = tmp_path / f"{name}.vkf"
         with pytest.warns(UserWarning, match="orientation"):
             code, values = _run(
-                capsys, "extract", "--volume", tmp_path / name, "--format", "auto",
-                "--out", out, "--num-octaves", 2,
+                capsys, "extract", "--volume", tmp_path / name, "--out", out, "--num-octaves", 2
             )
         assert code == 0
         del values["out"]
         records = out.read_bytes().split(b"END\n", 1)[1]
         runs.append((values, records))
     assert int(runs[0][0]["num_features"]) >= 1
-    assert runs[0] == runs[1]
+    assert all(run == runs[0] for run in runs)
 
 
 def test_extract_is_reproducible(workspace, capsys):
@@ -419,6 +420,7 @@ def test_rejected_inputs_end_in_one_error_line(workspace, tmp_path, capsys):
         ("line 2 .*'4 five 6'", "evaluate", "--est", gt, "--gt", gt, "--probes", probes),
         ("line 1 ", "evaluate", "--est", gt, "--gt", gt, "--probes", short),
         ("No such file", "extract", "--volume", tmp_path / "no.txt", "--out", tmp_path / "f"),
+        ("base_sigma", "extract", *volume, "--out", tmp_path / "f", "--base-sigma", 1e-200),
     ]
     for message, *args in cases:
         code, err = _error_exit(capsys, *args)
@@ -452,7 +454,7 @@ def test_commands_reject_flags_they_do_not_read(workspace, tmp_path, capsys):
     }
     dropped = [
         ("--config", workspace / "t.json", ("phantom", "synth-transform", "match", "evaluate")),
-        ("--format", "auto", ("phantom", "match", "register", "states")),
+        ("--format", "auto", tuple(commands)),
     ]
     for flag, value, names in dropped:
         for name in names:

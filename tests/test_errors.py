@@ -1,4 +1,5 @@
-"""The one number check: what check_number takes, refuses and says."""
+"""The one number check: what check_number takes, refuses and says; and the
+type check of the entries that take a volume, a transform or a frame."""
 from __future__ import annotations
 
 import math
@@ -9,7 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from volkey.descriptors import extract_features
 from volkey.errors import BELOW_ONE, FINITE, POSITIVE, RejectedInputError, check_number
+from volkey.evaluation import evaluate
+from volkey.frames import enumerate_states
+from volkey.transforms import SimilarityTransform
+from volkey.volume import ScalarVolume, resample, to_isotropic
 
 
 @pytest.mark.parametrize(
@@ -91,3 +97,25 @@ def test_the_message_names_the_argument_and_its_range(args, message):
     with pytest.raises(RejectedInputError) as info:
         check_number(*args)
     assert str(info.value) == message
+
+
+_VOLUME = ScalarVolume((8, 8, 8), (1.0, 1.0, 2.0), (0.0, 0.0, 0.0), np.zeros((8, 8, 8)))
+_PROBES = np.zeros((1, 3))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: resample(None, SimilarityTransform()), "volume", id="resample-volume"),
+        pytest.param(lambda: resample(_VOLUME, None), "t", id="resample-transform"),
+        pytest.param(lambda: to_isotropic(None), "volume", id="to_isotropic"),
+        pytest.param(lambda: extract_features(None), "volume", id="extract_features"),
+        pytest.param(lambda: evaluate(None, SimilarityTransform(), _PROBES), "t_est", id="evaluate-est"),
+        pytest.param(lambda: evaluate(SimilarityTransform(), None, _PROBES), "t_gt", id="evaluate-gt"),
+        pytest.param(lambda: enumerate_states(None), "base", id="enumerate_states"),
+    ],
+)
+def test_none_for_an_object_argument_is_rejected(call, name):
+    # each raised a bare AttributeError
+    with pytest.raises(RejectedInputError, match=f"^{name} must be a [A-Za-z]+, got NoneType$"):
+        call()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXTRACTION, gaussian_blob, negated
+from conftest import EXTRACTION, gaussian_blob, matrix_from_rotvec, negated
 from volkey.descriptors import extract_features
 from volkey.errors import AmbiguousFrameError, NoOrientationError, RejectedInputError
 from volkey.frames import (
@@ -130,7 +130,6 @@ def test_frame_from_tensor_axis_aligned():
 
 def test_frame_from_tensor_recovers_rotated_basis():
     rng = np.random.default_rng(3)
-    from volkey.transforms import matrix_from_rotvec
 
     for _ in range(20):
         r = matrix_from_rotvec(rng.normal(size=3))
@@ -199,7 +198,6 @@ def test_enumerate_states_signs_and_handedness():
         np.testing.assert_array_equal(state.frame.matrix, STATE_SIGNS[k])
         assert np.linalg.det(state.frame.matrix) == pytest.approx(1.0)
     rng = np.random.default_rng(4)
-    from volkey.transforms import matrix_from_rotvec
 
     base = Frame(matrix_from_rotvec(rng.normal(size=3)))
     for k, state in enumerate(enumerate_states(base)):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is read in that module, and
-every name the package exports is one its users name."""
+"""Source hygiene: every name a module imports is read in that module, every
+name the package exports is one its users name, and every public function
+or class has a caller outside the tests."""
 from __future__ import annotations
 
 import ast
@@ -102,3 +103,43 @@ def test_one_module_tests_numbers():
             if imports or bool_test:
                 found.append(f"{path.name}:{node.lineno}")
     assert found and all(place.startswith("errors.py:") for place in found), found
+
+
+def unreferenced_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
+    """module.name of each public module-level function or class in modules
+    (name -> source) that no code names outside its own definition: no name,
+    attribute or imported name in modules or users refers to it.  Docstrings
+    are strings, not code, so naming a definition there does not count."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    referenced: dict[str, list[int]] = {}
+    for tree in [*trees.values(), *map(ast.parse, users)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            for name in names:
+                referenced.setdefault(name, []).append(id(node))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                inside = {id(n) for n in ast.walk(node)}
+                if all(ref in inside for ref in referenced.get(node.name, [])):
+                    found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_unreferenced_definitions_are_found():
+    module = 'def f():\n    return f()\n\ndef g():\n    """see h"""\n\ndef h():\n    pass\n\ndef _p():\n    pass\n'
+    assert unreferenced_definitions({"m": module}, ["from m import g\n"]) == ["m.f", "m.h"]
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # a function or class that only the tests call belongs in the tests
+    modules = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "volkey").glob("*.py"))}
+    assert modules
+    users = [p.read_text() for p in sorted((ROOT / "benchmarks").glob("*.py"))]
+    assert unreferenced_definitions(modules, users) == []

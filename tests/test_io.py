@@ -15,17 +15,11 @@ from volkey import io as vio
 from volkey.descriptors import Descriptor, ExtractionConfig, Feature, stack_features
 from volkey.errors import ParseError, RejectedInputError
 from volkey.frames import Frame
-from volkey.io import (
-    config_digest,
-    read_features,
-    read_nifti,
-    read_volume,
-    write_features,
-    write_volume,
-)
+from volkey.io import config_digest, read_features, read_volume, write_features, write_volume
 from volkey.keypoints import Keypoint
-from volkey.transforms import matrix_from_rotvec
 from volkey.volume import ScalarVolume
+
+from conftest import matrix_from_rotvec
 
 
 def _write_raw_pair(tmp_path, header_lines, blob_bytes, name="vol"):
@@ -60,23 +54,34 @@ def test_read_volume_hand_written_bytes(tmp_path):
                 assert vol.data[x, y, z] == float(x + 2 * y + 4 * z)
 
 
-def test_volume_round_trips_per_dtype(tmp_path):
+def test_volume_round_trips_as_float32(tmp_path):
     rng = np.random.default_rng(50)
     f32_exact = rng.random((6, 5, 4)).astype(np.float32).astype(np.float64)
     vol = ScalarVolume((6, 5, 4), (1.0, 1.0, 2.0), (0.0, -3.0, 1.0), f32_exact)
     path = tmp_path / "f.txt"
-    write_volume(path, vol, dtype="f32")
+    write_volume(path, vol)
+    assert "dtype = f32\n" in path.read_text()
     back = read_volume(path)
     np.testing.assert_array_equal(back.data, f32_exact)
     assert back.spacing == vol.spacing and back.origin == vol.origin
 
-    ints = rng.integers(0, 256, (4, 4, 4)).astype(float)
-    write_volume(tmp_path / "u.txt", ScalarVolume((4, 4, 4), (1, 1, 1), (0, 0, 0), ints), "u8")
-    np.testing.assert_array_equal(read_volume(tmp_path / "u.txt").data, ints)
 
-    wide = np.full((4, 4, 4), 40000.0)
-    write_volume(tmp_path / "i.txt", ScalarVolume((4, 4, 4), (1, 1, 1), (0, 0, 0), wide), "i16")
-    np.testing.assert_array_equal(read_volume(tmp_path / "i.txt").data, 32767.0)
+@pytest.mark.parametrize("dtype, low, high", [("u8", 0, 255), ("i16", -32768, 32767)])
+def test_read_volume_integer_samples(tmp_path, dtype, low, high):
+    ints = np.random.default_rng(58).integers(low, high + 1, (4, 3, 2))
+    ints.flat[:2] = low, high
+    lines = ["dims = 4 3 2", "spacing = 1 1 1", "origin = 0 0 0", f"dtype = {dtype}"]
+    blob = ints.astype(vio._DTYPES[dtype]).ravel(order="F").tobytes()
+    np.testing.assert_array_equal(read_volume(_write_raw_pair(tmp_path, lines, blob)).data, ints)
+
+
+def test_write_volume_refuses_what_float32_cannot_hold(tmp_path):
+    data = np.zeros((2, 2, 2))
+    data[1, 0, 1] = -1e39
+    path = tmp_path / "big.txt"
+    with pytest.raises(RejectedInputError, match="float32"):
+        write_volume(path, ScalarVolume((2, 2, 2), (1, 1, 1), (0, 0, 0), data))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_volume_parse_errors_carry_offsets(tmp_path):
@@ -149,7 +154,7 @@ def test_raw_meta_byte_corruption_raises_only_parse_error(tmp_path, edits, cut):
     data = np.arange(60.0).reshape(3, 4, 5)
     volume = ScalarVolume((3, 4, 5), (1.0, 0.5, 2.0), (-1.0, 0.0, 3.0), data)
     header = tmp_path / "v.txt"
-    write_volume(header, volume, dtype="f32")
+    write_volume(header, volume)
     files = {True: header, False: header.with_suffix(".raw")}
     raws = {key: bytearray(path.read_bytes()) for key, path in files.items()}
     for in_header, position, value in edits:
@@ -165,17 +170,19 @@ def test_raw_meta_byte_corruption_raises_only_parse_error(tmp_path, edits, cut):
         pass
 
 
-def _nifti_bytes(dims=(4, 3, 2), datatype=4, value=3, slope=2.0, inter=1.0, magic=b"n+1\x00"):
+def _nifti_bytes(
+    dims=(4, 3, 2), datatype=4, value=3, slope=2.0, inter=1.0, magic=b"n+1\x00", endian="<"
+):
     hdr = bytearray(348)
-    struct.pack_into("<i", hdr, 0, 348)
-    struct.pack_into("<8h", hdr, 40, 3, dims[0], dims[1], dims[2], 1, 1, 1, 1)
-    struct.pack_into("<h", hdr, 70, datatype)
-    struct.pack_into("<8f", hdr, 76, 0.0, 2.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", hdr, 108, 352.0)
-    struct.pack_into("<2f", hdr, 112, slope, inter)
+    struct.pack_into(endian + "i", hdr, 0, 348)
+    struct.pack_into(endian + "8h", hdr, 40, 3, dims[0], dims[1], dims[2], 1, 1, 1, 1)
+    struct.pack_into(endian + "h", hdr, 70, datatype)
+    struct.pack_into(endian + "8f", hdr, 76, 0.0, 2.0, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into(endian + "f", hdr, 108, 352.0)
+    struct.pack_into(endian + "2f", hdr, 112, slope, inter)
     hdr[344:348] = magic
     count = dims[0] * dims[1] * dims[2]
-    data = np.full(count, value, dtype="<i2").tobytes()
+    data = np.full(count, value, dtype=endian + "i2").tobytes()
     return bytes(hdr) + b"\x00" * 4 + data
 
 
@@ -183,7 +190,7 @@ def test_read_nifti_minimal_image(tmp_path):
     path = tmp_path / "img.nii"
     path.write_bytes(_nifti_bytes())
     with pytest.warns(UserWarning, match="orientation"):
-        vol = read_nifti(path)
+        vol = read_volume(path)
     assert vol.dims == (4, 3, 2)
     assert vol.spacing == (2.0, 1.5, 1.0)  # zero pixdim falls back to unit
     assert vol.origin == (0.0, 0.0, 0.0)
@@ -194,27 +201,27 @@ def test_read_nifti_rejects_bad_files(tmp_path):
     truncated = tmp_path / "short.nii"
     truncated.write_bytes(b"\x00" * 100)
     with pytest.raises(ParseError, match="byte offset"):
-        read_nifti(truncated)
+        read_volume(truncated)
 
     bad_magic = tmp_path / "magic.nii"
     bad_magic.write_bytes(_nifti_bytes(magic=b"abc\x00"))
     with pytest.raises(ParseError, match="magic"):
-        read_nifti(bad_magic)
+        read_volume(bad_magic)
 
     two_file = tmp_path / "pair.nii"
     two_file.write_bytes(_nifti_bytes(magic=b"ni1\x00"))
     with pytest.raises(ParseError, match="two-file"):
-        read_nifti(two_file)
+        read_volume(two_file)
 
     missing_data = tmp_path / "cut.nii"
     missing_data.write_bytes(_nifti_bytes()[:-10])
     with pytest.warns(UserWarning), pytest.raises(ParseError, match="truncated data"):
-        read_nifti(missing_data)
+        read_volume(missing_data)
 
     weird_type = tmp_path / "dt.nii"
     weird_type.write_bytes(_nifti_bytes(datatype=64))
     with pytest.raises(ParseError, match="datatype"):
-        read_nifti(weird_type)
+        read_volume(weird_type)
 
 
 @pytest.mark.parametrize("vox_offset", [float("nan"), float("inf"), float("-inf"), -4.0])
@@ -224,7 +231,7 @@ def test_read_nifti_rejects_bad_vox_offset(tmp_path, vox_offset):
     path = tmp_path / "offset.nii"
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match="vox_offset .* byte offset 108"):
-        read_nifti(path)
+        read_volume(path)
 
 
 @pytest.mark.parametrize(
@@ -244,7 +251,7 @@ def test_read_nifti_rejects_header_values_at_their_offset(tmp_path, fmt, at, val
     path = tmp_path / "bad.nii"
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match=f"byte offset {offset}$"):
-        read_nifti(path)
+        read_volume(path)
 
 
 def _f32_nifti_bytes() -> bytearray:
@@ -258,7 +265,7 @@ def test_read_nifti_rejects_non_finite_intensity_at_its_offset(tmp_path):
     path = tmp_path / "inf.nii"
     path.write_bytes(bytes(raw))
     with pytest.warns(UserWarning), pytest.raises(ParseError, match="byte offset 364"):
-        read_nifti(path)
+        read_volume(path)
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -280,7 +287,7 @@ def test_nifti_byte_corruption_raises_only_parse_error(tmp_path, edits, cut):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         try:
-            read_nifti(path)
+            read_volume(path)
         except ParseError:
             pass
 
@@ -291,13 +298,47 @@ def test_read_nifti_gzip(tmp_path):
     packed = tmp_path / "img.nii.gz"
     packed.write_bytes(gzip.compress(_nifti_bytes()))
     with pytest.warns(UserWarning):
-        a, b = read_nifti(plain), read_nifti(packed)
+        a, b = read_volume(plain), read_volume(packed)
     np.testing.assert_array_equal(a.data, b.data)
     assert (a.dims, a.spacing) == (b.dims, b.spacing)
     cut = tmp_path / "cut.nii.gz"
     cut.write_bytes(gzip.compress(_nifti_bytes())[:-12])
     with pytest.raises(ParseError, match="gzip"):
-        read_nifti(cut)
+        read_volume(cut)
+
+
+def test_read_volume_knows_nifti_by_its_bytes(tmp_path):
+    # the name decides first; any other name is read as NIfTI-1 when the bytes
+    # start with the gzip magic or with sizeof_hdr 348 in either byte order
+    images = {
+        "img.nii": _nifti_bytes(),
+        "img.dat": _nifti_bytes(),
+        "img": gzip.compress(_nifti_bytes()),
+        "img.be": _nifti_bytes(endian=">"),
+    }
+    volumes = []
+    for name, raw in images.items():
+        (tmp_path / name).write_bytes(raw)
+        with pytest.warns(UserWarning, match="orientation"):
+            volumes.append(read_volume(tmp_path / name))
+    for vol in volumes:
+        assert (vol.dims, vol.spacing, vol.origin) == ((4, 3, 2), (2.0, 1.5, 1.0), (0.0, 0.0, 0.0))
+        np.testing.assert_array_equal(vol.data, 7.0)
+
+
+@pytest.mark.parametrize(
+    "start, why",
+    [
+        pytest.param(b"\x1f\x8b", "corrupt gzip stream", id="gzip-magic"),
+        pytest.param(struct.pack("<i", 348), "truncated header", id="sizeof-hdr-le"),
+        pytest.param(struct.pack(">i", 348), "truncated header", id="sizeof-hdr-be"),
+    ],
+)
+def test_raw_meta_header_that_reads_as_nifti_raises_parse_error(tmp_path, start, why):
+    header = _write_raw_pair(tmp_path, _HEADER, np.zeros(8, dtype="<f4").tobytes(), "v")
+    header.write_bytes(start + header.read_bytes()[len(start) :])
+    with pytest.raises(ParseError, match=why):
+        read_volume(header)
 
 
 def _random_feature(rng):
@@ -350,6 +391,19 @@ def test_feature_file_rewrite_is_byte_identical(tmp_path):
     second = tmp_path / "two.vkf"
     write_features(second, loaded, volume_id="x")
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "volume_id, stored",
+    [("WEEKEND", "WEEKEND"), ("a\nb", "a\\nb"), ("café.nii", "caf\\xe9.nii")],
+)
+def test_feature_file_volume_id_stays_one_line(tmp_path, volume_id, stored):
+    # an id ending in END, or holding a line break or a non-ascii letter, is
+    # written as one escaped ascii line that the reader reads back
+    path = tmp_path / "id.vkf"
+    write_features(path, [_random_feature(np.random.default_rng(59))], volume_id=volume_id)
+    loaded, meta = read_features(path)
+    assert meta["volume_id"] == stored and len(loaded) == 1
 
 
 def _frame_not_rotation(feature):

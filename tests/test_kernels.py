@@ -21,13 +21,15 @@ from conftest import (
     kernel_location,
     kernel_orientation,
     kernel_scale,
+    matrix_from_rotvec,
     orientation_scores,
 )
 from volkey.config import load_config
-from volkey.errors import RejectedInputError
+from volkey.errors import FINITE, RejectedInputError
 from volkey.frames import STATE_SIGNS
 from volkey.kernels import KernelParams, kernel_matrix, log_kernel_matrix, squared_distances
-from volkey.transforms import matrix_from_rotvec, rotation_z
+from volkey.registration import RegistrationConfig, e_step
+from volkey.transforms import rotation_z
 
 
 # the 48 signed permutation matrices: axis cosines of 1, -1 and exactly 0
@@ -167,11 +169,11 @@ def test_kernel_matrix_matches_scalar_loop():
 
 
 def test_parameter_validation():
-    frame, ok = np.eye(3)[None], np.ones(1)
+    x, frame, ok = np.zeros((1, 3)), np.eye(3)[None], np.ones(1)
     for bad in (np.zeros(1), np.full(1, -2.0), np.full(1, np.nan), np.full(1, np.inf)):
         for s_f, s_m in ((bad, ok), (ok, bad)):
             with pytest.raises(RejectedInputError):
-                log_kernel_matrix(np.zeros((1, 1)), s_f, frame, s_m, frame, KernelParams())
+                kernel_matrix(x, s_f, frame, x, s_m, frame, KernelParams())
     with pytest.raises(RejectedInputError):
         KernelParams(k=0.0)
     with pytest.raises(RejectedInputError):
@@ -179,6 +181,42 @@ def test_parameter_validation():
     # a vanishing positional floor is allowed; the scale product then rules
     params = KernelParams(sigma_t_sq=0.0)
     assert _pair(params=params) == 1.0
+
+
+@pytest.mark.parametrize(
+    "params, scale",
+    [
+        pytest.param(KernelParams(sigma_t_sq=0.0), 1e-200, id="divides-by-zero"),
+        pytest.param(KernelParams(k=1e300), 1e10, id="overflows"),
+    ],
+)
+def test_bandwidth_outside_its_range_is_rejected(params, scale):
+    # one pair 10 mm apart: k s_m s_f + sigma_t_sq was 0, or overflowed
+    x_f, x_m, s, frame = np.zeros((1, 3)), np.array([[10.0, 0.0, 0.0]]), np.full(1, scale), np.eye(3)[None]
+    with pytest.raises(RejectedInputError, match="location bandwidth"):
+        kernel_matrix(x_f, s, frame, x_m, s, frame, params)
+    with pytest.raises(RejectedInputError, match="location bandwidth"):
+        e_step(x_f, s, frame, x_m, s, frame, 1.0, RegistrationConfig(kernel=params))
+    # "cpd" has no kernel, so no bandwidth
+    p = e_step(x_f, s, frame, x_m, s, frame, 1.0, RegistrationConfig(variant="cpd", kernel=params))
+    assert p.shape == (1, 1)
+
+
+def test_bandwidth_at_its_bounds_keeps_every_term_finite():
+    # the smallest bandwidth, 2^-768, with locations near check_geometry's 2^64
+    # bound, and the largest, FINITE: no divide, overflow or invalid warning
+    far = np.array([[-(2.0**63)] * 3, [2.0**63] * 3])
+    frames = np.stack([np.eye(3)] * 2)
+    cases = ((KernelParams(k=1.0, sigma_t_sq=0.0), 2.0**-384, 0.0), (KernelParams(k=FINITE), 1.0, 1.0))
+    for params, s, across in cases:
+        scales = np.full(2, s)
+        k = kernel_matrix(far, scales, frames, far, scales, frames, params)
+        assert np.isfinite(k).all() and k[0, 1] == across
+        p = e_step(far, scales, frames, far, scales, frames, 1.0, RegistrationConfig(kernel=params))
+        assert np.isfinite(p).all()
+    # a moving scale of 1.5 takes the largest bandwidth past FINITE
+    with pytest.raises(RejectedInputError, match="location bandwidth"):
+        kernel_matrix(far, np.ones(2), frames, far, np.full(2, 1.5), frames, KernelParams(k=FINITE))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -13,6 +13,7 @@ from conftest import (
     EXTRACTION,
     Geometry,
     apply_to_geometry,
+    matrix_from_rotvec,
     negated,
     pair_table,
 )
@@ -37,7 +38,6 @@ from volkey.matching import (
 from volkey.transforms import (
     SimilarityTransform,
     fit_similarity,
-    matrix_from_rotvec,
     project_to_rotation,
     rotvec_from_matrix,
 )

@@ -19,6 +19,7 @@ from conftest import (
     geometry_set,
     geometry_sets,
     kernel_geometry,
+    matrix_from_rotvec,
     negated,
     solve_rigid,
 )
@@ -44,12 +45,7 @@ from volkey.registration import (
     e_step,
     register,
 )
-from volkey.transforms import (
-    SimilarityTransform,
-    fit_similarity,
-    matrix_from_rotvec,
-    rotvec_from_matrix,
-)
+from volkey.transforms import SimilarityTransform, fit_similarity, rotvec_from_matrix
 from volkey.volume import resample
 
 
@@ -288,7 +284,7 @@ def test_blocked_sums_equal_the_dense_sums(monkeypatch, variant, w):
     p = e_step(*fixed, *moving, 40.0, cfg)
     # a block of columns under the whole set's background, scaled by its
     # column normalizers, is those columns of the dense P
-    log_eta = _check_estep(fixed, moving, 40.0, cfg.w)
+    log_eta = _check_estep(fixed, moving, 40.0, cfg)
     block, inv, _ = _unnormalized(tuple(a[14:21] for a in fixed), moving, 40.0, log_eta, cfg)
     np.testing.assert_allclose(block * inv, p[:, 14:21], rtol=0.0, atol=1e-15)
     x_m = moving[0] + 3.0  # the fitted locations need not be the moved ones

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import matrix_from_rotvec
 from volkey.errors import RejectedInputError
 from volkey.transforms import (
     SimilarityTransform,
     is_rotation,
-    matrix_from_rotvec,
     project_to_rotation,
     rotation_x,
     rotation_y,

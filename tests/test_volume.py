@@ -186,6 +186,20 @@ def test_build_scale_space_bounds_the_base_blur_by_the_volume():
     build_scale_space(aniso, base_sigma=7.0, num_octaves=1)
 
 
+@pytest.mark.parametrize("spacing", [1.0, 2.0**-100, 2.0**100, 2.0**400])
+def test_build_scale_space_keeps_every_blur_finite(spacing):
+    # base_sigma 1e-200 overflowed the taps' (x / sigma)^2; at least 2^-400 in
+    # mm and in voxels, and at most 2^400 mm, no tap or squared sigma
+    # overflows or vanishes (a warning fails the test run)
+    vol = ScalarVolume((16, 16, 16), (spacing,) * 3, (0, 0, 0), _random_volume(1).data)
+    lo, hi = 2.0**-400 * max(1.0, spacing), min(5.0 * spacing, 2.0**400)
+    for sigma in (lo, hi):
+        assert build_scale_space(vol, base_sigma=sigma, num_octaves=1).sigma_min == sigma
+    for sigma in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), 1e-200):
+        with pytest.raises(RejectedInputError, match="base_sigma"):
+            build_scale_space(vol, base_sigma=sigma)
+
+
 def test_constant_volume_stays_constant():
     vol = ScalarVolume(dims=(16, 16, 16), spacing=(1, 1, 1), origin=(0, 0, 0), data=np.full((16, 16, 16), 3.5))
     ss = build_scale_space(vol, num_octaves=2)
