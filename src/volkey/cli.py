@@ -213,8 +213,6 @@ def cmd_register(args) -> int:
 def cmd_evaluate(args) -> int:
     if not (args.probes or args.volume):
         raise RejectedInputError("need --probes or --volume for probe points")
-    if bool(args.fixed_volume) != bool(args.moving_volume):
-        raise RejectedInputError("SSD needs both --fixed-volume and --moving-volume")
     t_est = _load_transform(args.est)
     t_gt = _load_transform(args.gt)
     probes = _read_probes(args.probes) if args.probes else probe_grid(vio.read_volume(args.volume))

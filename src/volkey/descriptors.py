@@ -13,18 +13,20 @@ The four states' lattices are one point set: a state flips frame axes, which
 mirrors the symmetric lattice along them.  Extraction samples it once per
 keypoint and bins each state's rows in that state's own order.  Matching,
 registration and the feature writer read a feature list as one stack of
-arrays, `stack_features`, named as the feature file's record fields.
+arrays, `stack_features`, named as the feature file's record fields.  A
+feature file reads as a `FeatureSet`, which is that stack already.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     FINITE, POSITIVE, AmbiguousFrameError, NoOrientationError, RejectedInputError,
-    check_field_types,
+    check_field_types, check_type,
 )
 from .frames import (
     MAX_WINDOW_FACTOR,
@@ -133,10 +135,42 @@ class Feature:
     border: bool = False
 
 
-def stack_features(features: list[Feature]) -> dict[str, np.ndarray]:
+class FeatureSet(Sequence):
+    """Features held as one stack, laid out as stack_features lays out a list,
+    whose every array is made read-only; the caller has checked it.
+
+    Nothing is built per feature until asked: item i is a Feature view of row
+    i, its descriptors carrying ranks only (bins None) and its keypoint's
+    response the sign, as a feature file stores them.  A slice is a list.
+    """
+
+    def __init__(self, stack: dict[str, np.ndarray]) -> None:
+        for array in stack.values():
+            array.flags.writeable = False
+        self.stack = stack
+
+    def __len__(self) -> int:
+        return len(self.stack["x"])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # IndexError past either end
+        s = self.stack
+        sign, border = int(s["sign"][i]), bool(s["border"][i])
+        kp = Keypoint(x=s["x"][i], sigma=float(s["sigma"][i]), sign=sign, response=float(sign),
+                      border=border)
+        descriptors = [Descriptor(bins=None, ranked=r) for r in s["ranks"][i]]
+        return Feature(kp, Frame(s["frame"][i]), descriptors, border)
+
+
+def stack_features(features: list[Feature] | FeatureSet) -> dict[str, np.ndarray]:
     """C-contiguous arrays x (n, 3), sigma, frame (n, 3, 3), sign, border, ranks
     (n, 4, 64) int16; RejectedInputError names a feature without 4 descriptors
-    or whose frame is not a rotation to within 1e-6, the feature file's rule."""
+    or whose frame is not a rotation to within 1e-6, the feature file's rule.
+    A FeatureSet's stack is returned itself, not copied."""
+    if isinstance(features, FeatureSet):
+        return features.stack
     try:
         counts = [len(f.descriptors) for f in features]
     except (TypeError, AttributeError):
@@ -199,7 +233,7 @@ def extract_features_with_stats(
     volume: ScalarVolume, config: ExtractionConfig | None = None
 ) -> tuple[list[Feature], ExtractionStats]:
     """Full pipeline: scale space, keypoints, frames, state descriptors."""
-    cfg = config or ExtractionConfig()
+    cfg = ExtractionConfig() if config is None else check_type("config", config, ExtractionConfig)
     estimator = _ESTIMATORS[cfg.estimator]
     ss = build_scale_space(volume, base_sigma=cfg.base_sigma, num_octaves=cfg.num_octaves)
     keypoints = detect_keypoints(ss, min_abs_response=cfg.min_abs_response, max_count=cfg.max_count)

@@ -92,14 +92,15 @@ def evaluate(
     fixed: ScalarVolume | None = None,
     moving: ScalarVolume | None = None,
 ) -> EvaluationReport:
-    """Bundle of registration metrics against a known ground truth."""
+    """Bundle of registration metrics against a known ground truth, with the
+    overlap SSD when both volumes are given; one alone is refused."""
     check_type("t_est", t_est, SimilarityTransform)
     check_type("t_gt", t_gt, SimilarityTransform)
+    if (fixed is None) != (moving is None):
+        raise RejectedInputError("SSD needs both the fixed and the moving volume")
     pre = point_registration_error(t_est, t_gt, probes)
     rel = t_est.rotation @ t_gt.rotation.T
     rot_err = np.degrees(np.abs(rotvec_from_matrix(rel)))
     trans_err = np.abs(t_est.translation - t_gt.translation)
-    ssd = None
-    if fixed is not None and moving is not None:
-        ssd = overlap_ssd(fixed, moving, t_est)
+    ssd = None if fixed is None else overlap_ssd(fixed, moving, t_est)
     return EvaluationReport(pre, rot_err, trans_err, ssd)

@@ -23,10 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptors import Descriptor, ExtractionConfig, Feature, stack_features
-from .errors import ParseError, RejectedInputError
-from .frames import Frame
-from .keypoints import Keypoint
+from .descriptors import ExtractionConfig, Feature, FeatureSet, stack_features
+from .errors import ParseError, RejectedInputError, check_type
 from .transforms import is_rotation
 from .volume import ScalarVolume
 
@@ -238,7 +236,7 @@ def _check_records(stack: dict, error) -> None:
 
 def write_features(
     path: str | Path,
-    features: list[Feature],
+    features: list[Feature] | FeatureSet,
     volume_id: str = "",
     config: ExtractionConfig | None = None,
 ) -> None:
@@ -246,7 +244,7 @@ def write_features(
     raise RejectedInputError naming the first one read_features would refuse.
     volume_id is stored with Python's string escapes, as one ascii line."""
     path = Path(path)
-    cfg = config or ExtractionConfig()
+    cfg = ExtractionConfig() if config is None else check_type("config", config, ExtractionConfig)
     stack = stack_features(features)
     _check_records(stack, lambda i, why: RejectedInputError(f"feature {i} {why}"))
     header = (
@@ -263,10 +261,11 @@ def write_features(
     path.write_bytes(header.encode("ascii") + records.tobytes())
 
 
-def read_features(path: str | Path) -> tuple[list[Feature], dict]:
+def read_features(path: str | Path) -> tuple[FeatureSet, dict]:
     """Read a feature file; returns the features and the header metadata.
 
-    Loaded descriptors carry ranks only (bins are not stored).
+    The features are one read-only stack, a FeatureSet, with no object built
+    per record; its descriptors carry ranks only (bins are not stored).
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -297,22 +296,18 @@ def read_features(path: str | Path) -> tuple[list[Feature], dict]:
             f"{end + 4 + min(len(body), expected)}: expected {expected} bytes, found {len(body)}"
         )
     records = np.frombuffer(body, dtype=_RECORD)
-    x, sigma, frames = records["x"].copy(), records["sigma"].copy(), records["frame"].copy()
-    sign, ranks = records["sign"].astype(int), records["ranks"].astype(np.int16)
+    stack = {
+        "x": records["x"].copy(),
+        "sigma": records["sigma"].copy(),
+        "frame": records["frame"].copy(),
+        "sign": records["sign"].astype(int),
+        "border": records["border"] != 0,
+        "ranks": records["ranks"].astype(np.int16),
+    }
     _check_records(
-        {"x": x, "sigma": sigma, "frame": frames, "sign": sign, "ranks": ranks},
+        stack,
         lambda i, why: ParseError(
             f"{path}: record {i} {why} (byte offset {end + 4 + i * _RECORD.itemsize})"
         ),
     )
-    border = (records["border"] != 0).tolist()
-    features = [
-        Feature(
-            keypoint=Keypoint(x=x[i], sigma=s, sign=g, response=float(g), border=b),
-            frame=Frame(frames[i]),
-            descriptors=[Descriptor(bins=None, ranked=r) for r in ranks[i]],
-            border=b,
-        )
-        for i, (s, g, b) in enumerate(zip(sigma.tolist(), sign.tolist(), border))
-    ]
-    return features, meta
+    return FeatureSet(stack), meta

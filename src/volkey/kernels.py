@@ -17,7 +17,8 @@ kernel is the 1x1 case, and the scalar factor formulas live in the tests as
 oracles.  `squared_distances` is the one pairwise distance routine, shared
 with the E-step.
 
-The scale and orientation terms are BLAS products of per-feature rows.  With
+The scale and orientation terms are BLAS products of per-feature rows,
+`kernel_rows`, which a caller builds once per set and gathers per block.  With
 lm = log sm and lf = log sn, the log scale factor plus the orientation's -3,
 c = -3 - (lm - lf)^2, has rank 3: [-3 - lm^2, 2 lm, -1] . [1, lf, lf^2].
 The axis cosines are d_i = theta_i_m . theta_i_n.  The four states are the
@@ -27,7 +28,7 @@ scores -d1 + |d2 - d3|.  So the state max plus c is max(A + |U|, B + |V|)
 with A, B = c +- d1 and U, V = d2 +- d3, four (., 6) @ (6, N) products;
 without states, c + d1 + d2 + d3 is one product over the scale rows and all
 nine frame entries.  Memory is three (M, N) arrays, nothing per state or
-per axis.
+per axis, besides the rows: 12 numbers a feature, 24 a moving one under states.
 """
 from __future__ import annotations
 
@@ -96,36 +97,41 @@ def check_geometry(fixed: tuple, moving: tuple, params: KernelParams | None = No
             )
 
 
-def _rows(s: np.ndarray, t: np.ndarray, moving: bool) -> np.ndarray:
+def kernel_rows(s: np.ndarray, t: np.ndarray, params: KernelParams | None = None) -> np.ndarray:
     """Per-feature rows whose products give the scale term and the axis
-    cosines: [scale (3), theta_1 (3), theta_2 (3), theta_3 (3)]."""
+    cosines: a fixed feature's [1, lf, lf^2, theta_1, theta_2, theta_3]
+    (n, 12); given params, a moving feature's [-3 - lm^2, 2 lm, -1] and its
+    axes, followed under orientation states by the same 12 with theta_1 and
+    theta_3 negated, which give B and V (n, 24).  A row depends on its
+    feature alone, so rows built once serve every block of that set."""
     log_s = np.log(s)
-    if moving:
-        scale = (-3.0 - log_s * log_s, 2.0 * log_s, -np.ones_like(log_s))
-    else:
+    if params is None:
         scale = (np.ones_like(log_s), log_s, log_s * log_s)
-    return np.concatenate([np.stack(scale, axis=1), t.transpose(0, 2, 1).reshape(-1, 9)], axis=1)
+    else:
+        scale = (-3.0 - log_s * log_s, 2.0 * log_s, -np.ones_like(log_s))
+    rows = np.concatenate([np.stack(scale, axis=1), t.transpose(0, 2, 1).reshape(-1, 9)], axis=1)
+    if params is not None and params.use_orientation_states:
+        rows = np.concatenate([rows, rows * np.repeat([1.0, -1.0, 1.0, -1.0], 3)], axis=1)
+    return rows
 
 
 def log_kernel_matrix(
     dist_sq: np.ndarray,
     s_f: np.ndarray,
-    t_f: np.ndarray,
+    rows_f: np.ndarray,
     s_m: np.ndarray,
-    t_m: np.ndarray,
+    rows_m: np.ndarray,
     params: KernelParams,
 ) -> np.ndarray:
-    """Log of kernel_matrix, given the (moving, fixed) squared distances dist_sq."""
-    rows_m, rows_f = _rows(s_m, t_m, moving=True), _rows(s_f, t_f, moving=False)
+    """Log of kernel_matrix, given the (moving, fixed) squared distances
+    dist_sq, the scales and the kernel_rows of both sets, moving under params."""
     scratch = None
     if params.use_orientation_states:
-        # the same rows with theta_1 and theta_3 negated give B and V
-        flipped = rows_m * np.repeat([1.0, -1.0, 1.0, -1.0], 3)
         score = rows_m[:, :6] @ rows_f[:, :6].T
-        scratch = rows_m[:, 6:] @ rows_f[:, 6:].T
+        scratch = rows_m[:, 6:12] @ rows_f[:, 6:].T
         score += np.abs(scratch, out=scratch)
-        other = flipped[:, :6] @ rows_f[:, :6].T
-        np.matmul(flipped[:, 6:], rows_f[:, 6:].T, out=scratch)
+        other = rows_m[:, 12:18] @ rows_f[:, :6].T
+        np.matmul(rows_m[:, 18:], rows_f[:, 6:].T, out=scratch)
         other += np.abs(scratch, out=scratch)
         np.maximum(score, other, out=score)
     else:
@@ -149,5 +155,6 @@ def kernel_matrix(
     (n, 3), scales (n,) and frames (n, 3, 3), as check_geometry admits them
     with params."""
     check_geometry((x_f, s_f, t_f), (x_m, s_m, t_m), params)
-    log_k = log_kernel_matrix(squared_distances(x_m, x_f), s_f, t_f, s_m, t_m, params)
+    rows_f, rows_m = kernel_rows(s_f, t_f), kernel_rows(s_m, t_m, params)
+    log_k = log_kernel_matrix(squared_distances(x_m, x_f), s_f, rows_f, s_m, rows_m, params)
     return np.exp(log_k, out=log_k)

@@ -42,7 +42,8 @@ class Keypoint:
     border: bool = False
 
     def __post_init__(self) -> None:
-        # scalar checks only, float first: read_features builds a Keypoint per record
+        # scalar checks only, float first: extraction builds a Keypoint per
+        # candidate, and FeatureSet one per feature indexed
         try:
             self.x = np.asarray(self.x, dtype=float).reshape(3)
         except (TypeError, ValueError):

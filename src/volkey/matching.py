@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .descriptors import NUM_BINS, Feature, stack_features
+from .descriptors import NUM_BINS, Feature, FeatureSet, stack_features
 from .errors import (
     BELOW_ONE,
     FINITE,
@@ -32,6 +32,7 @@ from .errors import (
     InitializationFailureError,
     RejectedInputError,
     check_field_types,
+    check_type,
 )
 from .frames import STATE_SIGNS
 from .transforms import (
@@ -79,7 +80,9 @@ def match_table(fixed, moving, fixed_index, moving_index, moving_state, distance
     return np.rec.fromarrays(columns, dtype=MATCH_DTYPE)
 
 
-def match_features(fixed: list[Feature], moving: list[Feature]) -> np.recarray:
+def match_features(
+    fixed: list[Feature] | FeatureSet, moving: list[Feature] | FeatureSet
+) -> np.recarray:
     """Nearest ranked descriptor over all moving features and states."""
     return _match_stacks(stack_features(fixed), stack_features(moving))
 
@@ -188,7 +191,7 @@ def hough_init(matches: np.recarray, params: HoughParams | None = None) -> Hough
     sigmas, geometry below 2^64 (sums of its squares stay finite) and cells
     below 2^62 bins (int64 keys), and InitializationFailureError if no
     candidate (or fewer than 3 matches) gathers 3 consistent votes."""
-    params = params or HoughParams()
+    params = HoughParams() if params is None else check_type("params", params, HoughParams)
     if not (isinstance(matches, np.ndarray) and matches.dtype == MATCH_DTYPE and matches.ndim == 1):
         raise RejectedInputError("matches must be a 1-D array of MATCH_DTYPE records")
     m = matches.view(np.recarray)

@@ -18,7 +18,8 @@ block's column normalizers instead of normalizing the block.  When all M x N
 pairs fit in one block of `_ESTEP_BLOCK_PAIRS`, that block is the whole E-step.
 Otherwise the blocks are runs of at most `_CULLED_BLOCK_COLUMNS` columns under
 the nodes of a cKDTree over the fixed locations, and each block gets only the
-moving rows nearer than r to its bounding box, where
+moving rows nearer than r to its bounding box, gathered from rows of both
+sets' kernel factors built once per E-step, where
 
     r^2 = 2 lambda^2 (kappa + log M - log eta - log u),   u = 2^-53,
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .descriptors import Feature, stack_features
+from .descriptors import Feature, FeatureSet, stack_features
 from .errors import (
     BELOW_ONE,
     FINITE,
@@ -55,8 +56,9 @@ from .errors import (
     RejectedInputError,
     check_field_types,
     check_number,
+    check_type,
 )
-from .kernels import KernelParams, check_geometry, log_kernel_matrix, squared_distances
+from .kernels import KernelParams, check_geometry, kernel_rows, log_kernel_matrix, squared_distances
 from .matching import HoughParams, HoughResult, _match_stacks, hough_init
 from .transforms import SimilarityTransform, fit_similarity
 
@@ -129,21 +131,33 @@ def _check_estep(fixed, moved, lambda_sq: float, config: RegistrationConfig) -> 
         return log_volume + log_w + np.log(moved[0].shape[0] / fixed[0].shape[0])
 
 
+def _kernel_sides(fixed, moved, config):
+    """What an E-step block reads of each set's (locations, scales, frames):
+    the locations, then for a kernel variant the scales and the kernel_rows,
+    built once for all blocks."""
+    if config.variant == "cpd":
+        return fixed[:1], moved[:1]
+    return (
+        (*fixed[:2], kernel_rows(*fixed[1:])),
+        (*moved[:2], kernel_rows(*moved[1:], config.kernel)),
+    )
+
+
 def _unnormalized(fixed, moved, lambda_sq, log_eta, config):
     """A block's E-step before normalization: p = exp(log_num - shift) per
     column, inv = 1 / (column sum of p + background), and the column sums of
-    the normalized block p * inv.
+    the normalized block p * inv.  fixed and moved are the block's rows of
+    _kernel_sides.
 
     log_eta is the whole sets' background.  Each column's location term is
     taken relative to its nearest moving feature, and that offset moves into
     the column's background, so at vanishing lambda^2 the nearest features
     keep their kernel ratios.
     """
-    (x_f, s_f, t_f), (x_m, s_m, t_m) = fixed, moved
-    dist_sq = squared_distances(x_m, x_f)
+    dist_sq = squared_distances(moved[0], fixed[0])
     log_k = None
     if config.variant != "cpd":
-        log_k = log_kernel_matrix(dist_sq, s_f, t_f, s_m, t_m, config.kernel)
+        log_k = log_kernel_matrix(dist_sq, *fixed[1:], *moved[1:], config.kernel)
     d_min = dist_sq.min(axis=0)
     dist_sq -= d_min
     with np.errstate(over="ignore", divide="ignore"):
@@ -181,7 +195,7 @@ def e_step(
     """
     fixed, moved = (x_f, s_f, t_f), (x_m, s_m, t_m)
     log_eta = _check_estep(fixed, moved, lambda_sq, config)
-    p, inv, _ = _unnormalized(fixed, moved, lambda_sq, log_eta, config)
+    p, inv, _ = _unnormalized(*_kernel_sides(fixed, moved, config), lambda_sq, log_eta, config)
     p *= inv
     return p
 
@@ -223,8 +237,9 @@ def _posterior_sums(fixed, moved, x_m, lambda_sq, config, tree=None):
     """
     n, m = fixed[0].shape[0], x_m.shape[0]
     log_eta = _check_estep(fixed, moved, lambda_sq, config)
+    fixed_k, moved_k = _kernel_sides(fixed, moved, config)
     if m * n <= _ESTEP_BLOCK_PAIRS:
-        p, inv, col = _unnormalized(fixed, moved, lambda_sq, log_eta, config)
+        p, inv, col = _unnormalized(fixed_k, moved_k, lambda_sq, log_eta, config)
         return col, p @ inv, (p.T @ x_m) * inv[:, None]
     # a pair at least r apart adds at most exp(kappa - r^2 / 2 lambda^2)
     # = u eta / M to its column; r = inf when w = 0, and r^2 <= 0 culls all
@@ -242,7 +257,8 @@ def _posterior_sums(fixed, moved, x_m, lambda_sq, config, tree=None):
         if rows.size == 0:
             continue
         p, inv, col[cols] = _unnormalized(
-            tuple(a[cols] for a in fixed), tuple(a[rows] for a in moved), lambda_sq, log_eta, config
+            tuple(a[cols] for a in fixed_k), tuple(a[rows] for a in moved_k), lambda_sq, log_eta,
+            config,
         )
         row[rows] += p @ inv
         pm[cols] = (p.T @ x_m[rows]) * inv[:, None]
@@ -250,10 +266,13 @@ def _posterior_sums(fixed, moved, x_m, lambda_sq, config, tree=None):
 
 
 def register(
-    fixed: list[Feature], moving: list[Feature], config: RegistrationConfig | None = None
+    fixed: list[Feature] | FeatureSet,
+    moving: list[Feature] | FeatureSet,
+    config: RegistrationConfig | None = None,
 ) -> RegistrationResult:
     """Match, vote, then refine a moving-onto-fixed similarity transform."""
-    cfg = config or RegistrationConfig()
+    cfg = RegistrationConfig() if config is None else config
+    check_type("config", cfg, RegistrationConfig)
     start = time.perf_counter()
     stack_f, stack_m = stack_features(fixed), stack_features(moving)
     init = hough_init(_match_stacks(stack_f, stack_m), cfg.hough)

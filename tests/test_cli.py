@@ -352,11 +352,11 @@ def test_cli_error_exits(workspace, tmp_path, capsys):
             "--out", out / "e.json",
         ),
         (
-            "SSD needs both --fixed-volume and --moving-volume",
+            "SSD needs both the fixed and the moving volume",
             "evaluate", "--est", gt, "--gt", gt, "--volume", fixed, "--fixed-volume", fixed,
         ),
         (
-            "SSD needs both --fixed-volume and --moving-volume",
+            "SSD needs both the fixed and the moving volume",
             "evaluate", "--est", gt, "--gt", gt, "--volume", fixed, "--moving-volume", fixed,
         ),
         (

@@ -1,5 +1,6 @@
 """The one number check: what check_number takes, refuses and says; and the
-type check of the entries that take a volume, a transform or a frame."""
+type check of the entries that take a volume, a transform, a frame or a
+configuration."""
 from __future__ import annotations
 
 import math
@@ -14,6 +15,9 @@ from volkey.descriptors import extract_features
 from volkey.errors import BELOW_ONE, FINITE, POSITIVE, RejectedInputError, check_number
 from volkey.evaluation import evaluate
 from volkey.frames import enumerate_states
+from volkey.io import write_features
+from volkey.matching import MATCH_DTYPE, hough_init
+from volkey.registration import register
 from volkey.transforms import SimilarityTransform
 from volkey.volume import ScalarVolume, resample, to_isotropic
 
@@ -119,3 +123,32 @@ def test_none_for_an_object_argument_is_rejected(call, name):
     # each raised a bare AttributeError
     with pytest.raises(RejectedInputError, match=f"^{name} must be a [A-Za-z]+, got NoneType$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, name, kind",
+    [
+        pytest.param(
+            lambda cfg, tmp: extract_features(_VOLUME, cfg), "config", "ExtractionConfig",
+            id="extract_features",
+        ),
+        pytest.param(
+            lambda cfg, tmp: register([], [], cfg), "config", "RegistrationConfig", id="register"
+        ),
+        pytest.param(
+            lambda cfg, tmp: hough_init(np.zeros(0, MATCH_DTYPE), cfg), "params", "HoughParams",
+            id="hough_init",
+        ),
+        pytest.param(
+            lambda cfg, tmp: write_features(tmp / "f.vkf", [], config=cfg), "config",
+            "ExtractionConfig", id="write_features",
+        ),
+    ],
+)
+@pytest.mark.parametrize("config", [{"w": 0.2}, "sift_cpd"], ids=["dict", "str"])
+def test_a_configuration_must_be_its_dataclass(call, name, kind, config, tmp_path):
+    # a config file's section is a dict: each raised a bare AttributeError or TypeError
+    got = type(config).__name__
+    with pytest.raises(RejectedInputError, match=f"^{name} must be a {kind}, got {got}$"):
+        call(config, tmp_path)
+    assert not (tmp_path / "f.vkf").exists()

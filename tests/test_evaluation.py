@@ -181,6 +181,15 @@ def test_evaluate_reports_componentwise_errors():
     assert report.ssd is None
 
 
+@pytest.mark.parametrize("side", ["fixed", "moving"])
+def test_evaluate_refuses_one_volume_for_ssd(side):
+    # a lone volume silently gave ssd None
+    blob = gaussian_blob(widths=5.0)
+    t = SimilarityTransform()
+    with pytest.raises(RejectedInputError, match="^SSD needs both the fixed and the moving volume$"):
+        evaluate(t, t, probe_grid(blob, count=3), **{side: blob})
+
+
 def test_evaluate_attaches_optional_metrics():
     blob = gaussian_blob(widths=5.0)
     t = SimilarityTransform()

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from volkey.config import load_config
 from volkey import io as vio
-from volkey.descriptors import Descriptor, ExtractionConfig, Feature, stack_features
+from volkey import descriptors, frames, keypoints
+from volkey.descriptors import Descriptor, ExtractionConfig, Feature, FeatureSet, stack_features
 from volkey.errors import ParseError, RejectedInputError
 from volkey.frames import Frame
 from volkey.io import config_digest, read_features, read_volume, write_features, write_volume
 from volkey.keypoints import Keypoint
+from volkey.registration import register
 from volkey.volume import ScalarVolume
 
 from conftest import matrix_from_rotvec
@@ -393,6 +395,94 @@ def test_feature_file_rewrite_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def _per_record_features(path):
+    """The features of a feature file as built record by record: one
+    Keypoint, Frame, four Descriptors and a Feature each, the reader's oracle."""
+    raw = path.read_bytes()
+    records = np.frombuffer(raw[raw.find(b"\nEND\n") + 5 :], dtype=vio._RECORD)
+    x, sigma, frame = records["x"].copy(), records["sigma"].copy(), records["frame"].copy()
+    sign, ranks = records["sign"].astype(int), records["ranks"].astype(np.int16)
+    border = (records["border"] != 0).tolist()
+    return [
+        Feature(
+            keypoint=Keypoint(x=x[i], sigma=s, sign=g, response=float(g), border=b),
+            frame=Frame(frame[i]),
+            descriptors=[Descriptor(bins=None, ranked=r) for r in ranks[i]],
+            border=b,
+        )
+        for i, (s, g, b) in enumerate(zip(sigma.tolist(), sign.tolist(), border))
+    ]
+
+
+def _fields(f: Feature) -> list:
+    kp = f.keypoint
+    scalars = [kp.sigma, kp.sign, kp.response, kp.border, f.border]
+    arrays = [kp.x, f.frame.matrix, *(d.ranked for d in f.descriptors)]
+    return (
+        [(type(v), v) for v in scalars]
+        + [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+        + [(len(f.descriptors), [d.bins for d in f.descriptors])]
+    )
+
+
+def test_feature_set_items_are_the_per_record_features(tmp_path):
+    rng = np.random.default_rng(53)
+    path = tmp_path / "feats.vkf"
+    write_features(path, [_random_feature(rng) for _ in range(1000)])
+    loaded, _ = read_features(path)
+    want = _per_record_features(path)
+    assert isinstance(loaded, FeatureSet) and len(loaded) == len(want) == 1000
+    for i in range(1000):
+        assert _fields(loaded[i]) == _fields(want[i])
+    assert [_fields(f) for f in loaded[-3:]] == [_fields(f) for f in want[-3:]]
+    assert _fields(loaded[-1]) == _fields(want[999])
+    for i in (1000, -1001):
+        with pytest.raises(IndexError):
+            loaded[i]
+
+
+def test_stack_of_a_feature_set_is_its_stack(tmp_path):
+    path = tmp_path / "feats.vkf"
+    write_features(path, [_random_feature(np.random.default_rng(54)) for _ in range(5)])
+    loaded, _ = read_features(path)
+    assert stack_features(loaded) is loaded.stack
+
+
+def test_read_stack_is_read_only(tmp_path):
+    # the stack is shared with every stage that reads it: a write raises
+    path = tmp_path / "feats.vkf"
+    write_features(path, [_random_feature(np.random.default_rng(55)) for _ in range(5)])
+    loaded, _ = read_features(path)
+    for name, array in loaded.stack.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+    with pytest.raises(ValueError, match="read-only"):
+        loaded[0].keypoint.x[0] = 1.0
+
+
+def test_read_and_register_build_no_feature_objects(tmp_path, planted_pair, monkeypatch):
+    fixed, moving, _ = planted_pair
+    for name, features in (("fixed", fixed), ("moving", moving)):
+        write_features(tmp_path / f"{name}.vkf", features)
+    built = []
+
+    def counted(init):
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return counting_init
+
+    for cls in (keypoints.Keypoint, frames.Frame, descriptors.Descriptor, descriptors.Feature):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    loaded_fixed, _ = read_features(tmp_path / "fixed.vkf")
+    loaded_moving, _ = read_features(tmp_path / "moving.vkf")
+    assert register(loaded_fixed, loaded_moving).converged
+    assert built == []
+    # the count sees what indexing builds
+    loaded_fixed[0]
+    assert sorted(built) == ["Descriptor"] * 4 + ["Feature", "Frame", "Keypoint"]
+
+
 @pytest.mark.parametrize(
     "volume_id, stored",
     [("WEEKEND", "WEEKEND"), ("a\nb", "a\\nb"), ("café.nii", "caf\\xe9.nii")],
@@ -450,7 +540,7 @@ def test_empty_feature_file(tmp_path):
     path = tmp_path / "none.vkf"
     write_features(path, [])
     loaded, meta = read_features(path)
-    assert loaded == []
+    assert len(loaded) == 0
     assert int(meta["count"]) == 0
 
 

@@ -27,7 +27,9 @@ from conftest import (
 from volkey.config import load_config
 from volkey.errors import FINITE, RejectedInputError
 from volkey.frames import STATE_SIGNS
-from volkey.kernels import KernelParams, kernel_matrix, log_kernel_matrix, squared_distances
+from volkey.kernels import (
+    KernelParams, kernel_matrix, kernel_rows, log_kernel_matrix, squared_distances,
+)
 from volkey.registration import RegistrationConfig, e_step
 from volkey.transforms import rotation_z
 
@@ -254,9 +256,9 @@ def test_closed_form_state_score_equals_the_state_max(seed, n_fixed, n_moving, s
     t_f = np.stack([frame(rng.integers(2)) for _ in range(n_fixed)])
     t_m = np.stack([frame(rng.integers(4)) for _ in range(n_moving)])
     params = KernelParams(use_orientation_states=states)
-    log_k = log_kernel_matrix(
-        np.zeros((n_moving, n_fixed)), np.ones(n_fixed), t_f, np.ones(n_moving), t_m, params
-    )
+    s_f, s_m = np.ones(n_fixed), np.ones(n_moving)
+    rows_f, rows_m = kernel_rows(s_f, t_f), kernel_rows(s_m, t_m, params)
+    log_k = log_kernel_matrix(np.zeros((n_moving, n_fixed)), s_f, rows_f, s_m, rows_m, params)
     np.testing.assert_allclose(
         log_k + 3.0, orientation_scores(t_f, t_m, states), rtol=0.0, atol=1e-12
     )

@@ -31,7 +31,9 @@ from volkey.errors import (
     RejectedInputError,
 )
 from volkey.frames import Frame
-from volkey.kernels import kernel_matrix, log_kernel_matrix, squared_distances
+from volkey.kernels import (
+    KernelParams, kernel_matrix, kernel_rows, log_kernel_matrix, squared_distances,
+)
 from volkey.keypoints import Keypoint
 from volkey.registration import (
     _ESTEP_BLOCK_PAIRS,
@@ -39,6 +41,7 @@ from volkey.registration import (
     _check_estep,
     _init_lambda_sq,
     _kernel_ceiling,
+    _kernel_sides,
     _posterior_sums,
     _tree_blocks,
     _unnormalized,
@@ -285,7 +288,8 @@ def test_blocked_sums_equal_the_dense_sums(monkeypatch, variant, w):
     # a block of columns under the whole set's background, scaled by its
     # column normalizers, is those columns of the dense P
     log_eta = _check_estep(fixed, moving, 40.0, cfg)
-    block, inv, _ = _unnormalized(tuple(a[14:21] for a in fixed), moving, 40.0, log_eta, cfg)
+    fixed_k, moving_k = _kernel_sides(fixed, moving, cfg)
+    block, inv, _ = _unnormalized(tuple(a[14:21] for a in fixed_k), moving_k, 40.0, log_eta, cfg)
     np.testing.assert_allclose(block * inv, p[:, 14:21], rtol=0.0, atol=1e-15)
     x_m = moving[0] + 3.0  # the fitted locations need not be the moved ones
     col, row, pm = _posterior_sums(fixed, moving, x_m, 40.0, cfg)
@@ -359,7 +363,8 @@ def test_culled_sums_are_within_the_roundoff_bound(
     cfg = RegistrationConfig(variant=variant, w=w)
     if variant != "cpd":
         dist_sq = squared_distances(moving[0], fixed[0])
-        log_k = log_kernel_matrix(dist_sq, *fixed[1:], *moving[1:], cfg.kernel)
+        rows_f, rows_m = kernel_rows(*fixed[1:]), kernel_rows(*moving[1:], cfg.kernel)
+        log_k = log_kernel_matrix(dist_sq, fixed[1], rows_f, moving[1], rows_m, cfg.kernel)
         assert log_k.max() <= _kernel_ceiling(fixed, moving, cfg) + 1e-12
     p = e_step(*fixed, *moving, lambda_sq, cfg)
     x_m = moving[0] + 3.0
@@ -390,9 +395,10 @@ def test_one_block_sums_make_one_call_on_all_pairs(monkeypatch):
     rng = np.random.default_rng(43)
     fixed = _random_geometry_arrays(rng, 40)
     moving = _random_geometry_arrays(rng, 30)
-    _posterior_sums(fixed, moving, moving[0], 20.0, RegistrationConfig(w=0.3))
+    cfg = RegistrationConfig(w=0.3)
+    _posterior_sums(fixed, moving, moving[0], 20.0, cfg)
     assert len(calls) == 1
-    for got, want in zip(calls[0][0] + calls[0][1], fixed + moving):
+    for got, want in zip(calls[0][0] + calls[0][1], sum(_kernel_sides(fixed, moving, cfg), ())):
         np.testing.assert_array_equal(got, want)
 
 
@@ -467,6 +473,114 @@ def test_em_sums_allocate_under_64_bytes_per_block_pair():
         tracemalloc.stop()
     assert np.all(col > 0.0) and np.all(row > 0.0)
     assert peak <= 64 * block_pairs
+
+
+def _per_block_log_kernel(dist_sq, s_f, t_f, s_m, t_m, params):
+    """The log kernel as each block built it before the rows were shared:
+    both sets' rows from the block's own scales and frames, and the flipped
+    moving rows as their own (M, 12) array."""
+    def rows(s, t, moving):
+        log_s = np.log(s)
+        if moving:
+            scale = (-3.0 - log_s * log_s, 2.0 * log_s, -np.ones_like(log_s))
+        else:
+            scale = (np.ones_like(log_s), log_s, log_s * log_s)
+        return np.concatenate([np.stack(scale, axis=1), t.transpose(0, 2, 1).reshape(-1, 9)], 1)
+
+    rows_m, rows_f = rows(s_m, t_m, True), rows(s_f, t_f, False)
+    scratch = None
+    if params.use_orientation_states:
+        flipped = rows_m * np.repeat([1.0, -1.0, 1.0, -1.0], 3)
+        score = rows_m[:, :6] @ rows_f[:, :6].T
+        scratch = rows_m[:, 6:] @ rows_f[:, 6:].T
+        score += np.abs(scratch, out=scratch)
+        other = flipped[:, :6] @ rows_f[:, :6].T
+        np.matmul(flipped[:, 6:], rows_f[:, 6:].T, out=scratch)
+        other += np.abs(scratch, out=scratch)
+        np.maximum(score, other, out=score)
+    else:
+        score = rows_m @ rows_f.T
+    bandwidth = np.multiply.outer(params.k * s_m, s_f, out=scratch)
+    bandwidth += params.sigma_t_sq
+    score -= np.divide(dist_sq, bandwidth, out=bandwidth)
+    return score
+
+
+def _per_block_unnormalized(fixed, moved, lambda_sq, log_eta, config):
+    """_unnormalized on the block's (locations, scales, frames)."""
+    (x_f, s_f, t_f), (x_m, s_m, t_m) = fixed, moved
+    dist_sq = squared_distances(x_m, x_f)
+    log_k = None
+    if config.variant != "cpd":
+        log_k = _per_block_log_kernel(dist_sq, s_f, t_f, s_m, t_m, config.kernel)
+    d_min = dist_sq.min(axis=0)
+    dist_sq -= d_min
+    with np.errstate(over="ignore", divide="ignore"):
+        dist_sq /= -2.0 * lambda_sq
+        if config.w > 0.0:
+            log_eta = log_eta + d_min / (2.0 * lambda_sq)
+    log_num = dist_sq if log_k is None else np.add(log_k, dist_sq, out=log_k)
+    top = log_num.max(axis=0)
+    log_num -= np.maximum(top, log_eta)
+    p = np.exp(log_num, out=log_num)
+    col = p.sum(axis=0)
+    inv = 1.0 / (col + np.exp(np.minimum(log_eta - top, 0.0)))
+    col *= inv
+    return p, inv, col
+
+
+def _per_block_sums(fixed, moved, x_m, lambda_sq, config):
+    """_posterior_sums with every block gathering the geometry and building
+    its kernel rows itself: the formulation the shared rows must equal."""
+    n, m = fixed[0].shape[0], x_m.shape[0]
+    log_eta = _check_estep(fixed, moved, lambda_sq, config)
+    if m * n <= _ESTEP_BLOCK_PAIRS:
+        p, inv, col = _per_block_unnormalized(fixed, moved, lambda_sq, log_eta, config)
+        return col, p @ inv, (p.T @ x_m) * inv[:, None]
+    with np.errstate(over="ignore"):
+        r_sq = 2.0 * lambda_sq * (
+            _kernel_ceiling(fixed, moved, config) + np.log(m) - log_eta + 53.0 * np.log(2.0)
+        )
+    col, row, pm = np.zeros(n), np.zeros(m), np.zeros((n, 3))
+    for cols in _tree_blocks(cKDTree(fixed[0]), min(64, max(1, _ESTEP_BLOCK_PAIRS // m))):
+        x_b = fixed[0][cols]
+        gap = moved[0] - np.clip(moved[0], x_b.min(axis=0), x_b.max(axis=0))
+        rows = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) < r_sq)
+        if rows.size == 0:
+            continue
+        p, inv, col[cols] = _per_block_unnormalized(
+            tuple(a[cols] for a in fixed), tuple(a[rows] for a in moved), lambda_sq, log_eta, config
+        )
+        row[rows] += p @ inv
+        pm[cols] = (p.T @ x_m[rows]) * inv[:, None]
+    return col, row, pm
+
+
+@pytest.mark.parametrize(
+    "variant, states, w",
+    [
+        ("cpd", True, 0.3), ("sift_cpd", True, 0.3), ("sift_cpd", False, 0.3),
+        ("sift_cpd", True, 0.0),
+    ],
+)
+@pytest.mark.parametrize("n_fixed, n_moving", [(500, 400), (40, 30)], ids=["culled", "one_block"])
+def test_shared_kernel_rows_give_the_per_block_sums_bit_for_bit(
+    variant, states, w, n_fixed, n_moving
+):
+    # rows built once per E-step and gathered per block are the rows each
+    # block built, so every sum is bitwise the per-block formulation's
+    rng = np.random.default_rng(46)
+    fixed = _random_geometry_arrays(rng, n_fixed, span=128.0)
+    x_m, s_m, _ = _random_geometry_arrays(rng, n_moving, span=128.0)
+    moving = x_m, s_m, _frames(rng, n_moving, False)
+    kernel = KernelParams(use_orientation_states=states)
+    cfg = RegistrationConfig(variant=variant, w=w, kernel=kernel)
+    fitted = x_m + 3.0
+    for lambda_sq in (0.5, 20.0, 2000.0):
+        got = _posterior_sums(fixed, moving, fitted, lambda_sq, cfg)
+        want = _per_block_sums(fixed, moving, fitted, lambda_sq, cfg)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_solve_rigid_identity_and_known_transform():
