@@ -14,7 +14,8 @@ mirrors the symmetric lattice along them.  Extraction samples it once per
 keypoint and bins each state's rows in that state's own order.  Matching,
 registration and the feature writer read a feature list as one stack of
 arrays, `stack_features`, named as the feature file's record fields.  A
-feature file reads as a `FeatureSet`, which is that stack already.
+feature file reads as a `FeatureSet`, which is that stack already.  Both
+stacks are built by `_stack`, which holds the file's one record rule.
 """
 from __future__ import annotations
 
@@ -136,8 +137,8 @@ class Feature:
 
 
 class FeatureSet(Sequence):
-    """Features held as one stack, laid out as stack_features lays out a list,
-    whose every array is made read-only; the caller has checked it.
+    """Features held as one stack, laid out and checked by _stack, whose every
+    array is made read-only.
 
     Nothing is built per feature until asked: item i is a Feature view of row
     i, its descriptors carrying ranks only (bins None) and its keypoint's
@@ -164,11 +165,43 @@ class FeatureSet(Sequence):
         return Feature(kp, Frame(s["frame"][i]), descriptors, border)
 
 
+def _stack(x, sigma, frame, sign, border, ranks, error) -> dict[str, np.ndarray]:
+    """The feature stack of the given fields: C-contiguous copies x (n, 3),
+    sigma, frame (n, 3, 3), sign, border and ranks (n, 4, 64) int16, whose
+    sort is ten times faster than u8's.  Raises error(i, why) at the first
+    feature the record rule refuses: a frame that is not a rotation within
+    1e-6, a sign other than +-1, a non-finite x or a sigma not positive and
+    finite, or a state's ranks that are not a permutation of 0..63."""
+    stack = {
+        "x": np.array(x, dtype=float, order="C").reshape(-1, 3),
+        "sigma": np.array(sigma, dtype=float, order="C"),
+        "frame": np.array(frame, dtype=float, order="C").reshape(-1, 3, 3),
+        "sign": np.array(sign, dtype=int, order="C"),
+        "border": np.array(border, dtype=bool, order="C"),
+        "ranks": np.array(ranks, dtype=np.int16, order="C").reshape(-1, 4, NUM_BINS),
+    }
+    x, sigma, sign, ranks = stack["x"], stack["sigma"], stack["sign"], stack["ranks"]
+    located = (0.0 < sigma) & (sigma < math.inf) & np.isfinite(x).all(axis=1)
+    permuted = np.all(np.sort(ranks, axis=2) == np.arange(NUM_BINS), axis=(1, 2))
+    bad = np.stack([~is_rotation(stack["frame"], tol=1e-6), (sign != 1) & (sign != -1),
+                    ~located, ~permuted])
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        why = (
+            "frame is not a rotation",
+            f"has sign {sign[i]}",
+            f"has x {x[i]}, sigma {sigma[i]}",
+            "ranks are not a permutation of 0..63",
+        )[int(np.argmax(bad[:, i]))]
+        raise error(i, why)
+    return stack
+
+
 def stack_features(features: list[Feature] | FeatureSet) -> dict[str, np.ndarray]:
-    """C-contiguous arrays x (n, 3), sigma, frame (n, 3, 3), sign, border, ranks
-    (n, 4, 64) int16; RejectedInputError names a feature without 4 descriptors
-    or whose frame is not a rotation to within 1e-6, the feature file's rule.
-    A FeatureSet's stack is returned itself, not copied."""
+    """The stack of a feature list, as _stack lays it out and checks it;
+    RejectedInputError names the first feature without 4 descriptors or that
+    the record rule refuses.  A FeatureSet's stack is returned itself, not
+    copied: read_features checked it."""
     if isinstance(features, FeatureSet):
         return features.stack
     try:
@@ -178,19 +211,13 @@ def stack_features(features: list[Feature] | FeatureSet) -> dict[str, np.ndarray
     for i, count in enumerate(counts):
         if count != 4:
             raise RejectedInputError(f"feature {i} has {count} descriptors, not 4")
-    frame = np.array([f.frame.matrix for f in features], dtype=float).reshape(-1, 3, 3)
-    bad = np.flatnonzero(~is_rotation(frame, tol=1e-6))
-    if bad.size:
-        raise RejectedInputError(f"feature {bad[0]} frame is not a rotation")
-    return {
-        "x": np.array([f.keypoint.x for f in features], dtype=float).reshape(-1, 3),
-        "sigma": np.array([f.keypoint.sigma for f in features], dtype=float),
-        "frame": frame,
-        "sign": np.array([f.keypoint.sign for f in features], dtype=int),
-        "border": np.array([bool(f.border) for f in features]),
-        "ranks": np.array([[d.ranked for d in f.descriptors] for f in features], np.int16)
-        .reshape(-1, 4, NUM_BINS),
-    }
+    keypoints = [f.keypoint for f in features]
+    return _stack(
+        [k.x for k in keypoints], [k.sigma for k in keypoints], [f.frame.matrix for f in features],
+        [k.sign for k in keypoints], [bool(f.border) for f in features],
+        [[d.ranked for d in f.descriptors] for f in features],
+        lambda i, why: RejectedInputError(f"feature {i} {why}"),
+    )
 
 
 _ESTIMATORS = {

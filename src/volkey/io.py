@@ -9,7 +9,9 @@ Feature files are a text preamble (magic line ``VOLKEYFEAT <version>``, then
 ``key = value`` lines, then ``END``) followed by fixed-size little-endian
 records: location (3 f64), sigma (f64), frame (9 f64 row-major), sign (i8),
 border flag (u8) and the four ranked descriptors (4 x 64 u8): one row of
-`descriptors.stack_features`.  The writer refuses what the reader refuses.
+`descriptors.stack_features`.  This module only maps bytes to records and
+back; the stack's one record rule makes the writer refuse what the reader
+refuses.
 """
 from __future__ import annotations
 
@@ -23,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .descriptors import ExtractionConfig, Feature, FeatureSet, stack_features
+from .descriptors import ExtractionConfig, Feature, FeatureSet, _stack, stack_features
 from .errors import ParseError, RejectedInputError, check_type
-from .transforms import is_rotation
 from .volume import ScalarVolume
 
 _DTYPES = {"u8": np.uint8, "i16": np.dtype("<i2"), "f32": np.dtype("<f4")}
@@ -214,26 +215,6 @@ def config_digest(config: ExtractionConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _check_records(stack: dict, error) -> None:
-    """Raise error(i, why) at the first record a feature file refuses; stack is
-    laid out as by stack_features, whose int16 ranks sort ten times faster than u8."""
-    x, sigma, sign, ranks = stack["x"], stack["sigma"], stack["sign"], stack["ranks"]
-    rotation = is_rotation(stack["frame"], tol=1e-6)
-    located = (0.0 < sigma) & (sigma < math.inf) & np.isfinite(x).all(axis=1)
-    # each state's descriptor is a rank order of its 64 bins
-    permuted = np.all(np.sort(ranks, axis=2) == np.arange(64), axis=(1, 2))
-    bad = np.stack([~rotation, (sign != 1) & (sign != -1), ~located, ~permuted])
-    if bad.any():
-        i = int(np.flatnonzero(bad.any(axis=0))[0])
-        why = (
-            "frame is not a rotation",
-            f"has sign {sign[i]}",
-            f"has x {x[i]}, sigma {sigma[i]}",
-            "ranks are not a permutation of 0..63",
-        )[int(np.argmax(bad[:, i]))]
-        raise error(i, why)
-
-
 def write_features(
     path: str | Path,
     features: list[Feature] | FeatureSet,
@@ -246,7 +227,6 @@ def write_features(
     path = Path(path)
     cfg = ExtractionConfig() if config is None else check_type("config", config, ExtractionConfig)
     stack = stack_features(features)
-    _check_records(stack, lambda i, why: RejectedInputError(f"feature {i} {why}"))
     header = (
         f"{FEATURE_MAGIC} {FEATURE_VERSION}\n"
         f"volume_id = {str(volume_id).encode('unicode_escape').decode('ascii')}\n"
@@ -296,17 +276,9 @@ def read_features(path: str | Path) -> tuple[FeatureSet, dict]:
             f"{end + 4 + min(len(body), expected)}: expected {expected} bytes, found {len(body)}"
         )
     records = np.frombuffer(body, dtype=_RECORD)
-    stack = {
-        "x": records["x"].copy(),
-        "sigma": records["sigma"].copy(),
-        "frame": records["frame"].copy(),
-        "sign": records["sign"].astype(int),
-        "border": records["border"] != 0,
-        "ranks": records["ranks"].astype(np.int16),
-    }
-    _check_records(
-        stack,
-        lambda i, why: ParseError(
+    stack = _stack(
+        **{name: records[name] for name in _RECORD.names},
+        error=lambda i, why: ParseError(
             f"{path}: record {i} {why} (byte offset {end + 4 + i * _RECORD.itemsize})"
         ),
     )

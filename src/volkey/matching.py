@@ -8,10 +8,11 @@ transform space and the dominant mode, refined by mean shift, initializes
 registration.  Vote transforms map moving geometry onto fixed geometry.
 Matches live in one record array of MATCH_DTYPE, one row per fixed feature.
 
-Distances come from one float32 product per block: [a, 1].[b, -|b|^2/2] =
-a.b - |b|^2/2 orders b as -|a - b|^2 does; over ranks 0..63 every product and
-partial sum is a multiple of 1/2 below 64 * 63^2 < 2^18 in magnitude, exact in
-float32, so argmax is the first nearest (moving, state).  The vote steps all
+Distances come from one float32 product per block.  Every ranked descriptor
+is a permutation of 0..63 (stack_features refuses any other), so every |b|^2
+is the same 85344 and a.b orders b as -|a - b|^2 does; every product and
+partial sum is an integer below 2^17, exact in float32 in any order, so argmax
+is the first nearest (moving, state).  The vote steps all
 S <= MAX_SEEDS seeds and counts all C <= 2 S candidates pair by pair, bit for
 bit as a one-seed loop, in _BLOCK_BYTES blocks: O(N) memory besides a block.
 """
@@ -93,11 +94,8 @@ def _match_stacks(fixed: dict, moving: dict) -> np.recarray:
         raise RejectedInputError("both feature lists must be nonempty")
     ranks_f, n = fixed["ranks"][:, 0], len(fixed["x"])
     flat = moving["ranks"].reshape(-1, NUM_BINS)  # row m * nstates + state
-    if min(ranks_f.min(), flat.min()) < 0 or max(ranks_f.max(), flat.max()) >= NUM_BINS:
-        raise RejectedInputError(f"descriptor ranks must lie in 0..{NUM_BINS - 1}")
-    aug_m = np.c_[flat, -0.5 * (flat * flat).sum(axis=1)].astype(np.float32)  # exact, see above
-    aug_f = np.c_[ranks_f, np.ones(n)].astype(np.float32)
-    best = _blocked(lambda rows: (aug_f[rows] @ aug_m.T).argmax(axis=1), n, 4 * len(flat))
+    a, b = ranks_f.astype(np.float32), flat.astype(np.float32)  # exact, see above
+    best = _blocked(lambda rows: (a[rows] @ b.T).argmax(axis=1), n, 4 * len(flat))
     mi, state = np.divmod(best, len(STATE_SIGNS))
     x_m, s_m, theta_m = moving["x"], moving["sigma"], moving["frame"]
     moving_geometry = (x_m[mi], s_m[mi], theta_m[mi] @ np.stack(STATE_SIGNS)[state])

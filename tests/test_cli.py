@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from volkey.cli import main
-from volkey.synth import make_phantom
+from volkey.descriptors import ExtractionConfig, extract_features
+from volkey.evaluation import evaluate, probe_grid
+from volkey.io import read_volume, write_features
+from volkey.synth import make_phantom, random_similarity
+from volkey.transforms import SimilarityTransform
 
 
 def _run(capsys, *args):
@@ -275,6 +279,72 @@ def test_states_histogram_of_self_match(workspace, capsys):
     assert row0[0] == int(values["num_inliers"])  # self pairs stay in state 0
 
 
+def test_symmetric_states_add_the_swapped_run_transposed(workspace, capsys):
+    fixed, moving = workspace / "fixed.vkf", workspace / "moving.vkf"
+
+    def states(*args):
+        code, values = _run(capsys, "states", *args)
+        assert code == 0
+        rows = [[int(v) for v in values[f"state_hist_row{k}"].split()] for k in range(4)]
+        return np.array(rows), int(values["num_inliers"])
+
+    forward, n_forward = states("--fixed", fixed, "--moving", moving)
+    swapped, n_swapped = states("--fixed", moving, "--moving", fixed)
+    both, n_both = states("--fixed", fixed, "--moving", moving, "--symmetric")
+    assert n_forward >= 3 and n_swapped >= 3
+    np.testing.assert_array_equal(both, forward + swapped.T)
+    assert n_both == n_forward + n_swapped == both.sum()
+
+
+def test_synth_transform_center_and_negate(workspace, tmp_path, capsys):
+    common = ("synth-transform", "--seed", 11, "--center", 1.5, -2, 3,
+              "--apply-to", workspace / "fixed.txt")
+    code, values = _run(
+        capsys, *common, "--out", tmp_path / "t.json", "--out-volume", tmp_path / "plain.txt"
+    )
+    assert code == 0 and values["center"] == "1.5 -2.0 3.0"
+    want = random_similarity(11, center=(1.5, -2.0, 3.0)).as_dict()
+    assert json.loads((tmp_path / "t.json").read_text()) == json.loads(json.dumps(want))
+    code, _ = _run(
+        capsys, *common, "--out", tmp_path / "t2.json", "--out-volume", tmp_path / "negated.txt",
+        "--negate",
+    )
+    assert code == 0
+    plain, flipped = read_volume(tmp_path / "plain.txt"), read_volume(tmp_path / "negated.txt")
+    assert np.abs(plain.data).max() > 0.0
+    np.testing.assert_array_equal(flipped.data, -plain.data)
+
+
+def test_evaluate_with_both_volumes_prints_the_ssd(workspace, capsys):
+    fixed, moving, gt = workspace / "fixed.txt", workspace / "moving.txt", workspace / "t_inv.json"
+    code, values = _run(
+        capsys, "evaluate", "--est", gt, "--gt", gt, "--volume", fixed,
+        "--fixed-volume", fixed, "--moving-volume", moving,
+    )
+    assert code == 0
+    t = SimilarityTransform.from_dict(json.loads(gt.read_text()))
+    fixed_vol = read_volume(fixed)
+    want = evaluate(t, t, probe_grid(fixed_vol), fixed=fixed_vol, moving=read_volume(moving))
+    assert values["ssd"] == repr(want.ssd) and want.ssd > 0.0
+
+
+def test_extract_with_the_structure_tensor(workspace, tmp_path, capsys):
+    out = tmp_path / "st.vkf"
+    code, values = _run(
+        capsys, "extract", "--volume", workspace / "fixed.txt", "--out", out, *FROZEN_EXTRACT,
+        "--estimator", "structure_tensor",
+    )
+    assert code == 0 and values["estimator"] == "structure_tensor"
+    config = ExtractionConfig(
+        num_octaves=3, min_abs_response=1e-3, max_count=250, estimator="structure_tensor"
+    )
+    features = extract_features(read_volume(workspace / "fixed.txt"), config)
+    assert int(values["num_features"]) == len(features) >= 30
+    want = tmp_path / "want.vkf"
+    write_features(want, features, volume_id="fixed.txt", config=config)
+    assert out.read_bytes() == want.read_bytes()
+
+
 def test_config_file_and_flag_precedence(workspace, tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"extraction": {"max_count": 5, "min_abs_response": 1e-3}}))
@@ -406,6 +476,9 @@ def test_rejected_inputs_end_in_one_error_line(workspace, tmp_path, capsys):
     bad_json.write_text('{"rotation": [[1, 0, 0]')
     no_scale = tmp_path / "no_scale.json"
     no_scale.write_text(json.dumps({"rotation": np.eye(3).tolist(), "translation": [0, 0, 0]}))
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps({"rotation": (2.0 * np.eye(3)).tolist(), "scale": 1.0,
+                                  "translation": [0, 0, 0]}))
     probes = tmp_path / "probes.txt"
     probes.write_text("1 2 3\n4 five 6\n")
     short = tmp_path / "short.txt"
@@ -417,6 +490,9 @@ def test_rejected_inputs_end_in_one_error_line(workspace, tmp_path, capsys):
         ("No such", "register", "--config", "/nonexistent.json", *feats, "--out", tmp_path / "e"),
         ("not a transform JSON", "evaluate", "--est", bad_json, "--gt", gt, *volume),
         ("'scale'", "evaluate", "--est", no_scale, "--gt", gt, *volume),
+        # the transform's own refusal passes through the loader unwrapped
+        ("^error: rotation is not a proper rotation matrix$", "evaluate", "--est", scaled,
+         "--gt", gt, *volume),
         ("line 2 .*'4 five 6'", "evaluate", "--est", gt, "--gt", gt, "--probes", probes),
         ("line 1 ", "evaluate", "--est", gt, "--gt", gt, "--probes", short),
         ("No such file", "extract", "--volume", tmp_path / "no.txt", "--out", tmp_path / "f"),

@@ -1,6 +1,8 @@
 """Rank-normalized gradient-projection descriptors and feature extraction."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +22,10 @@ from volkey.descriptors import (
     rank_normalize_bins,
     stack_features,
 )
-from volkey.errors import RejectedInputError
-from volkey.frames import Frame, enumerate_states
+from volkey import descriptors
+from volkey.errors import AmbiguousFrameError, NoOrientationError, RejectedInputError
+from volkey.frames import Frame, enumerate_states, estimate_frame_structure_tensor
+from volkey.io import write_features
 from volkey.keypoints import Keypoint
 from volkey.matching import match_features
 from volkey.registration import register
@@ -212,6 +216,52 @@ def test_extraction_rejects_unknown_estimator():
         extract_features(_two_blob_volume(), ExtractionConfig(estimator="fancy"))
 
 
+def test_extraction_counts_the_frames_it_drops(phantom, phantom_features, monkeypatch):
+    # neither estimator drops a frame on this phantom, so a stand-in refuses
+    # chosen keypoints and frames the others as the estimator does
+    estimate = descriptors._ESTIMATORS["max_gradient"]
+    refusals = {1: NoOrientationError, 2: AmbiguousFrameError, 4: NoOrientationError}
+    seen = []
+
+    def refusing(ss, kp, window_factor):
+        seen.append(kp)
+        if len(seen) - 1 in refusals:
+            raise refusals[len(seen) - 1]("refused for the test")
+        return estimate(ss, kp, window_factor=window_factor)
+
+    monkeypatch.setitem(descriptors._ESTIMATORS, "max_gradient", refusing)
+    features, stats = extract_features_with_stats(phantom, EXTRACTION)
+    assert stats.num_keypoints == len(seen) == len(phantom_features)
+    assert (stats.dropped_no_orientation, stats.dropped_ambiguous) == (2, 1)
+    assert stats.num_features == len(features) == len(seen) - 3
+    kept = [f for k, f in enumerate(phantom_features) if k not in refusals]
+    got, want = stack_features(features), stack_features(kept)
+    for name, array in want.items():
+        np.testing.assert_array_equal(got[name], array, err_msg=name)
+    for f, g in zip(features, kept):
+        for d, e in zip(f.descriptors, g.descriptors):
+            np.testing.assert_array_equal(d.bins, e.bins)
+
+
+def test_structure_tensor_extraction_runs_end_to_end(
+    phantom, phantom_scale_space, phantom_features
+):
+    # no frame is dropped here: the same keypoints as the max-gradient run,
+    # each under the structure tensor's own frame, pass the record rule
+    config = dataclasses.replace(EXTRACTION, estimator="structure_tensor")
+    features, stats = extract_features_with_stats(phantom, config)
+    assert (stats.num_keypoints, stats.num_features) == (len(phantom_features), len(features))
+    stack, max_gradient = stack_features(features), stack_features(phantom_features)
+    np.testing.assert_array_equal(stack["x"], max_gradient["x"])
+    assert not np.allclose(stack["frame"], max_gradient["frame"])
+    for f in features[:5]:
+        frame = estimate_frame_structure_tensor(phantom_scale_space, f.keypoint, window_factor=1.5)
+        np.testing.assert_array_equal(f.frame.matrix, frame.matrix)
+        want = compute_state_descriptors(phantom_scale_space, f.keypoint, frame)
+        for d, e in zip(f.descriptors, want):
+            np.testing.assert_array_equal(d.bins, e.bins)
+
+
 def test_negated_phantom_extracts_matching_features(phantom, phantom_features):
     flipped = extract_features(negated(phantom), EXTRACTION)
     assert len(flipped) == len(phantom_features)
@@ -260,26 +310,67 @@ def test_parity_mirrors_octave_zero_features(seed, odd):
         np.testing.assert_allclose(bins, want, rtol=0.0, atol=1e-10 * want.max())
 
 
+def _with_frame(matrix):
+    return lambda f: Feature(f.keypoint, Frame(matrix), f.descriptors, f.border)
+
+
+def _zero_ranks(f):
+    return Feature(f.keypoint, f.frame, [Descriptor(None, np.zeros(NUM_BINS))] * 4, f.border)
+
+
+def _rank_past_a_byte(f):
+    states = [Descriptor(None, d.ranked.copy()) for d in f.descriptors]
+    states[2].ranked[5] = 256
+    return Feature(f.keypoint, f.frame, states, f.border)
+
+
+def _three_descriptors(f):
+    return Feature(f.keypoint, f.frame, f.descriptors[:3], f.border)
+
+
+def _sign_zero(f):
+    # Keypoint refuses sign 0 at construction, so set it after
+    keypoint = dataclasses.replace(f.keypoint)
+    keypoint.sign = 0
+    return Feature(keypoint, f.frame, f.descriptors, f.border)
+
+
 @pytest.mark.parametrize(
-    "matrix",
-    [np.full((3, 3), np.nan), np.where(np.eye(3) > 0, np.inf, 0.0), 2.0 * np.eye(3), -np.eye(3)],
-    ids=["nan", "inf", "scaled", "reflection"],
+    "spoil, why",
+    [
+        pytest.param(_with_frame(np.full((3, 3), np.nan)), "frame is not a rotation", id="nan"),
+        pytest.param(
+            _with_frame(np.where(np.eye(3) > 0, np.inf, 0.0)), "frame is not a rotation", id="inf"
+        ),
+        pytest.param(_with_frame(2.0 * np.eye(3)), "frame is not a rotation", id="scaled"),
+        pytest.param(_with_frame(-np.eye(3)), "frame is not a rotation", id="reflection"),
+        pytest.param(_zero_ranks, "ranks are not a permutation of 0..63", id="zero-ranks"),
+        pytest.param(
+            _rank_past_a_byte, "ranks are not a permutation of 0..63", id="rank-past-a-byte"
+        ),
+        pytest.param(_three_descriptors, "has 3 descriptors, not 4", id="three-descriptors"),
+        pytest.param(_sign_zero, "has sign 0", id="sign-zero"),
+    ],
 )
-def test_stacks_refuse_a_frame_the_feature_file_refuses(phantom_features, matrix):
-    # a NaN frame ended in LinAlgError (SVD did not converge) inside the
-    # match table, an inf frame in a RuntimeWarning
+def test_stacks_refuse_a_frame_the_feature_file_refuses(tmp_path, phantom_features, spoil, why):
+    # one rule builds every stack, so each entry refuses what the feature
+    # file refuses, with the same words; a NaN frame ended in LinAlgError
+    # (SVD did not converge) inside the match table, an inf frame in a
+    # RuntimeWarning, and matching took a duplicate rank
     features = list(phantom_features[:5])
-    f = features[2]
-    features[2] = Feature(keypoint=f.keypoint, frame=Frame(matrix), descriptors=f.descriptors)
+    features[2] = spoil(features[2])
+    path = tmp_path / "spoilt.vkf"
     for call in (
         lambda: stack_features(features),
         lambda: match_features(phantom_features, features),
         lambda: match_features(features, phantom_features),
         lambda: register(features, phantom_features),
         lambda: register(phantom_features, features),
+        lambda: write_features(path, features),
     ):
-        with pytest.raises(RejectedInputError, match="^feature 2 frame is not a rotation$"):
+        with pytest.raises(RejectedInputError, match=f"^feature 2 {why}$"):
             call()
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

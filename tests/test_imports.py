@@ -105,6 +105,19 @@ def test_one_module_tests_numbers():
     assert found and all(place.startswith("errors.py:") for place in found), found
 
 
+def test_one_module_holds_the_record_rule():
+    # every feature stack, from a list or a file, is built and checked by
+    # descriptors._stack: no other module words a reason it refuses a record
+    reasons = ("frame is not a rotation", "ranks are not a permutation of 0..63")
+    found = []
+    for path in sorted((ROOT / "src" / "volkey").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if any(reason in node.value for reason in reasons):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found and all(place.startswith("descriptors.py:") for place in found), found
+
+
 def unreferenced_definitions(modules: dict[str, str], users: list[str]) -> list[str]:
     """module.name of each public module-level function or class in modules
     (name -> source) that no code names outside its own definition: no name,

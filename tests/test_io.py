@@ -124,6 +124,7 @@ _HEADER = ["dims = 2 2 2", "spacing = 1 1 1", "origin = 0 0 0", "dtype = f32", "
         pytest.param(1, "spacing = 1 inf 1", id="infinite-spacing"),
         pytest.param(1, "spacing = 1 1 -1", id="negative-spacing"),
         pytest.param(2, "origin = 0 -inf 0", id="infinite-origin"),
+        pytest.param(3, "dtype = f64", id="f64-dtype"),
     ],
 )
 def test_read_volume_rejects_header_values_at_their_offset(tmp_path, line, value):
@@ -253,6 +254,16 @@ def test_read_nifti_rejects_header_values_at_their_offset(tmp_path, fmt, at, val
     path = tmp_path / "bad.nii"
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match=f"byte offset {offset}$"):
+        read_volume(path)
+
+
+def test_read_nifti_rejects_a_trailing_dim_at_its_offset(tmp_path):
+    # a 4D header, dims (4, 3, 2, 2): dim[4] is read at byte offset 48
+    raw = bytearray(_nifti_bytes())
+    struct.pack_into("<5h", raw, 40, 4, 4, 3, 2, 2)
+    path = tmp_path / "4d.nii"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match=r"trailing dims \[2\] exceed 1 \(byte offset 48\)$"):
         read_volume(path)
 
 

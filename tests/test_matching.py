@@ -254,17 +254,11 @@ def _random_features(rng, count, pool):
     n_fixed=st.integers(1, 9),
     n_moving=st.integers(1, 9),
     pool_size=st.integers(1, 6),
-    permutations=st.booleans(),
     block_bytes=st.sampled_from([1, 8 * 4 * 3, 1 << 24]),
 )
-def test_match_table_equals_brute_force(
-    seed, n_fixed, n_moving, pool_size, permutations, block_bytes
-):
+def test_match_table_equals_brute_force(seed, n_fixed, n_moving, pool_size, block_bytes):
     rng = np.random.default_rng(seed)
-    if permutations:
-        pool = [rng.permutation(NUM_BINS) for _ in range(pool_size)]
-    else:
-        pool = [rng.integers(0, NUM_BINS, NUM_BINS) for _ in range(pool_size)]
+    pool = [rng.permutation(NUM_BINS) for _ in range(pool_size)]
     fixed = _random_features(rng, n_fixed, pool)
     moving = _random_features(rng, n_moving, pool)
     with mock.patch.object(matching, "_BLOCK_BYTES", block_bytes):
@@ -309,10 +303,10 @@ def test_match_table_equals_brute_force(
 )
 def test_float32_match_equals_a_float64_argmin(seed, n_fixed, n_moving, pool_size, block_bytes):
     # permutations drawn from a small pool tie rows across moving features
-    # and states; the constant rows reach the largest a.b and |b|^2, 64 * 63^2
+    # and states; 0..63 and its reverse reach the largest and smallest a.b
     rng = np.random.default_rng(seed)
     pool = [rng.permutation(NUM_BINS) for _ in range(pool_size)]
-    pool += [np.full(NUM_BINS, NUM_BINS - 1), np.zeros(NUM_BINS, dtype=int)]
+    pool += [np.arange(NUM_BINS), np.arange(NUM_BINS)[::-1]]
     fixed = _random_features(rng, n_fixed, pool)
     moving = _random_features(rng, n_moving, pool)
     with mock.patch.object(matching, "_BLOCK_BYTES", block_bytes):
@@ -326,15 +320,20 @@ def test_float32_match_equals_a_float64_argmin(seed, n_fixed, n_moving, pool_siz
     assert table.descriptor_distance.dtype == np.float64
 
 
-@pytest.mark.parametrize("bad", [-1, NUM_BINS, 255])
+@pytest.mark.parametrize("bad", [-1, NUM_BINS, 255, "duplicate"])
 @pytest.mark.parametrize("side", ["fixed", "moving"])
 def test_match_rejects_ranks_outside_the_bins(bad, side):
-    # float32 is exact only over ranks 0..63; other int16 values are refused
+    # the product is exact and its order that of the distance only over
+    # permutations of 0..63; any other ranks are refused, a duplicate too
     rng = np.random.default_rng(46)
     pool = [rng.permutation(NUM_BINS) for _ in range(3)]
     features = {"fixed": _random_features(rng, 4, pool), "moving": _random_features(rng, 5, pool)}
-    features[side][-1].descriptors[0].ranked[7] = bad
-    with pytest.raises(RejectedInputError, match="ranks"):
+    ranked = features[side][-1].descriptors[0].ranked
+    ranked[7] = ranked[8] if bad == "duplicate" else bad
+    last = len(features[side]) - 1
+    with pytest.raises(
+        RejectedInputError, match=f"^feature {last} ranks are not a permutation of 0..63$"
+    ):
         match_features(features["fixed"], features["moving"])
 
 

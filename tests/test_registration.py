@@ -698,6 +698,18 @@ def test_self_registration_recovers_identity(phantom_features):
     assert res.runtime > 0.0
 
 
+def test_em_stops_at_the_lambda_sq_floor(phantom_features):
+    # plain CPD of a set onto itself drives lambda^2 below the floor: EM stops
+    # there, converged, where a lower floor lets one more iteration run
+    cfg = RegistrationConfig(variant="cpd", w=1e-4)
+    result = register(phantom_features, phantom_features, cfg)
+    assert result.converged and result.iterations == len(result.lambda_sq_history) == 14
+    assert result.lambda_sq_history[-1] <= cfg.lambda_sq_floor < result.lambda_sq_history[-2]
+    lower = register(phantom_features, phantom_features, RegistrationConfig(
+        variant="cpd", w=1e-4, lambda_sq_floor=np.finfo(float).tiny))
+    assert lower.iterations == 15 and lower.lambda_sq_history[:14] == result.lambda_sq_history
+
+
 def test_register_stacks_each_list_once(planted_pair):
     # matching and EM read one stack of each list, through either module's name
     fixed, moving, _ = planted_pair
