@@ -171,20 +171,19 @@ def _stack(x, sigma, frame, sign, border, ranks, error) -> dict[str, np.ndarray]
     sort is ten times faster than u8's.  Raises error(i, why) at the first
     feature the record rule refuses: a frame that is not a rotation within
     1e-6, a sign other than +-1, a non-finite x or a sigma not positive and
-    finite, or a state's ranks that are not a permutation of 0..63."""
-    stack = {
-        "x": np.array(x, dtype=float, order="C").reshape(-1, 3),
-        "sigma": np.array(sigma, dtype=float, order="C"),
-        "frame": np.array(frame, dtype=float, order="C").reshape(-1, 3, 3),
-        "sign": np.array(sign, dtype=int, order="C"),
-        "border": np.array(border, dtype=bool, order="C"),
-        "ranks": np.array(ranks, dtype=np.int16, order="C").reshape(-1, 4, NUM_BINS),
-    }
-    x, sigma, sign, ranks = stack["x"], stack["sigma"], stack["sign"], stack["ranks"]
+    finite, or a state's ranks that are not a permutation of 0..63.  Signs
+    and ranks are checked as given, before their integer casts, so a cast
+    neither truncates a sign of 1.5 nor wraps or truncates a rank."""
+    sign, ranks = np.asarray(sign), np.asarray(ranks)
+    if np.can_cast(ranks.dtype, np.int16):
+        ranks = np.array(ranks, dtype=np.int16, order="C")
+    ranks = ranks.reshape(-1, 4, NUM_BINS)
+    x = np.array(x, dtype=float, order="C").reshape(-1, 3)
+    sigma = np.array(sigma, dtype=float, order="C")
+    frame = np.array(frame, dtype=float, order="C").reshape(-1, 3, 3)
     located = (0.0 < sigma) & (sigma < math.inf) & np.isfinite(x).all(axis=1)
     permuted = np.all(np.sort(ranks, axis=2) == np.arange(NUM_BINS), axis=(1, 2))
-    bad = np.stack([~is_rotation(stack["frame"], tol=1e-6), (sign != 1) & (sign != -1),
-                    ~located, ~permuted])
+    bad = np.stack([~is_rotation(frame, tol=1e-6), (sign != 1) & (sign != -1), ~located, ~permuted])
     if bad.any():
         i = int(np.flatnonzero(bad.any(axis=0))[0])
         why = (
@@ -194,7 +193,12 @@ def _stack(x, sigma, frame, sign, border, ranks, error) -> dict[str, np.ndarray]
             "ranks are not a permutation of 0..63",
         )[int(np.argmax(bad[:, i]))]
         raise error(i, why)
-    return stack
+    return {
+        "x": x, "sigma": sigma, "frame": frame,
+        "sign": np.array(sign, dtype=int, order="C"),
+        "border": np.array(border, dtype=bool, order="C"),
+        "ranks": ranks.astype(np.int16, copy=False),
+    }
 
 
 def stack_features(features: list[Feature] | FeatureSet) -> dict[str, np.ndarray]:
@@ -212,12 +216,39 @@ def stack_features(features: list[Feature] | FeatureSet) -> dict[str, np.ndarray
         if count != 4:
             raise RejectedInputError(f"feature {i} has {count} descriptors, not 4")
     keypoints = [f.keypoint for f in features]
+
+    def error(i, why):
+        return RejectedInputError(f"feature {i} {why}")
+
     return _stack(
-        [k.x for k in keypoints], [k.sigma for k in keypoints], [f.frame.matrix for f in features],
-        [k.sign for k in keypoints], [bool(f.border) for f in features],
-        [[d.ranked for d in f.descriptors] for f in features],
-        lambda i, why: RejectedInputError(f"feature {i} {why}"),
+        _rows("x", [k.x for k in keypoints], (3,), error),
+        _rows("sigma", [k.sigma for k in keypoints], (), error),
+        _rows("frame", [f.frame.matrix for f in features], (3, 3), error),
+        _rows("sign", [k.sign for k in keypoints], (), error),
+        [bool(f.border) for f in features],
+        _rows("ranks", [[d.ranked for d in f.descriptors] for f in features], (4, NUM_BINS), error),
+        error,
     )
+
+
+def _rows(name, values, shape, error) -> np.ndarray:
+    """values stacked as given, one row of the given shape per feature;
+    error(i, why) at the first feature whose row has another shape."""
+    try:
+        rows = np.array(values)
+    except ValueError:  # rows of different shapes
+        rows = None
+    if values and (rows is None or rows.shape != (len(values), *shape)):
+        i = next(i for i, v in enumerate(values) if _shape(v) != shape)
+        raise error(i, f"has {name} not of shape {shape}")
+    return rows
+
+
+def _shape(value):
+    try:
+        return np.shape(value)
+    except ValueError:  # a ragged nest
+        return None
 
 
 _ESTIMATORS = {

@@ -154,7 +154,7 @@ def _read_nifti(path: Path, raw: bytes) -> ScalarVolume:
         except (OSError, EOFError, zlib.error) as exc:
             raise ParseError(f"{path}: corrupt gzip stream ({exc}) at byte offset 0") from exc
     if len(raw) < 348:
-        raise ParseError(f"{path}: truncated header at byte offset {len(raw)} (need 348)")
+        raise ParseError(f"{path}: truncated header (need 348 bytes) at byte offset {len(raw)}")
     if raw[:4] not in _SIZEOF_HDR:
         sizeof_hdr = struct.unpack_from("<i", raw, 0)[0]
         raise ParseError(f"{path}: bad sizeof_hdr {sizeof_hdr} at byte offset 0")
@@ -164,11 +164,11 @@ def _read_nifti(path: Path, raw: bytes) -> ScalarVolume:
         raise ParseError(f"{path}: bad magic {magic!r} at byte offset 344")
     ndim, *dim = struct.unpack_from(endian + "8h", raw, 40)
     if ndim < 3:
-        raise ParseError(f"{path}: need a 3D image, header says {ndim}D (byte offset 40)")
+        raise ParseError(f"{path}: need a 3D image, header says {ndim}D at byte offset 40")
     extra = [d for d in dim[3:ndim] if d > 1]
     if extra:
         raise ParseError(
-            f"{path}: need a 3D image, trailing dims {extra} exceed 1 (byte offset 48)"
+            f"{path}: need a 3D image, trailing dims {extra} exceed 1 at byte offset 48"
         )
     dims = (int(dim[0]), int(dim[1]), int(dim[2]))
     for i, d in enumerate(dims):
@@ -177,8 +177,8 @@ def _read_nifti(path: Path, raw: bytes) -> ScalarVolume:
     datatype = struct.unpack_from(endian + "h", raw, 70)[0]
     if datatype not in _NIFTI_DTYPES:
         raise ParseError(
-            f"{path}: unsupported datatype code {datatype} at byte offset 70 "
-            "(supported: 2 = u8, 4 = i16, 16 = f32)"
+            f"{path}: unsupported datatype code {datatype} "
+            "(supported: 2 = u8, 4 = i16, 16 = f32) at byte offset 70"
         )
     pixdim = struct.unpack_from(endian + "8f", raw, 76)
     for i, p in enumerate(pixdim[1:4]):
@@ -194,7 +194,7 @@ def _read_nifti(path: Path, raw: bytes) -> ScalarVolume:
         if not math.isfinite(value):
             raise ParseError(f"{path}: {name} = {value} at byte offset {at}")
     if magic == b"ni1\x00":
-        raise ParseError(f"{path}: two-file images are not supported (byte offset 344)")
+        raise ParseError(f"{path}: two-file images are not supported at byte offset 344")
     warnings.warn(
         f"{path.name}: orientation and remaining header fields ignored; origin set to 0",
         stacklevel=3,
@@ -202,7 +202,7 @@ def _read_nifti(path: Path, raw: bytes) -> ScalarVolume:
     dtype = np.dtype(_NIFTI_DTYPES[datatype]).newbyteorder(endian)
     need = vox_offset + math.prod(dims) * dtype.itemsize
     if len(raw) < need:
-        raise ParseError(f"{path}: truncated data at byte offset {len(raw)} (need {need})")
+        raise ParseError(f"{path}: truncated data (need {need} bytes) at byte offset {len(raw)}")
     data = _samples(path, raw, dtype, dims, vox_offset)
     slope = float(scl_slope) if scl_slope != 0.0 else 1.0
     if slope != 1.0 or scl_inter != 0.0:

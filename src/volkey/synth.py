@@ -43,6 +43,24 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
+def _quadratic_form(offsets: list[np.ndarray], prec: np.ndarray) -> np.ndarray:
+    """d^T prec d on the grid spanned by three 1-D offset arrays (one per
+    axis), bit for bit what np.einsum("...i,ij,...j->...", d, prec, d) gives
+    on the stacked meshgrid d.
+
+    Each axis's offsets broadcast along that axis, and the nine terms
+    (d_i prec_ij) d_j are summed in row-major order from 0.0, einsum's own
+    association and order.  The diagonal terms stay 1-D and the cross terms
+    2-D, so only the last seven additions touch the whole grid.
+    """
+    d = [np.reshape(o, [-1 if b == a else 1 for b in range(3)]) for a, o in enumerate(offsets)]
+    q = 0.0
+    for i in range(3):
+        for j in range(3):
+            q = q + (d[i] * prec[i, j]) * d[j]
+    return q
+
+
 def make_phantom(
     seed: int,
     num_blobs: int = 40,
@@ -57,6 +75,11 @@ def make_phantom(
     seed is a nonnegative integer, num_blobs a positive one, dims three
     positive integers, and the spacings and the width range (lo <= hi) lie
     in [2^-64, 2^64] mm, where no blob's exponent overflows.
+
+    Each blob is evaluated over a box of 4 max widths around its center, its
+    quadratic form summed from per-axis offsets (_quadratic_form), so the
+    peak memory is the volume plus three float64 arrays the size of the
+    largest box: the quadratic form, its scaled copy and the exponential.
     """
     check_number("seed", seed, int, lo=0)
     check_number("num_blobs", num_blobs, int, lo=1)
@@ -83,20 +106,13 @@ def make_phantom(
         amp = 0.5 + 0.5 * rng.random()
         # inverse covariance of the oriented blob
         prec = rot @ np.diag(1.0 / widths**2) @ rot.T
-        # evaluate over a bounding box of 4 max widths around the center
+        # evaluate over a bounding box of 4 max widths around the center; the
+        # center lies in [0.1, 0.9] (d - 1) s, so lo <= floor(c / s) <= d - 1 < hi
         reach = 4.0 * widths.max()
         lo = [max(0, int(math.floor((center[a] - reach) / spacing[a]))) for a in range(3)]
         hi = [min(dims[a], int(math.ceil((center[a] + reach) / spacing[a])) + 1) for a in range(3)]
-        if any(lo[a] >= hi[a] for a in range(3)):
-            continue
-        gx, gy, gz = np.meshgrid(
-            axes[0][lo[0] : hi[0]] - center[0],
-            axes[1][lo[1] : hi[1]] - center[1],
-            axes[2][lo[2] : hi[2]] - center[2],
-            indexing="ij",
-        )
-        d = np.stack([gx, gy, gz], axis=-1)
-        q = np.einsum("...i,ij,...j->...", d, prec, d)
+        offsets = [axes[a][lo[a] : hi[a]] - center[a] for a in range(3)]
+        q = _quadratic_form(offsets, prec)
         data[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] += amp * np.exp(-0.5 * q)
     return ScalarVolume(dims=dims, spacing=spacing, origin=(0.0, 0.0, 0.0), data=data)
 

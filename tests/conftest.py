@@ -26,7 +26,7 @@ from volkey.descriptors import ExtractionConfig, extract_features
 from volkey.frames import STATE_SIGNS
 from volkey.kernels import KernelParams
 from volkey.matching import match_table
-from volkey.synth import make_phantom, random_similarity
+from volkey.synth import _quadratic_form, make_phantom, random_similarity
 from volkey.transforms import SimilarityTransform, fit_similarity
 from volkey.volume import Octave, ScalarVolume, build_scale_space, resample
 
@@ -66,7 +66,8 @@ def gaussian_blob(
     amplitude=1.0,
     rotation=None,
 ) -> ScalarVolume:
-    """Single (optionally anisotropic, rotated) Gaussian blob volume."""
+    """Single (optionally anisotropic, rotated) Gaussian blob volume, its
+    quadratic form summed per axis as `make_phantom` sums each blob's."""
     dims = tuple(int(d) for d in dims)
     sp = np.asarray(spacing, dtype=float)
     if center is None:
@@ -74,11 +75,9 @@ def gaussian_blob(
     center = np.asarray(center, dtype=float)
     widths = np.asarray(widths, dtype=float) * np.ones(3)
     rot = np.eye(3) if rotation is None else np.asarray(rotation, dtype=float)
-    axes = [np.arange(d) * s for d, s in zip(dims, sp)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    d = np.stack([gx - center[0], gy - center[1], gz - center[2]], axis=-1)
+    offsets = [np.arange(d) * s - c for d, s, c in zip(dims, sp, center)]
     prec = rot @ np.diag(1.0 / widths**2) @ rot.T
-    q = np.einsum("...i,ij,...j->...", d, prec, d)
+    q = _quadratic_form(offsets, prec)
     return ScalarVolume(
         dims=dims, spacing=tuple(sp), origin=(0.0, 0.0, 0.0), data=amplitude * np.exp(-0.5 * q)
     )

@@ -335,6 +335,20 @@ def _sign_zero(f):
     return Feature(keypoint, f.frame, f.descriptors, f.border)
 
 
+def _sign_one_and_a_half(f):
+    # the int cast of a stack truncated this sign to 1
+    keypoint = dataclasses.replace(f.keypoint)
+    keypoint.sign = 1.5
+    return Feature(keypoint, f.frame, f.descriptors, f.border)
+
+
+def _ten_ranks(f):
+    # Descriptor casts ranked at construction, so replace it after
+    states = [Descriptor(None, d.ranked) for d in f.descriptors]
+    states[1].ranked = states[1].ranked[:10]
+    return Feature(f.keypoint, f.frame, states, f.border)
+
+
 @pytest.mark.parametrize(
     "spoil, why",
     [
@@ -350,6 +364,8 @@ def _sign_zero(f):
         ),
         pytest.param(_three_descriptors, "has 3 descriptors, not 4", id="three-descriptors"),
         pytest.param(_sign_zero, "has sign 0", id="sign-zero"),
+        pytest.param(_sign_one_and_a_half, "has sign 1.5", id="sign-one-and-a-half"),
+        pytest.param(_ten_ranks, r"has ranks not of shape \(4, 64\)", id="ten-ranks"),
     ],
 )
 def test_stacks_refuse_a_frame_the_feature_file_refuses(tmp_path, phantom_features, spoil, why):
