@@ -37,6 +37,14 @@ Variants: "cpd" drops the kernel (constant 1); "sift_cpd" keeps it;
 "sift_cpd_star" runs on the voting inliers only; "icp" replaces the E-step
 with hard nearest-neighbor assignments for a fixed iteration count, each fitted
 as index pairs.
+
+The kernel variants trust border features less: a feature whose 3 sigma
+reach crosses its volume's box is poorly located, so its weight alpha is
+BORDER_WEIGHT, and 1 otherwise.  Each block scales every pair of the
+normalized P by its two features' weights before adding it into the sums,
+as in the weighted M-step of Myronenko and Song (TPAMI 2010).  Weights
+never exceed 1, so the culling bound holds as it stands; without any border
+flag the sums are not weighted at all.
 """
 from __future__ import annotations
 
@@ -76,6 +84,8 @@ _LOG_ROUNDOFF = -53.0 * np.log(2.0)
 # lambda^2 bounds: 1 / (2 lambda^2) and 2 pi lambda^2 stay finite
 _TINY = float(np.finfo(float).tiny)
 _LAMBDA_SQ_MAX = FINITE / (2.0 * np.pi)
+# EM weight of a border feature in the kernel variants; 1 gives the unweighted sums
+BORDER_WEIGHT = 0.5
 
 
 @dataclass
@@ -224,7 +234,16 @@ def _tree_blocks(tree, size):
     return blocks
 
 
-def _posterior_sums(fixed, moved, x_m, lambda_sq, config, tree=None):
+def _weigh(p, inv, alpha_f, alpha_m):
+    """A block's pair (m, n) scaled by alpha_m[m] alpha_f[n] after its column
+    normalization: p's rows in place, and the normalizers inv.  Returns inv
+    and the block's weighted column sums; weights of 1 change no bit."""
+    p *= alpha_m[:, None]
+    inv = inv * alpha_f
+    return inv, p.sum(axis=0) * inv
+
+
+def _posterior_sums(fixed, moved, x_m, lambda_sq, config, tree=None, alphas=None):
     """P^T 1, P 1 and P^T x_m of the E-step's P, one block of fixed columns
     at a time.
 
@@ -233,13 +252,17 @@ def _posterior_sums(fixed, moved, x_m, lambda_sq, config, tree=None):
     locations the M-step fits.  Each block's column normalizers scale its
     sums, so no block is normalized itself.  Past one block, tree is the
     cKDTree over the fixed locations whose nodes make the culled blocks
-    (built here when not given); see the module docstring for r.
+    (built here when not given); see the module docstring for r.  alphas,
+    when given, are the fixed and the moving weights in (0, 1] that scale
+    each pair of P.
     """
     n, m = fixed[0].shape[0], x_m.shape[0]
     log_eta = _check_estep(fixed, moved, lambda_sq, config)
     fixed_k, moved_k = _kernel_sides(fixed, moved, config)
     if m * n <= _ESTEP_BLOCK_PAIRS:
         p, inv, col = _unnormalized(fixed_k, moved_k, lambda_sq, log_eta, config)
+        if alphas is not None:
+            inv, col = _weigh(p, inv, *alphas)
         return col, p @ inv, (p.T @ x_m) * inv[:, None]
     # a pair at least r apart adds at most exp(kappa - r^2 / 2 lambda^2)
     # = u eta / M to its column; r = inf when w = 0, and r^2 <= 0 culls all
@@ -260,6 +283,8 @@ def _posterior_sums(fixed, moved, x_m, lambda_sq, config, tree=None):
             tuple(a[cols] for a in fixed_k), tuple(a[rows] for a in moved_k), lambda_sq, log_eta,
             config,
         )
+        if alphas is not None:
+            inv, col[cols] = _weigh(p, inv, alphas[0][cols], alphas[1][rows])
         row[rows] += p @ inv
         pm[cols] = (p.T @ x_m[rows]) * inv[:, None]
     return col, row, pm
@@ -280,11 +305,15 @@ def register(
 
     x_f, s_f, t_f = stack_f["x"], stack_f["sigma"], stack_f["frame"]
     x_m, s_m, t_m = stack_m["x"], stack_m["sigma"], stack_m["frame"]
+    b_f, b_m = stack_f["border"], stack_m["border"]
     if cfg.variant == "sift_cpd_star":
         keep = np.unique(init.inliers.fixed_index)
-        x_f, s_f, t_f = x_f[keep], s_f[keep], t_f[keep]
+        x_f, s_f, t_f, b_f = x_f[keep], s_f[keep], t_f[keep], b_f[keep]
         keep = np.unique(init.inliers.moving_index)
-        x_m, s_m, t_m = x_m[keep], s_m[keep], t_m[keep]
+        x_m, s_m, t_m, b_m = x_m[keep], s_m[keep], t_m[keep], b_m[keep]
+    alphas = None
+    if cfg.variant in ("sift_cpd", "sift_cpd_star") and (b_f.any() or b_m.any()):
+        alphas = tuple(np.where(b, BORDER_WEIGHT, 1.0) for b in (b_f, b_m))
 
     # the fixed set never moves: one tree for ICP's queries or EM's blocks
     tree = cKDTree(x_f)
@@ -309,7 +338,7 @@ def register(
                 break
             theta = np.einsum("ij,njk->nik", t.rotation, t_m)
             moved = (t.apply(x_m), t.scale * s_m, theta)
-            sums = _posterior_sums((x_f, s_f, t_f), moved, x_m, lam, cfg, tree)
+            sums = _posterior_sums((x_f, s_f, t_f), moved, x_m, lam, cfg, tree, alphas)
             try:
                 t, lam_new = fit_similarity(x_f, x_m, *sums)
             except (DegenerateCorrespondenceError, DegenerateGeometryError) as exc:

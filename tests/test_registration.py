@@ -1,6 +1,7 @@
 """EM refinement: correspondence probabilities, the weighted fit, variants."""
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -37,6 +38,7 @@ from volkey.kernels import (
 from volkey.keypoints import Keypoint
 from volkey.registration import (
     _ESTEP_BLOCK_PAIRS,
+    BORDER_WEIGHT,
     RegistrationConfig,
     _check_estep,
     _init_lambda_sq,
@@ -581,6 +583,75 @@ def test_shared_kernel_rows_give_the_per_block_sums_bit_for_bit(
         want = _per_block_sums(fixed, moving, fitted, lambda_sq, cfg)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_fixed, n_moving", [(500, 400), (40, 30)], ids=["culled", "one_block"])
+def test_border_weights_scale_each_pair_of_p(n_fixed, n_moving):
+    # weighted sums are those of the dense P with pair (m, n) scaled by
+    # alpha_m alpha_n, within the culled path's bound; unit weights change no bit
+    rng = np.random.default_rng(47)
+    fixed = _random_geometry_arrays(rng, n_fixed, span=128.0)
+    moving = _random_geometry_arrays(rng, n_moving, span=128.0)
+    alphas = tuple(np.where(rng.random(n) < 0.3, BORDER_WEIGHT, 1.0) for n in (n_fixed, n_moving))
+    ones = tuple(np.ones(n) for n in (n_fixed, n_moving))
+    cfg = RegistrationConfig(w=0.3)
+    x_m = moving[0] + 3.0
+    for lambda_sq in (0.5, 20.0, 2000.0):
+        p = e_step(*fixed, *moving, lambda_sq, cfg) * np.outer(alphas[1], alphas[0])
+        _assert_within_roundoff_bound(
+            _posterior_sums(fixed, moving, x_m, lambda_sq, cfg, alphas=alphas), p, x_m
+        )
+        got = _posterior_sums(fixed, moving, x_m, lambda_sq, cfg, alphas=ones)
+        want = _posterior_sums(fixed, moving, x_m, lambda_sq, cfg)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def _without_border_flags(features):
+    return [dataclasses.replace(f, border=False) for f in features]
+
+
+def _same_result(a, b) -> bool:
+    return (
+        a.transform.rotation.tobytes() == b.transform.rotation.tobytes()
+        and a.transform.scale == b.transform.scale
+        and a.transform.translation.tobytes() == b.transform.translation.tobytes()
+        and a.lambda_sq_history == b.lambda_sq_history
+    )
+
+
+@pytest.mark.parametrize("variant", ["sift_cpd", "sift_cpd_star"])
+def test_border_weight_one_gives_the_unweighted_transform(planted_pair, variant):
+    fixed, moving, _ = planted_pair
+    assert any(f.border for f in fixed) and any(f.border for f in moving)
+    cfg = RegistrationConfig(variant=variant, w=1e-4)
+    flagless = register(_without_border_flags(fixed), _without_border_flags(moving), cfg)
+    assert not _same_result(register(fixed, moving, cfg), flagless)
+    with mock.patch.object(registration, "BORDER_WEIGHT", 1.0):
+        assert _same_result(register(fixed, moving, cfg), flagless)
+
+
+@pytest.mark.parametrize("variant", ["cpd", "icp"])
+def test_border_flags_leave_cpd_and_icp_alone(planted_pair, variant):
+    fixed, moving, _ = planted_pair
+    cfg = RegistrationConfig(variant=variant, w=1e-4)
+    flagless = register(_without_border_flags(fixed), _without_border_flags(moving), cfg)
+    assert _same_result(register(fixed, moving, cfg), flagless)
+
+
+def test_star_weighs_its_inliers_by_their_own_flags(planted_pair):
+    fixed, moving, _ = planted_pair
+    spy = mock.Mock(wraps=registration._posterior_sums)
+    with mock.patch.object(registration, "_posterior_sums", spy):
+        res = register(fixed, moving, RegistrationConfig(variant="sift_cpd_star", w=0.1))
+        register(_without_border_flags(fixed), _without_border_flags(moving))
+    alphas, flagless = spy.call_args_list[0].args[6], spy.call_args_list[-1].args[6]
+    inliers = res.init.inliers
+    for alpha, side, index in zip(alphas, (fixed, moving), (inliers.fixed_index, inliers.moving_index)):
+        flags = [side[i].border for i in np.unique(index)]
+        assert 0 < sum(flags) < len(flags)
+        np.testing.assert_array_equal(alpha, np.where(flags, BORDER_WEIGHT, 1.0))
+    assert flagless is None
 
 
 def test_solve_rigid_identity_and_known_transform():
