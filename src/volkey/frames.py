@@ -2,13 +2,14 @@
 
 Two estimators are provided.  The max-gradient estimator picks axes that
 maximize the window-weighted mean |gradient projection|: theta1 over the
-320 face directions of a twice-subdivided icosahedron, refined, and theta2
-over a 0.25 degree grid on the circle normal to theta1, scored in one
-O(K + 720) sweep over the K window samples; axis signs come from the
-windowed mean gradient, so negating the image flips both primary axes for
-asymmetric structures.  The structure-tensor estimator uses
-the eigenvectors of the windowed second-moment matrix with a deterministic
-sign convention; it is exactly invariant to intensity negation.
+320 face directions of a twice-subdivided icosahedron, scored over blocks of
+256 window rows so that one (256, 320) block (640 KiB) is held and never a
+(K, 320) table, then refined; theta2 over a 0.25 degree grid on the circle
+normal to theta1, scored in one O(K + 720) sweep over the K window samples;
+axis signs come from the windowed mean gradient, so negating the image flips
+both primary axes for asymmetric structures.  The structure-tensor estimator
+uses the eigenvectors of the windowed second-moment matrix with a
+deterministic sign convention; it is exactly invariant to intensity negation.
 
 A frame plus the two reflections of its primary axes gives four states
 (third axis kept right-handed): state 0 is the frame itself, states 1 and 2
@@ -35,6 +36,9 @@ MAX_WINDOW_FACTOR = 1000.0
 GRADIENT_FLOOR = 1e-12
 _EIG_RATIO_TOL = 1e-6
 _CIRCLE_STEPS = 720  # 0.25 degree over half a turn
+# window rows scored against the 320 faces at a time: one (256, 320) block is
+# 640 KiB, which stays in cache where the whole (K, 320) table would not
+_FACE_BLOCK = 256
 
 # state k multiplies frame axes (columns) by these diagonal signs
 STATE_SIGNS = (
@@ -97,6 +101,8 @@ def icosphere_faces() -> np.ndarray:
         tris = [t / np.linalg.norm(t, axis=1, keepdims=True) for t in finer]
     centers = np.array([t.mean(axis=0) for t in tris])
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    # every caller shares this one cached array
+    centers.flags.writeable = False
     return centers
 
 
@@ -129,6 +135,25 @@ def _window(ss: ScaleSpace, kp: Keypoint, window_factor: float):
 def _projection_score(grads, weights, dirs) -> np.ndarray:
     """Window-weighted sum of |g . d| for each direction (rows of dirs)."""
     return weights @ np.abs(grads @ np.asarray(dirs).T)
+
+
+def _face_scores(grads, weights):
+    """The window-weighted sum of |g . f| for each icosphere face f, and the
+    face each sample's gradient g points into (its largest g . f), scored
+    _FACE_BLOCK window rows at a time so no (K, 320) table is held."""
+    faces = icosphere_faces()
+    score = np.zeros(len(faces))
+    face_of = np.empty(len(grads), dtype=np.intp)
+    # one block buffer for all blocks: a fresh 640 KiB array per block costs
+    # the allocator more than the block's product
+    block = np.empty((min(_FACE_BLOCK, len(grads)), len(faces)))
+    for lo in range(0, len(grads), _FACE_BLOCK):
+        rows = slice(lo, lo + _FACE_BLOCK)
+        g = grads[rows]
+        proj = np.matmul(g, faces.T, out=block[: len(g)])
+        face_of[rows] = proj.argmax(axis=1)
+        score += weights[rows] @ np.abs(proj, out=proj)
+    return score, face_of
 
 
 def _circle_scores(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -171,7 +196,8 @@ def estimate_frame_max_gradient(
     """Frame whose axes maximize the weighted mean |gradient projection|.
 
     theta1 is the refined winner over the icosphere directions with its sign
-    taken from the windowed mean gradient; theta2 re-maximizes the same
+    taken from the windowed mean gradient, or that face's direction where no
+    sample's gradient points into it; theta2 re-maximizes the same
     objective on the circle normal to theta1; theta3 closes the right-handed
     frame.  Axes are swapped if the second objective value beats the first.
     """
@@ -179,18 +205,17 @@ def estimate_frame_max_gradient(
     mean_grad = (weights[:, None] * grads).sum(axis=0)
 
     faces = icosphere_faces()
-    proj = grads @ faces.T
-    # the face each sample's gradient points into, taken before proj becomes |proj|
-    face_of = proj.argmax(axis=1)
-    d0 = faces[int(np.argmax(weights @ np.abs(proj, out=proj)))]
+    score, face_of = _face_scores(grads, weights)
+    d0 = faces[int(np.argmax(score))]
     if mean_grad @ d0 < 0.0:
         d0 = -d0
-    # samples whose gradient points into the face nearest d0
+    # samples whose gradient points into the face nearest d0; an antipodal
+    # pair's scores tie to rounding, but f_star is the one along mean_grad
     f_star = int(np.argmax(faces @ d0))
     members = face_of == f_star
     theta1 = (weights[members, None] * grads[members]).sum(axis=0)
     n1 = np.linalg.norm(theta1)
-    theta1 = theta1 / n1 if n1 > GRADIENT_FLOOR else d0
+    theta1 = theta1 / n1 if n1 > GRADIENT_FLOOR else faces[f_star]
 
     e1 = _orthonormal_partner(theta1)
     e2 = np.cross(theta1, e1)

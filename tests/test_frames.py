@@ -12,11 +12,14 @@ from conftest import EXTRACTION, gaussian_blob, matrix_from_rotvec, negated
 from volkey.descriptors import extract_features
 from volkey.errors import AmbiguousFrameError, NoOrientationError, RejectedInputError
 from volkey.frames import (
+    _FACE_BLOCK,
     MAX_WINDOW_FACTOR,
     STATE_SIGNS,
     Frame,
     _circle_scores,
+    _face_scores,
     _frame_from_tensor,
+    _orthonormal_partner,
     _window,
     enumerate_states,
     estimate_frame_max_gradient,
@@ -49,6 +52,12 @@ def test_icosphere_face_grid():
     # the grid is antipodally symmetric, which the sign logic relies on
     matched = np.isclose(np.abs(faces @ faces.T), 1.0, atol=1e-12).sum(axis=1)
     assert np.all(matched == 2)
+
+
+def test_icosphere_faces_are_read_only():
+    # every caller shares the one cached array, so a write would reach them all
+    with pytest.raises(ValueError):
+        icosphere_faces()[0, 0] = 1.0
 
 
 def test_max_gradient_aligns_with_ramp():
@@ -284,6 +293,94 @@ def test_circle_sweep_equals_dense_ring(seed, count, zero, normal, a_zero, on_gr
         assert np.argmax(got) == np.argmax(ring)
 
 
+def _dense_theta1(grads, weights):
+    """Oracle: the windowed |projection| score of every icosphere face and
+    each sample's face, from one (K, 320) product."""
+    proj = grads @ icosphere_faces().T
+    return weights @ np.abs(proj), proj.argmax(axis=1)
+
+
+def _frame_of_window(grads, weights, face_scores=None):
+    """estimate_frame_max_gradient on a given window, optionally scored by
+    face_scores in place of _face_scores."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("volkey.frames._window", lambda ss, kp, factor: (grads, weights))
+        if face_scores is not None:
+            patch.setattr("volkey.frames._face_scores", face_scores)
+        return estimate_frame_max_gradient(None, None).matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.one_of(
+        st.just(1), st.integers(2, _FACE_BLOCK - 1),
+        st.sampled_from([_FACE_BLOCK, _FACE_BLOCK + 1, 5 * _FACE_BLOCK + 39]),
+    ),
+    zero=st.integers(0, 3),
+    axis=st.integers(0, 6),
+)
+def test_blocked_face_scores_equal_dense_theta1(seed, count, zero, axis):
+    rng = np.random.default_rng(seed)
+    # zero rows and rows along a coordinate axis, in a random cloud
+    grads = np.concatenate(
+        [
+            np.zeros((zero, 3)),
+            np.eye(3)[rng.integers(0, 3, axis)] * rng.normal(size=(axis, 1)),
+            rng.normal(size=(count, 3)) * rng.exponential(size=(count, 1)),
+        ]
+    )
+    grads = rng.permutation(grads)[:count]
+    weights = rng.random(count)
+    score, face_of = _face_scores(grads, weights)
+    dense_score, dense_face_of = _dense_theta1(grads, weights)
+    np.testing.assert_array_equal(face_of, dense_face_of)
+    np.testing.assert_allclose(score, dense_score, rtol=1e-12, atol=0.0)
+    # the top face's antipode ties it to rounding; past the pair, the next
+    # face must be clearly behind, and the mean gradient clearly on one side
+    faces = icosphere_faces()
+    top = int(np.argmax(dense_score))
+    pair = np.abs(faces @ faces[top]) > 1.0 - 1e-9
+    runner_up = dense_score[~pair].max()
+    mean_grad = weights @ grads
+    if (
+        dense_score[top] - runner_up > 1e-9 * dense_score[top]
+        and abs(mean_grad @ faces[top]) > 1e-9 * np.linalg.norm(mean_grad)
+    ):
+        np.testing.assert_array_equal(
+            _frame_of_window(grads, weights),
+            _frame_of_window(grads, weights, _dense_theta1),
+        )
+
+
+def test_theta1_fallback_takes_the_face_not_the_tie_winner():
+    # a face whose antipode is not its exact negation
+    faces = icosphere_faces()
+    i = next(i for i in range(len(faces)) if not np.any(np.all(faces == -faces[i], axis=1)))
+    j = int(np.argmin(faces @ faces[i]))
+    # two gradients 30 degrees either side of face i: faces i and j score
+    # highest, but each gradient points into a face of its own, so the face
+    # along the mean gradient has no member samples
+    u = _orthonormal_partner(faces[i])
+    grads = np.stack([np.cos(np.pi / 6) * faces[i] + s * np.sin(np.pi / 6) * u for s in (1, -1)])
+    weights = np.ones(2)
+    score, face_of = _face_scores(grads, weights)
+    assert int(np.argmax(score)) in (i, j)
+    assert score[i] == pytest.approx(score[j], rel=1e-15)
+    assert i not in face_of and j not in face_of
+    # whichever face of the pair wins the tie, theta1 is face i itself
+    frames = []
+    for winner in (i, j):
+        tied = score.copy()
+        tied[[i, j]] = score.max()
+        tied[winner] = np.nextafter(score.max(), np.inf)
+        frames.append(
+            _frame_of_window(grads, weights, lambda g, w, tied=tied: (tied, face_of))
+        )
+    assert frames[0][:, 0].tobytes() == faces[i].tobytes()
+    np.testing.assert_array_equal(frames[0], frames[1])
+
+
 @pytest.fixture(scope="module")
 def wide_window():
     # sigma 5 on 1 mm voxels: a support ball of radius 15 voxels, K > 10^4
@@ -308,9 +405,9 @@ def test_circle_search_memory_is_linear_in_the_window(wide_window):
     assert peak < 16 * 8 * count
 
 
-def test_frame_holds_one_icosphere_array(wide_window):
-    # the (K, 320) face projections take 2560 B a sample; the window itself
-    # is a few hundred
+def test_frame_memory_is_the_window_plus_one_face_block(wide_window):
+    # the window sampler takes under 600 B a sample, and theta1's face scores
+    # one (_FACE_BLOCK, 320) block; a (K, 320) table would take 2560 B a sample
     count = len(_window(*wide_window, 1.5)[1])
     tracemalloc.start()
     try:
@@ -318,4 +415,4 @@ def test_frame_holds_one_icosphere_array(wide_window):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 320 * 8 * count
+    assert peak < 600 * count + 3 * 320 * 8 * _FACE_BLOCK
